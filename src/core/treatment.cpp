@@ -45,13 +45,13 @@ TreatmentPlan make_treatment_plan(const sched::TaskSet& ts,
   plan.detects = true;
   plan.stops = policy != TreatmentPolicy::kDetectOnly;
 
+  const std::vector<sched::RtaResult> rta = sched::response_times(ts, opts.rta);
   plan.nominal_wcrt.reserve(ts.size());
   for (sched::TaskId i = 0; i < ts.size(); ++i) {
-    const sched::RtaResult rta = sched::response_time(ts, i, opts.rta);
-    RTFT_EXPECTS(rta.bounded && rta.wcrt <= ts[i].deadline,
+    RTFT_EXPECTS(rta[i].bounded && rta[i].wcrt <= ts[i].deadline,
                  "treatment thresholds need a feasible task set; '" +
                      ts[i].name + "' is not schedulable");
-    plan.nominal_wcrt.push_back(rta.wcrt);
+    plan.nominal_wcrt.push_back(rta[i].wcrt);
   }
 
   switch (policy) {

@@ -23,14 +23,6 @@ std::vector<sched::TaskId> by_utilization_desc(const sched::TaskSet& ts) {
   return order;
 }
 
-/// Builds the TaskSet a core would run from a list of task ids.
-sched::TaskSet subset(const sched::TaskSet& ts,
-                      const std::vector<sched::TaskId>& ids) {
-  sched::TaskSet out;
-  for (const sched::TaskId id : ids) out.add(ts[id]);
-  return out;
-}
-
 /// First-fit primary assignment under RTA admission, shared by both
 /// strategies so their primary phases are identical (and so the
 /// fault-aware placement is feasible only when first-fit's is —
@@ -38,15 +30,17 @@ sched::TaskSet subset(const sched::TaskSet& ts,
 bool place_primaries(const sched::TaskSet& ts, std::size_t cores,
                      Placement& p, std::string& reason) {
   std::vector<std::vector<sched::TaskId>> on_core(cores);
+  sched::PriorityView view;
   for (const sched::TaskId id : by_utilization_desc(ts)) {
     bool placed = false;
     for (std::size_t c = 0; c < cores && !placed; ++c) {
-      std::vector<sched::TaskId> candidate = on_core[c];
-      candidate.push_back(id);
-      if (sched::is_feasible(subset(ts, candidate))) {
-        on_core[c] = std::move(candidate);
+      on_core[c].push_back(id);
+      view.assign(ts, on_core[c]);
+      placed = sched::is_feasible(view);
+      if (placed) {
         p.primary[id] = c;
-        placed = true;
+      } else {
+        on_core[c].pop_back();
       }
     }
     if (!placed) {
@@ -101,16 +95,19 @@ Placement FaultAware::place(const sched::TaskSet& ts,
   // groups[f][j] = backups placed on j whose primary is on f.
   std::vector<std::vector<std::vector<sched::TaskId>>> groups(
       cores, std::vector<std::vector<sched::TaskId>>(cores));
+  sched::PriorityView view;
+  std::vector<sched::TaskId> candidate;
   for (const sched::TaskId id : by_utilization_desc(ts)) {
     const std::size_t f = p.primary[id];
     bool placed = false;
     for (std::size_t j = 0; j < cores && !placed; ++j) {
       if (j == f) continue;  // never co-located with its own primary.
-      std::vector<sched::TaskId> candidate = primaries_on[j];
+      candidate = primaries_on[j];
       candidate.insert(candidate.end(), groups[f][j].begin(),
                        groups[f][j].end());
       candidate.push_back(id);
-      if (sched::is_feasible(subset(ts, candidate))) {
+      view.assign(ts, candidate);
+      if (sched::is_feasible(view)) {
         groups[f][j].push_back(id);
         p.backup[id] = j;
         placed = true;
@@ -133,10 +130,12 @@ bool survives_any_single_fault(const sched::TaskSet& ts,
                    placement.backup.size() == ts.size(),
                "placement must cover the task set");
   if (!placement.feasible) return false;
+  sched::PriorityView view;
+  std::vector<sched::TaskId> load;
   for (std::size_t f = 0; f < cores; ++f) {
     for (std::size_t j = 0; j < cores; ++j) {
       if (j == f) continue;
-      std::vector<sched::TaskId> load;
+      load.clear();
       for (sched::TaskId id = 0; id < ts.size(); ++id) {
         if (placement.primary[id] == j) load.push_back(id);
       }
@@ -146,7 +145,8 @@ bool survives_any_single_fault(const sched::TaskSet& ts,
           load.push_back(id);
         }
       }
-      if (!sched::is_feasible(subset(ts, load))) return false;
+      view.assign(ts, load);
+      if (!sched::is_feasible(view)) return false;
     }
   }
   // Every task must actually have a backup for fail-over to exist.

@@ -1,7 +1,5 @@
 #include "sched/allowance.hpp"
 
-#include <functional>
-
 #include "common/assert.hpp"
 #include "sched/feasibility.hpp"
 
@@ -11,8 +9,9 @@ namespace {
 /// Largest k*granularity in [0, hi_bound] with feasible(k*granularity),
 /// given feasible(0) and monotonicity (feasible(x) implies feasible(y)
 /// for all y < x). `hi_bound` must satisfy !feasible(hi_bound).
+template <typename Feasible>
 Duration monotone_search(Duration granularity, Duration hi_bound,
-                         const std::function<bool(Duration)>& feasible) {
+                         const Feasible& feasible) {
   RTFT_EXPECTS(granularity.is_positive(), "granularity must be positive");
   std::int64_t lo = 0;  // feasible, in granularity units
   std::int64_t hi = ceil_div(hi_bound, granularity);  // infeasible
@@ -40,26 +39,42 @@ Duration infeasibility_bound_all(const TaskSet& ts) {
   return (bound.is_negative() ? Duration::zero() : bound) + Duration::ns(1);
 }
 
+/// Largest overrun the task at `pos` can make alone while `view` (already
+/// known feasible) stays feasible.
+Duration max_overrun(const PriorityView& view, std::size_t pos,
+                     const AllowanceOptions& opts) {
+  // Beyond the task's own slack it misses its own deadline, so this is a
+  // valid infeasibility bound.
+  const Duration own_slack = view.deadline(pos) - view.cost(pos);
+  const Duration hi =
+      (own_slack.is_negative() ? Duration::zero() : own_slack) +
+      Duration::ns(1);
+  return monotone_search(opts.granularity, hi, [&](Duration extra) {
+    return is_feasible(view, opts.rta, Inflation{.pos = pos, .one = extra});
+  });
+}
+
 }  // namespace
 
 EquitableAllowance equitable_allowance(const TaskSet& ts,
                                        const AllowanceOptions& opts) {
   EquitableAllowance out;
   RTFT_EXPECTS(!ts.empty(), "allowance of an empty task set");
-  if (!is_feasible(ts, opts.rta)) return out;  // feasible_at_zero = false
+  const PriorityView view(ts);
+  if (!is_feasible(view, opts.rta)) return out;  // feasible_at_zero = false
   out.feasible_at_zero = true;
 
   const Duration hi = infeasibility_bound_all(ts);
   out.allowance = monotone_search(opts.granularity, hi, [&](Duration a) {
-    return is_feasible(ts.with_all_costs_inflated(a), opts.rta);
+    return is_feasible(view, opts.rta, Inflation{.all = a});
   });
 
-  const TaskSet inflated = ts.with_all_costs_inflated(out.allowance);
-  out.inflated_wcrt.reserve(ts.size());
-  for (TaskId i = 0; i < ts.size(); ++i) {
-    const RtaResult rta = response_time(inflated, i, opts.rta);
+  out.inflated_wcrt.resize(ts.size());
+  for (std::size_t pos = 0; pos < view.size(); ++pos) {
+    const RtaResult rta =
+        busy_period(view, pos, opts.rta, Inflation{.all = out.allowance});
     RTFT_ASSERT(rta.bounded, "inflated system was checked feasible");
-    out.inflated_wcrt.push_back(rta.wcrt);
+    out.inflated_wcrt[view.id(pos)] = rta.wcrt;
   }
   return out;
 }
@@ -67,41 +82,36 @@ EquitableAllowance equitable_allowance(const TaskSet& ts,
 Duration max_single_task_overrun(const TaskSet& ts, TaskId id,
                                  const AllowanceOptions& opts) {
   RTFT_EXPECTS(id < ts.size(), "task id out of range");
-  if (!is_feasible(ts, opts.rta)) return Duration::zero();
-  // Beyond the task's own slack it misses its own deadline, so this is a
-  // valid infeasibility bound.
-  const Duration own_slack = ts[id].deadline - ts[id].cost;
-  const Duration hi =
-      (own_slack.is_negative() ? Duration::zero() : own_slack) +
-      Duration::ns(1);
-  return monotone_search(opts.granularity, hi, [&](Duration extra) {
-    return is_feasible(ts.with_cost(id, ts[id].cost + extra), opts.rta);
-  });
+  const PriorityView view(ts);
+  if (!is_feasible(view, opts.rta)) return Duration::zero();
+  return max_overrun(view, view.position(id), opts);
 }
 
 SystemAllowance system_allowance(const TaskSet& ts,
                                  const AllowanceOptions& opts) {
   SystemAllowance out;
   RTFT_EXPECTS(!ts.empty(), "allowance of an empty task set");
-  if (!is_feasible(ts, opts.rta)) return out;
+  const PriorityView view(ts);
+  if (!is_feasible(view, opts.rta)) return out;
   out.feasible_at_zero = true;
 
-  out.beneficiary = ts.by_priority_desc().front();
-  out.budget = max_single_task_overrun(ts, out.beneficiary, opts);
+  // Position 0: the highest priority, ties to the lowest TaskId.
+  out.beneficiary = view.id(0);
+  out.budget = max_overrun(view, 0, opts);
 
-  const TaskSet worst_case =
-      ts.with_cost(out.beneficiary, ts[out.beneficiary].cost + out.budget);
-  out.nominal_wcrt.reserve(ts.size());
-  out.stop_thresholds.reserve(ts.size());
-  out.sound_stop_thresholds.reserve(ts.size());
-  for (TaskId i = 0; i < ts.size(); ++i) {
-    const RtaResult rta = response_time(ts, i, opts.rta);
+  const Inflation worst_case{.pos = 0, .one = out.budget};
+  out.nominal_wcrt.resize(ts.size());
+  out.stop_thresholds.resize(ts.size());
+  out.sound_stop_thresholds.resize(ts.size());
+  for (std::size_t pos = 0; pos < view.size(); ++pos) {
+    const TaskId i = view.id(pos);
+    const RtaResult rta = busy_period(view, pos, opts.rta);
     RTFT_ASSERT(rta.bounded, "system was checked feasible");
-    out.nominal_wcrt.push_back(rta.wcrt);
-    out.stop_thresholds.push_back(rta.wcrt + out.budget);
-    const RtaResult sound = response_time(worst_case, i, opts.rta);
+    out.nominal_wcrt[i] = rta.wcrt;
+    out.stop_thresholds[i] = rta.wcrt + out.budget;
+    const RtaResult sound = busy_period(view, pos, opts.rta, worst_case);
     RTFT_ASSERT(sound.bounded, "budgeted system is feasible by definition");
-    out.sound_stop_thresholds.push_back(sound.wcrt);
+    out.sound_stop_thresholds[i] = sound.wcrt;
   }
   return out;
 }

@@ -60,11 +60,12 @@ BlockingVerdict response_time_with_blocking(const TaskSet& ts, TaskId id,
   v.id = id;
   v.blocking = resources.blocking_term(ts, id);
   // Fold B_i into the task's own cost for the q = 0 fixed point: the
-  // classic R = C + B + interference. Reuse the single-job analysis on a
-  // copy with the inflated cost (interference terms are unchanged —
+  // classic R = C + B + interference (interference terms are unchanged —
   // other tasks keep their own costs).
-  const TaskSet inflated = ts.with_cost(id, ts[id].cost + v.blocking);
-  const auto r = classic_response_time(inflated, id, opts);
+  const PriorityView view(ts);
+  const std::size_t pos = view.position(id);
+  const auto r = classic_response_time(
+      view, pos, opts, Inflation{.pos = pos, .one = v.blocking});
   if (r.has_value()) {
     v.bounded = true;
     v.wcrt = *r;
@@ -91,10 +92,21 @@ Duration equitable_allowance_with_blocking(const TaskSet& ts,
                                            Duration granularity,
                                            const RtaOptions& opts) {
   RTFT_EXPECTS(granularity.is_positive(), "granularity must be positive");
+  // Blocking terms depend on priorities only, so they hold for every A.
+  std::vector<Duration> blocking;
+  blocking.reserve(ts.size());
+  for (TaskId i = 0; i < ts.size(); ++i) {
+    blocking.push_back(resources.blocking_term(ts, i));
+  }
+  const PriorityView view(ts);
   const auto feasible = [&](Duration a) {
-    return analyze_with_blocking(ts.with_all_costs_inflated(a), resources,
-                                 opts)
-        .feasible;
+    for (std::size_t pos = 0; pos < view.size(); ++pos) {
+      const TaskId i = view.id(pos);
+      const auto r = classic_response_time(
+          view, pos, opts, Inflation{.all = a, .pos = pos, .one = blocking[i]});
+      if (!r || *r > ts[i].deadline) return false;
+    }
+    return true;
   };
   if (!feasible(Duration::zero())) return Duration::zero();
   // Same monotone search as the blocking-free case: beyond the smallest

@@ -10,16 +10,16 @@ FeasibilityReport analyze(const TaskSet& ts, const RtaOptions& opts) {
   FeasibilityReport report;
   report.load = load_test(ts);
   report.utilization = ts.utilization();
+  const std::vector<RtaResult> rta = response_times(ts, opts);
   report.tasks.reserve(ts.size());
 
   bool all_ok = true;
   for (TaskId i = 0; i < ts.size(); ++i) {
     TaskVerdict v;
     v.id = i;
-    const RtaResult rta = response_time(ts, i, opts);
-    v.bounded = rta.bounded;
-    v.wcrt = rta.wcrt;
-    v.meets_deadline = rta.bounded && rta.wcrt <= ts[i].deadline;
+    v.bounded = rta[i].bounded;
+    v.wcrt = rta[i].wcrt;
+    v.meets_deadline = v.bounded && v.wcrt <= ts[i].deadline;
     all_ok = all_ok && v.meets_deadline;
     report.tasks.push_back(v);
   }
@@ -28,7 +28,19 @@ FeasibilityReport analyze(const TaskSet& ts, const RtaOptions& opts) {
 }
 
 bool is_feasible(const TaskSet& ts, const RtaOptions& opts) {
-  return analyze(ts, opts).feasible;
+  return is_feasible(PriorityView(ts), opts);
+}
+
+bool is_feasible(const PriorityView& view, const RtaOptions& opts,
+                 const Inflation& extra) {
+  // No separate load test: a total load above 1 is the lowest level's
+  // load, whose busy period then never closes. Lowest priority first, the
+  // likeliest to miss, so an infeasible probe usually stops after one
+  // capped analysis.
+  for (std::size_t pos = view.size(); pos-- > 0;) {
+    if (!busy_period(view, pos, opts, extra, true).bounded) return false;
+  }
+  return true;
 }
 
 std::string FeasibilityReport::summary(const TaskSet& ts) const {

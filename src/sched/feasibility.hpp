@@ -42,6 +42,13 @@ struct FeasibilityReport {
 /// True iff every task's WCRT is bounded and within its deadline.
 [[nodiscard]] bool is_feasible(const TaskSet& ts, const RtaOptions& opts = {});
 
+/// The probe every search and placement runs: true iff every task of
+/// `view`, its costs raised by `extra`, meets all its deadlines — the
+/// verdict is_feasible() gives on the inflated set, without building it.
+[[nodiscard]] bool is_feasible(const PriorityView& view,
+                               const RtaOptions& opts = {},
+                               const Inflation& extra = {});
+
 /// Incremental admission control in the RTSJ style: tasks are admitted
 /// only if the system stays feasible, and the mutation is rolled back
 /// otherwise.

@@ -33,13 +33,16 @@ std::optional<Duration> response_time_with_jitter(
   for (const Duration j : jitters) {
     RTFT_EXPECTS(!j.is_negative(), "jitter must be non-negative");
   }
-  const std::vector<TaskId> hp = ts.interferers_of(id);
+  const PriorityView view(ts);
+  const std::size_t pos = view.position(id);
 
   std::int64_t budget = opts.max_iterations;
   Duration r = ts[id].cost;
   while (budget-- > 0) {
     Duration next = ts[id].cost;
-    for (const TaskId j : hp) {
+    for (std::size_t k = 0; k < view.interferer_end(pos); ++k) {
+      if (k == pos) continue;
+      const TaskId j = view.id(k);
       const std::int64_t releases =
           ceil_div(r + jitters[j], ts[j].period);
       const auto add = checked_mul(releases, ts[j].cost.count());

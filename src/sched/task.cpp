@@ -44,18 +44,6 @@ bool TaskSet::contains(std::string_view name) const {
                      [&](const TaskParams& t) { return t.name == name; });
 }
 
-std::vector<TaskId> TaskSet::interferers_of(TaskId id) const {
-  RTFT_EXPECTS(id < tasks_.size(), "task id out of range");
-  std::vector<TaskId> out;
-  for (TaskId j = 0; j < tasks_.size(); ++j) {
-    if (j != id && tasks_[j].priority >= tasks_[id].priority) out.push_back(j);
-  }
-  std::stable_sort(out.begin(), out.end(), [&](TaskId a, TaskId b) {
-    return tasks_[a].priority > tasks_[b].priority;
-  });
-  return out;
-}
-
 std::vector<TaskId> TaskSet::by_priority_desc() const {
   std::vector<TaskId> out(tasks_.size());
   for (TaskId i = 0; i < out.size(); ++i) out[i] = i;

@@ -64,11 +64,6 @@ class TaskSet {
   [[nodiscard]] TaskId find(std::string_view name) const;
   [[nodiscard]] bool contains(std::string_view name) const;
 
-  /// The paper's HP(S): tasks with priority higher than or equal to
-  /// `id`'s priority, excluding `id` itself. Order: descending priority,
-  /// ties by TaskId.
-  [[nodiscard]] std::vector<TaskId> interferers_of(TaskId id) const;
-
   /// All TaskIds ordered by descending priority (ties by TaskId).
   [[nodiscard]] std::vector<TaskId> by_priority_desc() const;
 

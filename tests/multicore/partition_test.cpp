@@ -173,7 +173,7 @@ TEST(SurvivesAnySingleFault, RejectsMissingOrColocatedBackups) {
   EXPECT_TRUE(survives_any_single_fault(ts, p, 2));
   p.feasible = false;  // an infeasible placement never survives.
   EXPECT_FALSE(survives_any_single_fault(ts, p, 2));
-  EXPECT_THROW(survives_any_single_fault(ts, Placement{}, 2),
+  EXPECT_THROW(static_cast<void>(survives_any_single_fault(ts, Placement{}, 2)),
                ContractViolation);  // must cover the task set.
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/assert.hpp"
+#include "sched/response_time.hpp"
 #include "support/paper_systems.hpp"
 
 namespace rtft::sched {
@@ -69,20 +70,51 @@ TEST(TaskSet, IndexOutOfRangeThrows) {
   EXPECT_THROW((void)ts[3], ContractViolation);
 }
 
+/// Task `id`'s interferers as the analyses see them: its priority view's
+/// prefix, without the task itself.
+std::vector<TaskId> interferers_of(const TaskSet& ts, TaskId id) {
+  const PriorityView view(ts);
+  const std::size_t pos = view.position(id);
+  std::vector<TaskId> out;
+  for (std::size_t k = 0; k < view.interferer_end(pos); ++k) {
+    if (k != pos) out.push_back(view.id(k));
+  }
+  return out;
+}
+
 TEST(TaskSet, InterferersFollowPaperHpDefinition) {
   const TaskSet ts = table2_system();
   // tau1 (P=20) has no interferer; tau3 (P=16) is interfered by both.
-  EXPECT_TRUE(ts.interferers_of(0).empty());
-  EXPECT_EQ(ts.interferers_of(1), (std::vector<TaskId>{0}));
-  EXPECT_EQ(ts.interferers_of(2), (std::vector<TaskId>{0, 1}));
+  EXPECT_TRUE(interferers_of(ts, 0).empty());
+  EXPECT_EQ(interferers_of(ts, 1), (std::vector<TaskId>{0}));
+  EXPECT_EQ(interferers_of(ts, 2), (std::vector<TaskId>{0, 1}));
 }
 
 TEST(TaskSet, EqualPrioritiesInterfereMutually) {
   TaskSet ts;
   ts.add(valid_task("a"));
   ts.add(valid_task("b"));  // same priority 10
-  EXPECT_EQ(ts.interferers_of(0), (std::vector<TaskId>{1}));
-  EXPECT_EQ(ts.interferers_of(1), (std::vector<TaskId>{0}));
+  EXPECT_EQ(interferers_of(ts, 0), (std::vector<TaskId>{1}));
+  EXPECT_EQ(interferers_of(ts, 1), (std::vector<TaskId>{0}));
+}
+
+TEST(TaskSet, PriorityViewOfASubsetKeepsOriginalIds) {
+  TaskSet ts;
+  for (const char* name : {"a", "b", "c", "d"}) ts.add(valid_task(name));
+  TaskParams top = valid_task("top");
+  top.priority = 20;
+  ts.add(top);
+  PriorityView view;
+  const std::vector<TaskId> ids{3, 4, 1};
+  view.assign(ts, ids);
+  ASSERT_EQ(view.size(), 3u);
+  EXPECT_EQ(view.id(0), 4u);  // highest priority first, then by TaskId.
+  EXPECT_EQ(view.id(1), 1u);
+  EXPECT_EQ(view.id(2), 3u);
+  EXPECT_EQ(view.interferer_end(0), 1u);
+  EXPECT_EQ(view.interferer_end(1), 3u);  // the tied pair shares a prefix.
+  EXPECT_EQ(view.interferer_end(2), 3u);
+  EXPECT_THROW((void)view.position(0), ContractViolation);
 }
 
 TEST(TaskSet, ByPriorityDescIsStable) {
