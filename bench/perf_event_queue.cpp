@@ -1,14 +1,12 @@
-// Event-queue comparison: the hierarchical timing wheel (with lazy
-// deadline validation) against the pooled binary-heap oracle, at
-// n = 8 / 32 / 128 tasks on a periodic-heavy workload.
-//
-// Both modes replay the identical seeded scenario on a reused engine
-// (the sweep's usage pattern). The denominator is workload-defined —
-// jobs released + completed, equal in both modes — so ns/event compares
-// pure queue cost: the heap pays O(log outstanding) sifts per push/pop
-// plus one eagerly queued deadline-check event per job; the wheel pays
-// O(1) amortized placement and validates deadlines lazily, roughly
-// halving queue traffic (ISSUE 4 pins >=20% fewer ns/event at n = 128).
+// Event-queue cost (L0): the hierarchical timing wheel with lazy deadline
+// validation, at n = 8 / 32 / 128 tasks on a periodic-heavy workload and
+// at 16 / 64 tasks under a swarm of periodic timers. One seeded scenario
+// replays on a reused engine (the sweep's usage pattern); the
+// denominator is workload-defined — jobs released + completed, plus
+// timer fires — so ns/event tracks queue cost. The wheel pays O(1)
+// amortized placement and queues no deadline checks. The sorted-vector
+// queue with eager checks it replaced lives on as the test reference
+// (tests/runtime/reference_engine.hpp).
 #include <benchmark/benchmark.h>
 
 #include "runtime/engine.hpp"
@@ -19,17 +17,16 @@ namespace {
 
 using namespace rtft;
 
-void run_queue_bench(benchmark::State& state, rt::EventQueueMode mode) {
+void BM_EventQueue_TimingWheel(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const sched::TaskSet ts = rtft::bench::random_set(2027, n, 0.85);
 
   rt::EngineOptions opts;
   opts.horizon = Instant::epoch() + Duration::s(2);
-  opts.event_queue = mode;
   rt::Engine engine(opts);
   engine.reserve(n, 4 * n);
 
-  std::int64_t events = 0;  // jobs released + completed, both modes alike
+  std::int64_t events = 0;  // jobs released + completed
   for (auto _ : state) {
     engine.reset(opts);
     std::vector<rt::TaskHandle> handles;
@@ -49,27 +46,17 @@ void run_queue_bench(benchmark::State& state, rt::EventQueueMode mode) {
       static_cast<double>(events), benchmark::Counter::kAvgIterations);
 }
 
-void BM_EventQueue_TimingWheel(benchmark::State& state) {
-  run_queue_bench(state, rt::EventQueueMode::kTimingWheel);
-}
-
-void BM_EventQueue_PooledHeap(benchmark::State& state) {
-  run_queue_bench(state, rt::EventQueueMode::kPooledHeap);
-}
-
 BENCHMARK(BM_EventQueue_TimingWheel)->Arg(8)->Arg(32)->Arg(128);
-BENCHMARK(BM_EventQueue_PooledHeap)->Arg(8)->Arg(32)->Arg(128);
 
 // Timer-heavy variant: a detector-bank-like swarm of periodic timers on
 // top of the tasks, so the wheel also proves itself on non-release
 // traffic (timers are where a calendar queue classically shines).
-void run_timer_bench(benchmark::State& state, rt::EventQueueMode mode) {
+void BM_EventQueueTimers_TimingWheel(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const sched::TaskSet ts = rtft::bench::random_set(2028, n, 0.6);
 
   rt::EngineOptions opts;
   opts.horizon = Instant::epoch() + Duration::s(2);
-  opts.event_queue = mode;
   rt::Engine engine(opts);
 
   std::int64_t events = 0;
@@ -100,15 +87,6 @@ void run_timer_bench(benchmark::State& state, rt::EventQueueMode mode) {
       static_cast<double>(events), benchmark::Counter::kAvgIterations);
 }
 
-void BM_EventQueueTimers_TimingWheel(benchmark::State& state) {
-  run_timer_bench(state, rt::EventQueueMode::kTimingWheel);
-}
-
-void BM_EventQueueTimers_PooledHeap(benchmark::State& state) {
-  run_timer_bench(state, rt::EventQueueMode::kPooledHeap);
-}
-
 BENCHMARK(BM_EventQueueTimers_TimingWheel)->Arg(16)->Arg(64);
-BENCHMARK(BM_EventQueueTimers_PooledHeap)->Arg(16)->Arg(64);
 
 }  // namespace

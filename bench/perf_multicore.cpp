@@ -80,7 +80,6 @@ void run_fleet_bench(benchmark::State& state, bool with_fault) {
 
   rt::EngineOptions eopts;
   eopts.horizon = Instant::epoch() + horizon;
-  eopts.sink_mode = trace::SinkMode::kStaticNull;
 
   const multicore::FaultAware partitioner;
   const multicore::Placement placement = partitioner.place(ts, cores);

@@ -1,12 +1,9 @@
-// Dispatcher comparison: the incrementally maintained ready queue
-// against the linear-scan oracle, at n = 8 / 32 / 128 tasks.
-//
-// Both dispatchers replay the identical seeded scenario on a reused
-// engine (the sweep's usage pattern), so wall time per iteration divides
-// by the same event count: compare time/iter (or the events/s counter)
-// between ready_queue/<n> and linear_scan/<n>. The scan pays O(n) per
-// event; the queue pays O(1) per lookup and O(log n) per job boundary —
-// the gap is the large-n win (ISSUE 3 pins >=20% at n = 128).
+// Dispatcher cost (L0): the incrementally maintained ready queue at
+// n = 8 / 32 / 128 tasks. One seeded scenario replays on a reused engine
+// (the sweep's usage pattern); the queue pays O(1) per lookup and
+// O(log n) per job boundary, so ns/event should grow only slowly with n.
+// The linear-scan dispatcher it replaced lives on as the test reference
+// (tests/runtime/reference_engine.hpp).
 #include <benchmark/benchmark.h>
 
 #include "runtime/engine.hpp"
@@ -17,13 +14,12 @@ namespace {
 
 using namespace rtft;
 
-void run_dispatch_bench(benchmark::State& state, rt::DispatchMode mode) {
+void BM_Dispatch_ReadyQueue(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const sched::TaskSet ts = rtft::bench::random_set(2026, n, 0.85);
 
   rt::EngineOptions opts;
   opts.horizon = Instant::epoch() + Duration::s(2);
-  opts.dispatch = mode;
   rt::Engine engine(opts);
 
   std::int64_t events = 0;  // queue events processed (jobs begin+end)
@@ -46,15 +42,6 @@ void run_dispatch_bench(benchmark::State& state, rt::DispatchMode mode) {
       static_cast<double>(events), benchmark::Counter::kAvgIterations);
 }
 
-void BM_Dispatch_ReadyQueue(benchmark::State& state) {
-  run_dispatch_bench(state, rt::DispatchMode::kReadyQueue);
-}
-
-void BM_Dispatch_LinearScan(benchmark::State& state) {
-  run_dispatch_bench(state, rt::DispatchMode::kLinearScan);
-}
-
 BENCHMARK(BM_Dispatch_ReadyQueue)->Arg(8)->Arg(32)->Arg(128);
-BENCHMARK(BM_Dispatch_LinearScan)->Arg(8)->Arg(32)->Arg(128);
 
 }  // namespace

@@ -2,8 +2,8 @@
 // replaces the paper's jRate/TimeSys testbed. Reported as wall time per
 // simulated run; the jobs/second counter gives the engine's throughput.
 //
-// Engines here run with the default (null) sink: these measure execution
-// alone. perf_trace_sink measures what each observation mode adds.
+// Engines here run with no sink: these measure execution alone.
+// perf_trace_sink measures what counting and full traces add.
 #include <benchmark/benchmark.h>
 
 #include "core/ft_system.hpp"
@@ -32,7 +32,7 @@ void BM_Engine_PaperFigureRun(benchmark::State& state) {
 }
 BENCHMARK(BM_Engine_PaperFigureRun);
 
-void run_random_system(benchmark::State& state, rt::EventQueueMode mode) {
+void BM_Engine_RandomSystem(benchmark::State& state) {
   // n periodic tasks over a 10 s horizon, no detectors.
   const auto n = static_cast<std::size_t>(state.range(0));
   const sched::TaskSet ts = rtft::bench::random_set(33, n, 0.7);
@@ -40,7 +40,6 @@ void run_random_system(benchmark::State& state, rt::EventQueueMode mode) {
   for (auto _ : state) {
     rt::EngineOptions opts;
     opts.horizon = Instant::epoch() + Duration::s(10);
-    opts.event_queue = mode;
     rt::Engine engine(opts);
     std::vector<rt::TaskHandle> handles;
     for (const auto& t : ts) handles.push_back(engine.add_task(t));
@@ -51,15 +50,7 @@ void run_random_system(benchmark::State& state, rt::EventQueueMode mode) {
       static_cast<double>(jobs), benchmark::Counter::kIsRate);
 }
 
-void BM_Engine_RandomSystem(benchmark::State& state) {
-  run_random_system(state, rt::EventQueueMode::kTimingWheel);
-}
 BENCHMARK(BM_Engine_RandomSystem)->Arg(4)->Arg(16)->Arg(64);
-
-void BM_Engine_RandomSystem_PooledHeap(benchmark::State& state) {
-  run_random_system(state, rt::EventQueueMode::kPooledHeap);
-}
-BENCHMARK(BM_Engine_RandomSystem_PooledHeap)->Arg(4)->Arg(16)->Arg(64);
 
 void BM_Engine_PreemptionHeavy(benchmark::State& state) {
   // A fast high-priority task shredding a slow low-priority one:

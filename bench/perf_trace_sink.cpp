@@ -12,13 +12,12 @@
 //                          recorder per run. The acceptance bar for the
 //                          refactor is ReusedCounting >= 20% faster than
 //                          the full-Recorder modes.
-//   BM_SinkDispatch_*    — static (compile-time SinkMode, zero virtual
-//                          calls per event, batched CounterBank flush)
-//                          against virtual dispatch on the same counting
-//                          workload, at n = 8 / 32 / 128 tasks. The
-//                          per-event denominator is jobs released +
-//                          completed, identical across modes, so
-//                          ns/event isolates pure dispatch cost.
+//   BM_EngineLoop_*      — the engine inner loop with no sink (one null
+//                          test per event) and with a CountingSink, at
+//                          n = 8 / 32 / 128 tasks. The per-event
+//                          denominator is jobs released + completed,
+//                          identical in both, so the ns/event gap is
+//                          what counting costs.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -228,37 +227,21 @@ void BM_DetectorRun_ReusedNull(benchmark::State& state) {
 BENCHMARK(BM_DetectorRun_ReusedNull);
 
 // ---------------------------------------------------------------------------
-// Static vs virtual dispatch in the engine inner loop.
+// The engine inner loop, unobserved and counted.
 // ---------------------------------------------------------------------------
 
-enum class Dispatch { kVirtualNull, kVirtualCounting, kStaticNull,
-                      kStaticCounting };
-
-void run_dispatch_bench(benchmark::State& state, Dispatch dispatch) {
+void run_engine_loop(benchmark::State& state, bool count) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const sched::TaskSet ts = rtft::bench::random_set(2031, n, 0.85);
 
   trace::CountingSink counting;
   rt::EngineOptions opts;
   opts.horizon = Instant::epoch() + Duration::s(2);
-  switch (dispatch) {
-    case Dispatch::kVirtualNull:
-      break;  // sink == nullptr routes to NullSink through the vtable
-    case Dispatch::kVirtualCounting:
-      opts.sink = &counting;
-      break;
-    case Dispatch::kStaticNull:
-      opts.sink_mode = trace::SinkMode::kStaticNull;
-      break;
-    case Dispatch::kStaticCounting:
-      opts.sink_mode = trace::SinkMode::kStaticCounting;
-      opts.counting_sink = &counting;
-      break;
-  }
+  if (count) opts.sink = &counting;
   rt::Engine engine(opts);
   engine.reserve(n, 4 * n);
 
-  std::int64_t events = 0;  // jobs released + completed, all modes alike
+  std::int64_t events = 0;  // jobs released + completed, both alike
   for (auto _ : state) {
     counting.reset();
     engine.reset(opts);
@@ -280,22 +263,14 @@ void run_dispatch_bench(benchmark::State& state, Dispatch dispatch) {
       static_cast<double>(events), benchmark::Counter::kAvgIterations);
 }
 
-void BM_SinkDispatch_VirtualNull(benchmark::State& state) {
-  run_dispatch_bench(state, Dispatch::kVirtualNull);
+void BM_EngineLoop_NoSink(benchmark::State& state) {
+  run_engine_loop(state, /*count=*/false);
 }
-void BM_SinkDispatch_VirtualCounting(benchmark::State& state) {
-  run_dispatch_bench(state, Dispatch::kVirtualCounting);
-}
-void BM_SinkDispatch_StaticNull(benchmark::State& state) {
-  run_dispatch_bench(state, Dispatch::kStaticNull);
-}
-void BM_SinkDispatch_StaticCounting(benchmark::State& state) {
-  run_dispatch_bench(state, Dispatch::kStaticCounting);
+void BM_EngineLoop_Counting(benchmark::State& state) {
+  run_engine_loop(state, /*count=*/true);
 }
 
-BENCHMARK(BM_SinkDispatch_VirtualNull)->Arg(8)->Arg(32)->Arg(128);
-BENCHMARK(BM_SinkDispatch_VirtualCounting)->Arg(8)->Arg(32)->Arg(128);
-BENCHMARK(BM_SinkDispatch_StaticNull)->Arg(8)->Arg(32)->Arg(128);
-BENCHMARK(BM_SinkDispatch_StaticCounting)->Arg(8)->Arg(32)->Arg(128);
+BENCHMARK(BM_EngineLoop_NoSink)->Arg(8)->Arg(32)->Arg(128);
+BENCHMARK(BM_EngineLoop_Counting)->Arg(8)->Arg(32)->Arg(128);
 
 }  // namespace

@@ -147,7 +147,6 @@ int main(int argc, char** argv) {
 
   rt::EngineOptions eopts;
   eopts.horizon = Instant::epoch() + horizon;
-  eopts.sink_mode = trace::SinkMode::kStaticNull;
 
   const Duration fault_after = Duration::ns(static_cast<std::int64_t>(
       fault_frac * static_cast<double>(horizon.count())));

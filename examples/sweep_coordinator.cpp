@@ -10,9 +10,7 @@
 //                     [--quantum-us ...]
 //                     [--partitioner both|first-fit|fault-aware]
 //                     [--core-fault F] [--policy NAME]
-//                     [--horizon-periods K] [--event-queue wheel|heap]
-//                     [--sink-mode static|virtual]
-//                     [--cost-spec flat|function]
+//                     [--horizon-periods K]
 //                     [--shards M] [--max-procs P] [--retry-budget R]
 //                     [--straggler-factor F]
 //                     [--min-straggler-timeout-ms MS]
@@ -20,7 +18,8 @@
 //
 // The sweep-defining flags are the same ones sweep_runner takes (shared
 // sweep/cli.hpp parser); --workers is the thread count *inside each
-// worker process*, --max-procs the number of concurrent processes.
+// worker process*, --max-procs the number of concurrent processes. An
+// unknown flag dies with "error: unknown flag '<flag>'", exit 2.
 //
 // The output directory holds one shard-<i>.json per completed shard.
 // These are the checkpoints: re-running the same command after killing
@@ -57,9 +56,7 @@ using namespace rtft;
       "          [--stop-latency-us l1,l2,...]\n"
       "          [--cores m1,m2,...] [--quantum-us q1,q2,...]\n"
       "          [--partitioner both|first-fit|fault-aware]\n"
-      "          [--core-fault F] [--policy NAME]\n"
-      "          [--horizon-periods K] [--event-queue wheel|heap]\n"
-      "          [--sink-mode static|virtual] [--cost-spec flat|function]\n"
+      "          [--core-fault F] [--policy NAME] [--horizon-periods K]\n"
       "          [--shards M] [--max-procs P] [--retry-budget R]\n"
       "          [--straggler-factor F] [--min-straggler-timeout-ms MS]\n"
       "          [--poll-interval-ms MS] [--progress] [--quiet]\n",
@@ -116,7 +113,8 @@ int main(int argc, char** argv) {
       } else if (arg == "--quiet") {
         quiet = true;
       } else {
-        usage(argv[0]);
+        std::fprintf(stderr, "error: unknown flag '%s'\n", arg.c_str());
+        return 2;
       }
     }
   } catch (const sweep::cli::ArgError& e) {

@@ -7,9 +7,7 @@
 //                [--stop-latency-us l1,l2,...]
 //                [--cores m1,m2,...] [--quantum-us q1,q2,...]
 //                [--partitioner both|first-fit|fault-aware]
-//                [--core-fault F] [--policy NAME]
-//                [--horizon-periods K] [--event-queue wheel|heap]
-//                [--sink-mode static|virtual] [--cost-spec flat|function]
+//                [--core-fault F] [--policy NAME] [--horizon-periods K]
 //                [--verdicts] [--full-traces] [--progress]
 //                [--csv FILE] [--cells-csv FILE] [--json FILE]
 //                [--shard I/N [--emit-shard FILE]]
@@ -24,18 +22,12 @@
 // coordinator, which drives this binary as its worker): every bad value
 // — non-numeric text, out-of-range, overflow, a malformed I/N shard
 // request — dies with a one-line "error: ..." naming the flag and the
-// offending value, exit 2.
+// offending value, exit 2; an unknown flag dies the same way with
+// "error: unknown flag '<flag>'".
 //
 // --stop-latency-us sweeps the cooperative stop-poll delay (§4.1); pair
 // it with a stopping --policy (e.g. instant-stop) so detected faults
-// actually request stops. --event-queue selects the engine's queue
-// implementation — wheel (default) and heap are trace-equivalent, so
-// the fingerprint must not depend on it. --sink-mode and --cost-spec
-// select the observation dispatch (engine-local batched counting vs the
-// per-event virtual seam) and the fault-injection representation (flat
-// CostSpec vs std::function closure); all four combinations are
-// verdict- and fingerprint-equivalent — 'virtual' and 'function' are
-// the retained oracles.
+// actually request stops.
 //
 // --cores sweeps the partitioned-multiprocessor axis: for M > 1 each
 // scenario is additionally placed onto an M-core fleet (first-fit and
@@ -49,8 +41,8 @@
 // --shard I/N runs only shard I (0-based) of an N-way contiguous
 // partition of the scenario index space and, with --emit-shard, writes
 // the result as a versioned JSON shard file. --merge combines shard
-// files — any order, any mix of per-shard worker counts or event-queue
-// modes — into the report the single-process run would have produced,
+// files — any order, any mix of per-shard worker counts — into the
+// report the single-process run would have produced,
 // with the identical fingerprint. The two-process pattern:
 //
 //   sweep_runner --shard 0/2 --emit-shard a.json &   # host A
@@ -90,9 +82,7 @@ using namespace rtft;
       "          [--stop-latency-us l1,l2,...]\n"
       "          [--cores m1,m2,...] [--quantum-us q1,q2,...]\n"
       "          [--partitioner both|first-fit|fault-aware]\n"
-      "          [--core-fault F] [--policy NAME]\n"
-      "          [--horizon-periods K] [--event-queue wheel|heap]\n"
-      "          [--sink-mode static|virtual] [--cost-spec flat|function]\n"
+      "          [--core-fault F] [--policy NAME] [--horizon-periods K]\n"
       "          [--verdicts] [--full-traces] [--progress]\n"
       "          [--csv FILE] [--cells-csv FILE] [--json FILE]\n"
       "          [--shard I/N [--emit-shard FILE]]\n"
@@ -200,7 +190,8 @@ int main(int argc, char** argv) {
       } else if (arg == "--json") {
         json_path = value();
       } else {
-        usage(argv[0]);
+        std::fprintf(stderr, "error: unknown flag '%s'\n", arg.c_str());
+        return 2;
       }
     }
   } catch (const sweep::cli::ArgError& e) {

@@ -86,8 +86,8 @@ class MultiEngine {
   MultiEngine() = default;
 
   /// Re-arms the fleet: `cores` engines (reusing pooled ones), each
-  /// reset with `base` (horizon, queue mode, sinks — applied to every
-  /// core identically; borrowed sinks must outlive the fleet). A
+  /// reset with `base` (horizon, latencies, sink — applied to every
+  /// core identically; a borrowed sink must outlive the fleet). A
   /// positive `sync_quantum` makes run_until() advance the fleet in
   /// global lockstep steps of that size instead of one segment — the
   /// observable behaviour is identical (the engines are

@@ -14,15 +14,14 @@
 //   kFixedOverrunAtJob — one job's cost deviates by a fixed delta
 //                        (the paper's injection; what the fault model
 //                        and the sweep emit).
-//   kSeededJitter      — deterministic pseudo-random cost per job in
-//                        [lo, hi], SplitMix64-mixed from (seed, job);
-//                        for randomized workloads without closures.
-//   kCustom            — an arbitrary std::function; the fully general
-//                        path, retained as the equivalence oracle.
+//   kCustom            — an arbitrary std::function, for costs a flat
+//                        rule cannot state: the polling server sizes
+//                        each poll from its live queue, and the RTSJ
+//                        facade's setCostModel and multi-job fault plans
+//                        resolve through one.
 //
-// Anything callable as Duration(std::int64_t) still converts implicitly
-// (to kCustom), so existing call sites that pass lambdas to
-// Engine::add_task compile unchanged.
+// Anything callable as Duration(std::int64_t) converts implicitly (to
+// kCustom), so call sites can pass lambdas to Engine::add_task.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +43,6 @@ using CostModel = std::function<Duration(std::int64_t job_index)>;
 enum class CostKind : std::uint8_t {
   kNominal,
   kFixedOverrunAtJob,
-  kSeededJitter,
   kCustom,
 };
 
@@ -53,10 +51,6 @@ struct CostSpec {
   CostKind kind = CostKind::kNominal;
   std::int64_t job = 0;       ///< kFixedOverrunAtJob: the deviating job.
   Duration extra;             ///< kFixedOverrunAtJob: the delta (any sign).
-  std::uint64_t seed = 0;     ///< kSeededJitter.
-  Duration jitter_lo;         ///< kSeededJitter: inclusive bounds.
-  Duration jitter_hi;
-  Duration quantum = Duration::ns(1);  ///< kSeededJitter: snap-down grid.
   CostModel custom;           ///< kCustom.
 
   CostSpec() = default;
@@ -88,24 +82,6 @@ struct CostSpec {
     return s;
   }
 
-  /// Deterministic per-job cost uniform over the `quantum`-ns grid
-  /// points of [lo, hi], mixed from (seed, job) — same jobs, same
-  /// costs, on every platform.
-  [[nodiscard]] static CostSpec seeded_jitter(
-      std::uint64_t seed, Duration lo, Duration hi,
-      Duration quantum = Duration::ns(1)) {
-    RTFT_EXPECTS(lo.is_positive(), "jitter bounds must be positive");
-    RTFT_EXPECTS(hi >= lo, "jitter bounds must be ordered");
-    RTFT_EXPECTS(quantum.is_positive(), "jitter quantum must be positive");
-    CostSpec s;
-    s.kind = CostKind::kSeededJitter;
-    s.seed = seed;
-    s.jitter_lo = lo;
-    s.jitter_hi = hi;
-    s.quantum = quantum;
-    return s;
-  }
-
   /// True when resolve() can never deviate from the nominal cost.
   [[nodiscard]] bool is_nominal() const {
     return kind == CostKind::kNominal;
@@ -122,23 +98,6 @@ struct CostSpec {
         if (job_index != job) return nominal_cost;
         const Duration c = nominal_cost + extra;
         return c < Duration::ns(1) ? Duration::ns(1) : c;
-      }
-      case CostKind::kSeededJitter: {
-        // SplitMix64 finalizer over (seed, job): full-period, cheap,
-        // and identical across platforms.
-        std::uint64_t x =
-            seed + 0x9e3779b97f4a7c15ULL *
-                       (static_cast<std::uint64_t>(job_index) + 1);
-        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-        x ^= x >> 31;
-        const auto span = static_cast<std::uint64_t>(
-            (jitter_hi - jitter_lo).count() + 1);
-        std::int64_t v =
-            jitter_lo.count() + static_cast<std::int64_t>(x % span);
-        v -= v % quantum.count();  // snap down to the grid.
-        if (v < jitter_lo.count()) v = jitter_lo.count();
-        return Duration::ns(v);
       }
       case CostKind::kCustom: {
         const Duration c = custom(job_index);

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/assert.hpp"
-#include "runtime/event_heap.hpp"
 #include "runtime/indexed_heap.hpp"
 #include "runtime/ready_queue.hpp"
 #include "runtime/timing_wheel.hpp"
@@ -13,13 +12,13 @@ namespace rtft::rt {
 namespace {
 
 /// Event kinds in dispatch order at equal dates (smaller = first).
+/// Deadline checks order after all of them; they live in DeadlineHeap.
 enum class EvKind : std::uint8_t {
   kCompletion = 0,
   kOverheadDone = 1,
   kStopEffect = 2,
   kTimer = 3,
   kRelease = 4,
-  kDeadlineCheck = 5,
 };
 
 struct Ev {
@@ -27,7 +26,7 @@ struct Ev {
   EvKind kind{};
   std::uint64_t seq = 0;    ///< creation order; final tie-breaker.
   std::size_t index = 0;    ///< task or timer index.
-  std::int64_t job = -1;    ///< job index (release/deadline).
+  std::int64_t job = -1;    ///< job index (release).
   std::uint64_t gen = 0;    ///< validity generation (completion/overhead).
   StopMode stop_mode = StopMode::kTask;
 };
@@ -46,9 +45,8 @@ struct EvTimeNs {
   std::int64_t operator()(const Ev& e) const { return e.time.count(); }
 };
 
-/// One lazily validated deadline: the moment job `job` of its task would
-/// have been checked by the oracle's kDeadlineCheck event, plus the
-/// sequence number that event would have carried (for tie order).
+/// One lazily validated deadline: job `job` of its task is checked at
+/// `due`; `seq` orders checks that fall due together by release order.
 struct DlPend {
   Instant due;
   std::uint64_t seq = 0;
@@ -57,11 +55,9 @@ struct DlPend {
 
 /// One task's earliest pending deadline, keyed for the lazy deadline
 /// index: an indexed min-heap over task slots ordered (due asc, seq
-/// asc) — the replacement for the oracle's per-job kDeadlineCheck
-/// events. Per-task deadlines are FIFO (releases are in order and the
-/// relative deadline is fixed), so one entry per task suffices; the
-/// heap holds at most n_tasks entries where the event queue used to
-/// hold one per outstanding job.
+/// asc). Per-task deadlines are FIFO (releases are in order and the
+/// relative deadline is fixed), so one entry per task suffices: the
+/// heap holds at most n_tasks entries, not one per outstanding job.
 struct DlHead {
   std::int64_t due_ns;
   std::uint64_t seq;
@@ -100,8 +96,7 @@ struct TaskRec {
   std::uint64_t ready_seq = 0;    ///< FIFO order within a priority level.
 
   std::vector<JobOutcome> outcomes;  ///< per released job.
-  /// Lazy-deadline mode: deadlines awaiting validation, FIFO in
-  /// [dl_head, dl_pending.size()).
+  /// Deadlines awaiting validation, FIFO in [dl_head, dl_pending.size()).
   std::vector<DlPend> dl_pending;
   std::size_t dl_head = 0;
   TaskStats stats;
@@ -116,31 +111,11 @@ struct TimerRec {
 
 }  // namespace
 
-/// Exposes an engine-local CounterBank through the virtual seam, so
-/// detectors and treatments recording via Engine::sink() in static
-/// counting mode land in the same batched flush as the engine's own
-/// events.
-class BankSink final : public trace::Sink {
- public:
-  explicit BankSink(trace::CounterBank& bank) : bank_(&bank) {}
-  using trace::Sink::record;
-  void record(const trace::TraceEvent& event) override { bank_->add(event); }
-
- private:
-  trace::CounterBank* bank_;
-};
-
 struct Engine::Impl {
   EngineOptions options;
-  trace::Sink* sink = &trace::NullSink::instance();
-  trace::SinkMode sink_mode = trace::SinkMode::kVirtual;
-  trace::CounterBank local_counters;   ///< kStaticCounting accumulator.
-  trace::CountingSink* flush_target = nullptr;  ///< kStaticCounting only.
-  BankSink bank_sink{local_counters};  ///< Engine::sink() in kStaticCounting.
-  PooledEventHeap<Ev, EvEarlier> heap_queue;  ///< kPooledHeap events.
-  TimingWheel<Ev, EvEarlier, EvTimeNs> wheel; ///< kTimingWheel events.
-  bool wheel_mode = true;  ///< cached options.event_queue comparison.
-  DeadlineHeap deadlines;  ///< lazy deadline index (wheel mode only).
+  trace::Sink* sink = nullptr;  ///< options.sink; null records nothing.
+  TimingWheel<Ev, EvEarlier, EvTimeNs> wheel;  ///< future events.
+  DeadlineHeap deadlines;  ///< lazy deadline index.
   ReadyQueue ready;  ///< tasks with a current job, in dispatch order.
   std::vector<TaskRec> tasks;   ///< slots; [0, n_tasks) are live.
   std::vector<TimerRec> timers; ///< slots; [0, n_timers) are live.
@@ -168,24 +143,7 @@ struct Engine::Impl {
   /// Restores pristine pre-run state; keeps slot and pool capacity.
   void rearm(EngineOptions opts) {
     options = opts;
-    sink_mode = opts.sink_mode;
-    flush_target = opts.counting_sink;
-    // Counters never leak across pooled scenario runs: the local bank
-    // restarts empty on every reset().
-    local_counters.clear();
-    switch (sink_mode) {
-      case trace::SinkMode::kVirtual:
-        sink = opts.sink != nullptr ? opts.sink : &trace::NullSink::instance();
-        break;
-      case trace::SinkMode::kStaticNull:
-        sink = &trace::NullSink::instance();
-        break;
-      case trace::SinkMode::kStaticCounting:
-        sink = &bank_sink;
-        break;
-    }
-    wheel_mode = opts.event_queue == EventQueueMode::kTimingWheel;
-    heap_queue.clear();
+    sink = opts.sink;
     wheel.clear();
     deadlines.clear();
     ready.clear();
@@ -221,78 +179,33 @@ struct Engine::Impl {
     return static_cast<std::uint32_t>(task);
   }
 
-  /// The engine's own event write: dispatches on the plain sink-mode
-  /// enum, so the static modes cost a predicted branch (kStaticNull) or
-  /// an inline counter fold (kStaticCounting) per event — no virtual
-  /// call. Only kVirtual goes through the Sink* seam.
+  /// The engine's own event write: one null test when unobserved.
   void record(Instant time, trace::EventKind kind,
               std::uint32_t task = trace::kNoTask,
               std::int64_t job = trace::kNoJob, std::int64_t detail = 0) {
-    switch (sink_mode) {
-      case trace::SinkMode::kStaticNull:
-        break;
-      case trace::SinkMode::kStaticCounting:
-        local_counters.add(trace::TraceEvent{time, job, detail, task, kind});
-        break;
-      case trace::SinkMode::kVirtual:
-        sink->record(time, kind, task, job, detail);
-        break;
-    }
-  }
-
-  /// Batched-counting flush at a run boundary: publishes the local bank
-  /// into the configured CountingSink and restarts it, so each
-  /// run()/run_until() absorbs its delta exactly once.
-  void flush_counters() {
-    if (sink_mode == trace::SinkMode::kStaticCounting) {
-      flush_target->absorb(local_counters);
-      local_counters.clear();
-    }
+    if (sink != nullptr) sink->record(time, kind, task, job, detail);
   }
 
   void push(Ev ev) {
     ev.seq = next_seq++;
-    if (wheel_mode) {
-      wheel.push(ev);
-    } else {
-      heap_queue.push(ev);
-    }
+    wheel.push(ev);
   }
 
-  [[nodiscard]] bool queue_empty() const {
-    return wheel_mode ? wheel.empty() : heap_queue.empty();
-  }
-
-  /// The next event to dispatch (wheel access may advance its cursor).
-  [[nodiscard]] const Ev& queue_top() {
-    return wheel_mode ? wheel.top() : heap_queue.top();
-  }
-
-  void queue_pop() {
-    if (wheel_mode) {
-      wheel.pop();
-    } else {
-      heap_queue.pop();
-    }
-  }
-
-  // -- lazy deadline validation (kTimingWheel mode) -----------------------
+  // -- lazy deadline validation -----------------------------------------
   //
-  // The oracle queues one kDeadlineCheck event per released job; the
-  // check reads the job's outcome at the deadline date and records a
-  // miss unless it completed. Lazily, the same observation is available
-  // for free: outcomes only change when events dispatch, so flushing all
-  // deadlines dated strictly before the next event (and through stop_at
-  // when a run drains) reads exactly the state the eager check would
-  // have seen, and the recorded miss dates and their order — (due, seq),
-  // the deadline check's position in the total event order — are
-  // bit-identical. A job completing in time retires its pending entry on
-  // the spot, so the index tracks only jobs that can still miss.
+  // A deadline check reads the job's outcome at the deadline date and
+  // records a miss unless it completed. Outcomes only change when events
+  // dispatch, so flushing all deadlines dated strictly before the next
+  // event (and through stop_at when a run drains) reads exactly the state
+  // a queued check event — ordered after every other kind at its date —
+  // would have seen, with the same miss dates and order: (due, seq). A job
+  // completing in time retires its pending entry on the spot, so the
+  // index tracks only jobs that can still miss.
+  // tests/runtime/reference_engine.hpp states the eager form.
 
   /// Registers job `job` of `task` (dispatching its release right now)
-  /// for lazy validation at `due`. Consumes one sequence number — the
-  /// one the oracle's kDeadlineCheck event would have taken — keeping
-  /// the two modes' sequence streams aligned.
+  /// for lazy validation at `due`. Its sequence number comes from the
+  /// event stream, so simultaneous deadlines check in release order.
   void dl_push(std::size_t task, std::int64_t job, Instant due) {
     TaskRec& t = tasks[task];
     const std::uint64_t seq = next_seq++;
@@ -324,8 +237,7 @@ struct Engine::Impl {
   }
 
   /// Runs every pending deadline check dated before `limit` (through
-  /// `limit` when `inclusive`), in the exact (due, seq) order the
-  /// oracle's event queue would have dispatched them.
+  /// `limit` when `inclusive`), in (due, seq) order.
   void flush_deadlines(Instant limit, bool inclusive) {
     while (!deadlines.empty()) {
       const std::size_t task = deadlines.top().task;
@@ -336,8 +248,8 @@ struct Engine::Impl {
       RTFT_ASSERT(idx < t.outcomes.size(), "deadline check for unreleased job");
       if (t.outcomes[idx] != JobOutcome::kCompleted) {
         t.stats.missed++;
-        record(head.due, trace::EventKind::kDeadlineMiss,
-                     trace_id(task), head.job, 0);
+        record(head.due, trace::EventKind::kDeadlineMiss, trace_id(task),
+               head.job, 0);
       }
       dl_advance(task);
     }
@@ -382,15 +294,12 @@ struct Engine::Impl {
     t.cur_release = release_date(t, index);
     t.remaining = actual_cost(t, index);
     if (t.remaining != t.params.cost) {
-      record(now, trace::EventKind::kOverrunInjected,
-                   trace_id(task_idx), index,
-                   (t.remaining - t.params.cost).count());
+      record(now, trace::EventKind::kOverrunInjected, trace_id(task_idx), index,
+             (t.remaining - t.params.cost).count());
     }
     t.cur_started = false;
     t.ready_seq = next_ready_seq++;
-    if (options.dispatch == DispatchMode::kReadyQueue) {
-      ready.insert(task_idx, t.params.priority, t.ready_seq);
-    }
+    ready.insert(task_idx, t.params.priority, t.ready_seq);
   }
 
   /// Ends the current job of `task_idx` with the given outcome and
@@ -402,53 +311,16 @@ struct Engine::Impl {
     const std::int64_t index = t.cur_index;
     t.outcomes[static_cast<std::size_t>(index)] = outcome;
     record(now, record_kind, trace_id(task_idx), index,
-                 outcome == JobOutcome::kCompleted
-                     ? (now - t.cur_release).count()
-                     : 0);
+           outcome == JobOutcome::kCompleted
+               ? (now - t.cur_release).count()
+               : 0);
     if (cpu == CpuState::kTask && running_task == task_idx) {
       cpu = CpuState::kIdle;  // reschedule() will pick the next activity.
     }
-    if (options.dispatch == DispatchMode::kReadyQueue) ready.erase(task_idx);
+    ready.erase(task_idx);
     t.gen++;
     t.has_current = false;
     t.cur_index = -1;
-  }
-
-  /// Linear-scan dispatcher: picks the highest-priority ready job by
-  /// rescanning every task slot, returns false if none. O(n) reference
-  /// implementation for DispatchMode::kLinearScan; the ready queue must
-  /// agree with it on every call.
-  bool pick_top_task(std::size_t& out) const {
-    bool found = false;
-    for (std::size_t i = 0; i < n_tasks; ++i) {
-      const TaskRec& t = tasks[i];
-      if (!t.has_current || t.stopped) continue;
-      if (!found) {
-        out = i;
-        found = true;
-        continue;
-      }
-      const TaskRec& best = tasks[out];
-      if (t.params.priority > best.params.priority ||
-          (t.params.priority == best.params.priority &&
-           t.ready_seq < best.ready_seq)) {
-        out = i;
-      }
-    }
-    return found;
-  }
-
-  /// Dispatch winner under the configured dispatcher. The ready queue
-  /// mirrors the scan's candidate set exactly: a task is queued iff it
-  /// has a current job and is not stopped (a kTask stop retires the
-  /// current job before the next reschedule()).
-  bool top_ready_task(std::size_t& out) const {
-    if (options.dispatch == DispatchMode::kLinearScan) {
-      return pick_top_task(out);
-    }
-    if (ready.empty()) return false;
-    out = ready.top();
-    return true;
   }
 
   /// Re-evaluates what the CPU should run after any state change.
@@ -462,9 +334,11 @@ struct Engine::Impl {
       cpu = CpuState::kIdle;
     }
     // Decide the next activity: overhead first, then the top ready job.
-    std::size_t top = 0;
+    // The ready queue holds exactly the tasks with a current job (a kTask
+    // stop retires the current job before the next reschedule()).
     const bool overhead_pending = overhead_backlog.is_positive();
-    const bool task_pending = top_ready_task(top);
+    const bool task_pending = !ready.empty();
+    const std::size_t top = task_pending ? ready.top() : 0;
 
     // Charge a context switch when a *different* job is about to take the
     // CPU. The charge itself runs as overhead, so the switch target keeps
@@ -510,9 +384,9 @@ struct Engine::Impl {
     running_task = top;
     TaskRec& t = tasks[top];
     record(now,
-                 t.cur_started ? trace::EventKind::kJobResumed
-                               : trace::EventKind::kJobStart,
-                 trace_id(top), t.cur_index, 0);
+           t.cur_started ? trace::EventKind::kJobResumed
+                         : trace::EventKind::kJobStart,
+           trace_id(top), t.cur_index, 0);
     if (!t.cur_started) {
       t.cur_started = true;
       if (t.callbacks.on_job_begin) {
@@ -532,8 +406,8 @@ struct Engine::Impl {
   void preempt_running_job() {
     if (cpu == CpuState::kTask) {
       TaskRec& t = tasks[running_task];
-      record(now, trace::EventKind::kJobPreempted,
-                   trace_id(running_task), t.cur_index, 0);
+      record(now, trace::EventKind::kJobPreempted, trace_id(running_task),
+             t.cur_index, 0);
       t.gen++;  // invalidate its scheduled completion
       cpu = CpuState::kIdle;
     }
@@ -563,14 +437,8 @@ struct Engine::Impl {
     t.next_release_index++;
     t.outcomes.push_back(JobOutcome::kPending);
     t.stats.released++;
-    record(now, trace::EventKind::kJobRelease, trace_id(ev.index),
-                 index, 0);
-    if (wheel_mode) {
-      dl_push(ev.index, index, now + t.params.deadline);
-    } else {
-      push(Ev{now + t.params.deadline, EvKind::kDeadlineCheck, 0, ev.index,
-              index, 0, StopMode::kTask});
-    }
+    record(now, trace::EventKind::kJobRelease, trace_id(ev.index), index, 0);
+    dl_push(ev.index, index, now + t.params.deadline);
     // Schedule the following release (one outstanding per task).
     push(Ev{now + t.params.period, EvKind::kRelease, 0, ev.index, index + 1,
             0, StopMode::kTask});
@@ -593,7 +461,7 @@ struct Engine::Impl {
     // A job completing by its deadline can never miss: retire its
     // pending lazy check on the spot (it is the task's earliest — any
     // earlier deadline was flushed before this event dispatched).
-    if (wheel_mode && t.dl_head < t.dl_pending.size()) {
+    if (t.dl_head < t.dl_pending.size()) {
       const DlPend& head = t.dl_pending[t.dl_head];
       if (head.job == index && now <= head.due) dl_advance(ev.index);
     }
@@ -611,8 +479,8 @@ struct Engine::Impl {
   void on_timer(const Ev& ev) {
     TimerRec& timer = timers[ev.index];
     if (timer.cancelled) return;
-    record(now, trace::EventKind::kTimerFire, trace::kNoTask,
-                 trace::kNoJob, static_cast<std::int64_t>(ev.index));
+    record(now, trace::EventKind::kTimerFire, trace::kNoTask, trace::kNoJob,
+           static_cast<std::int64_t>(ev.index));
     if (timer.periodic) {
       push(Ev{now + timer.period, EvKind::kTimer, 0, ev.index, -1, 0,
               StopMode::kTask});
@@ -628,7 +496,7 @@ struct Engine::Impl {
       t.stopped = true;
       t.stats.stopped = true;
       record(now, trace::EventKind::kTaskStopped, trace_id(ev.index),
-                   t.has_current ? t.cur_index : trace::kNoJob, 0);
+             t.has_current ? t.cur_index : trace::kNoJob, 0);
       if (t.has_current) {
         t.stats.aborted++;
         retire_current_job(ev.index, JobOutcome::kAborted,
@@ -652,17 +520,6 @@ struct Engine::Impl {
     }
   }
 
-  void on_deadline_check(const Ev& ev) {
-    TaskRec& t = tasks[ev.index];
-    const auto idx = static_cast<std::size_t>(ev.job);
-    RTFT_ASSERT(idx < t.outcomes.size(), "deadline check for unreleased job");
-    if (t.outcomes[idx] != JobOutcome::kCompleted) {
-      t.stats.missed++;
-      record(now, trace::EventKind::kDeadlineMiss, trace_id(ev.index),
-                   ev.job, 0);
-    }
-  }
-
   void dispatch(const Ev& ev) {
     switch (ev.kind) {
       case EvKind::kCompletion: on_completion(ev); break;
@@ -670,29 +527,26 @@ struct Engine::Impl {
       case EvKind::kStopEffect: on_stop_effect(ev); break;
       case EvKind::kTimer: on_timer(ev); break;
       case EvKind::kRelease: on_release(ev); break;
-      case EvKind::kDeadlineCheck: on_deadline_check(ev); break;
     }
   }
 
   void run_until(Instant stop_at) {
     RTFT_EXPECTS(stop_at <= options.horizon, "cannot run past the horizon");
     RTFT_EXPECTS(stop_at >= now, "cannot run backwards");
-    while (!queue_empty()) {
-      const Ev ev = queue_top();
+    while (!wheel.empty()) {
+      const Ev ev = wheel.top();
       if (ev.time > stop_at) break;
       // Deadline checks order after every other kind at their date, so
-      // flushing those dated strictly before this event (and the rest
-      // through stop_at once the queue drains) reproduces the oracle's
-      // dispatch positions exactly.
-      if (wheel_mode) flush_deadlines(ev.time, /*inclusive=*/false);
-      queue_pop();
+      // flush those dated strictly before this event (and the rest
+      // through stop_at once the queue drains).
+      flush_deadlines(ev.time, /*inclusive=*/false);
+      wheel.pop();
       advance_to(ev.time);
       dispatch(ev);
       reschedule();
     }
-    if (wheel_mode) flush_deadlines(stop_at, /*inclusive=*/true);
+    flush_deadlines(stop_at, /*inclusive=*/true);
     advance_to(stop_at);
-    flush_counters();
   }
 
   Engine* owner = nullptr;  ///< back-pointer for handler invocation.
@@ -707,22 +561,6 @@ void validate_options(const EngineOptions& options) {
                "stop poll latency must be non-negative");
   RTFT_EXPECTS(!options.context_switch_cost.is_negative(),
                "context switch cost must be non-negative");
-  switch (options.sink_mode) {
-    case trace::SinkMode::kVirtual:
-      RTFT_EXPECTS(options.counting_sink == nullptr,
-                   "counting_sink requires SinkMode::kStaticCounting");
-      break;
-    case trace::SinkMode::kStaticNull:
-      RTFT_EXPECTS(options.sink == nullptr && options.counting_sink == nullptr,
-                   "SinkMode::kStaticNull takes no sink");
-      break;
-    case trace::SinkMode::kStaticCounting:
-      RTFT_EXPECTS(options.sink == nullptr,
-                   "SinkMode::kStaticCounting replaces the Sink* seam");
-      RTFT_EXPECTS(options.counting_sink != nullptr,
-                   "SinkMode::kStaticCounting needs a counting_sink");
-      break;
-  }
 }
 
 }  // namespace
@@ -745,9 +583,7 @@ void Engine::reserve(std::size_t tasks, std::size_t events) {
   im.tasks.reserve(tasks);
   im.timers.reserve(tasks);
   im.ready.reserve(tasks);
-  im.local_counters.reserve(tasks);
   im.deadlines.reserve(tasks);
-  im.heap_queue.reserve(events);
   im.wheel.reserve(events);
 }
 
@@ -824,8 +660,8 @@ void Engine::request_stop(TaskHandle task, StopMode mode,
   TaskRec& t = impl_->tasks[task];
   if (t.stopped) return;
   impl_->record(impl_->now, trace::EventKind::kStopRequested,
-                      impl_->trace_id(task),
-                      t.has_current ? t.cur_index : trace::kNoJob, 0);
+                impl_->trace_id(task),
+                t.has_current ? t.cur_index : trace::kNoJob, 0);
   t.stop_in_flight = true;
   impl_->push(Ev{impl_->now + impl_->options.stop_poll_latency + extra_latency,
                  EvKind::kStopEffect, 0, task, -1, 0, mode});
@@ -885,6 +721,8 @@ std::int64_t Engine::jobs_released(TaskHandle task) const {
   return impl_->tasks[task].stats.released;
 }
 
-trace::Sink& Engine::sink() const { return *impl_->sink; }
+trace::Sink& Engine::sink() const {
+  return impl_->sink != nullptr ? *impl_->sink : trace::NullSink::instance();
+}
 
 }  // namespace rtft::rt

@@ -19,18 +19,20 @@
 //   * nanosecond bookkeeping of releases, completions, deadline misses.
 //
 // Observation is decoupled from execution (§5's discipline, generalized):
-// the engine writes events through a borrowed trace::Sink and never owns
-// a trace buffer. Pass a trace::Recorder for full-fidelity traces, a
-// trace::CountingSink for counters only, or nothing to discard events.
-// Sweep-scale runs select a static SinkMode instead (EngineOptions):
-// the inner loop then makes zero virtual calls per event and counting
-// is batched — accumulated locally and flushed at run boundaries.
+// the engine writes events through a borrowed, nullable trace::Sink and
+// never owns a trace buffer. Pass a trace::Recorder for full-fidelity
+// traces, a trace::CountingSink for counters only, or nothing: events
+// are then dropped on one null test each, and TaskStats still carries
+// every verdict-relevant count.
 //
 // Determinism: simultaneous events are ordered Completion < OverheadDone <
-// StopEffect < Timer < Release < DeadlineCheck, then by creation sequence.
-// A job completing exactly when a detector fires is therefore observed as
-// finished (the paper's Figure 5: τ2 ends at its detector's date and is
-// not stopped), and a job completing exactly at its deadline meets it.
+// StopEffect < Timer < Release < deadline checks, then by creation
+// sequence. A job completing exactly when a detector fires is therefore
+// observed as finished (the paper's Figure 5: τ2 ends at its detector's
+// date and is not stopped), and a job completing exactly at its deadline
+// meets it. Deadline checks are not queued: a small per-task index
+// validates each deadline at the first moment that decides it, with the
+// same dates and order the event queue would have given them.
 #pragma once
 
 #include <cstdint>
@@ -69,36 +71,6 @@ struct TaskCallbacks {
 /// Timer handler; runs at the fire date in zero virtual time.
 using TimerHandler = std::function<void(Engine&)>;
 
-/// How reschedule() finds the dispatch winner. Both produce identical
-/// traces — the order (priority desc, FIFO within a level) is total.
-enum class DispatchMode : std::uint8_t {
-  /// Incrementally maintained ready queue (src/runtime/ready_queue.hpp):
-  /// O(1) winner lookup per event, O(log n) per job start/retirement.
-  kReadyQueue,
-  /// Rescan of every task slot per event — O(n), the original
-  /// dispatcher, retained as an equivalence oracle and benchmark
-  /// baseline.
-  kLinearScan,
-};
-
-/// How the engine keeps its future-event queue. Both produce identical
-/// traces — the dispatch order (time, kind, creation sequence) is total.
-enum class EventQueueMode : std::uint8_t {
-  /// Hierarchical timing wheel (src/runtime/timing_wheel.hpp): O(1)
-  /// amortized insert/extract for the near-monotone periodic workload.
-  /// Deadline checks are *lazy* in this mode — no per-job check event is
-  /// queued; deadlines are validated at the moments that can decide them
-  /// (job completion, and wheel-turn boundaries for everything else), so
-  /// queue traffic roughly halves on periodic-heavy workloads. Observable
-  /// behaviour (traces, statistics, miss dates) is unchanged.
-  kTimingWheel,
-  /// Pooled comparison-based binary heap (src/runtime/event_heap.hpp)
-  /// with one eagerly scheduled deadline-check event per released job —
-  /// the original design, retained as an equivalence oracle and
-  /// benchmark baseline.
-  kPooledHeap,
-};
-
 /// Terminal state of one released job.
 enum class JobOutcome : std::uint8_t {
   kPending,    ///< released, not yet finished.
@@ -128,25 +100,9 @@ struct EngineOptions {
   /// CPU cost charged when the processor switches to a different job
   /// (ablation knob for the §6.2 overhead discussion; default free).
   Duration context_switch_cost = Duration::zero();
-  /// Where trace events go in SinkMode::kVirtual. Borrowed: must
-  /// outlive the engine (or its next reset()). Null discards every
-  /// event. Must be null in the static sink modes.
+  /// Where trace events go. Borrowed: must outlive the engine (or its
+  /// next reset()). Null discards every event.
   trace::Sink* sink = nullptr;
-  /// How the engine observes its own events. The static modes make the
-  /// inner loop free of virtual calls: kStaticNull discards on a branch;
-  /// kStaticCounting accumulates in an engine-local trace::CounterBank
-  /// and flushes into `counting_sink` when run()/run_until() returns
-  /// (batched counting). Detector/treatment code recording through
-  /// Engine::sink() still lands in the right place in every mode.
-  trace::SinkMode sink_mode = trace::SinkMode::kVirtual;
-  /// Flush target for SinkMode::kStaticCounting (required there,
-  /// forbidden elsewhere). Borrowed: must outlive the engine (or its
-  /// next reset()).
-  trace::CountingSink* counting_sink = nullptr;
-  /// Dispatcher implementation; trace-equivalent, differ only in cost.
-  DispatchMode dispatch = DispatchMode::kReadyQueue;
-  /// Event-queue implementation; trace-equivalent, differ only in cost.
-  EventQueueMode event_queue = EventQueueMode::kTimingWheel;
 };
 
 /// The discrete-event engine. Single-threaded; not copyable.
@@ -219,11 +175,8 @@ class Engine {
   /// Number of jobs released so far.
   [[nodiscard]] std::int64_t jobs_released(TaskHandle task) const;
 
-  /// The sink this engine records through (a NullSink when none was
-  /// configured). Detectors and treatments record through this too. In
-  /// SinkMode::kStaticCounting this is an adapter into the engine-local
-  /// counter bank, so external events join the same batched flush; in
-  /// kStaticNull it is the shared NullSink.
+  /// The sink this engine records through (the shared NullSink when none
+  /// was configured). Detectors and treatments record through this too.
   [[nodiscard]] trace::Sink& sink() const;
 
  private:

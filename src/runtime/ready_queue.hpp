@@ -9,7 +9,7 @@
 // assigned once per job and preemption does not re-queue), so the
 // update operation is never used here.
 //
-// Reuse discipline matches event_heap.hpp: clear() empties the queue in
+// Reuse discipline matches timing_wheel.hpp: clear() empties the queue in
 // O(size) while every buffer keeps its capacity, so one queue serves
 // thousands of scenario runs without reallocation.
 #pragma once

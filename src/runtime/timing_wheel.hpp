@@ -1,7 +1,7 @@
 // Hierarchical timing-wheel event queue for the engine hot path.
 //
-// The pooled binary heap (event_heap.hpp) pays O(log n) sifts per push
-// and per pop over the whole outstanding-event set. The engine's
+// A binary heap pays O(log n) sifts per push and per pop over the whole
+// outstanding-event set. The engine's
 // workload is overwhelmingly *short-horizon and near-monotone*: strictly
 // periodic releases, completions a job-length ahead of now, stop effects
 // a poll-latency ahead. A calendar queue exploits that structure: time is
@@ -16,13 +16,12 @@
 // Exact dispatch order is preserved: events of the current tick are
 // served through a tiny "near" binary heap ordered by the full `Earlier`
 // comparator, so ties within one tick (and same-instant event chains
-// pushed while serving) dispatch in exactly the order the pooled heap
-// would produce. The near heap holds only the current tick's events —
-// its sifts touch one or two levels, not log(total).
+// pushed while serving) dispatch in exactly the order a fully sorted
+// queue would produce. The near heap holds only the current tick's
+// events — its sifts touch one or two levels, not log(total).
 //
-// Reuse discipline matches event_heap.hpp: clear() retains every
-// buffer's capacity so one wheel serves thousands of scenario runs
-// without reallocation.
+// Reuse discipline: clear() retains every buffer's capacity, so one
+// wheel serves thousands of scenario runs without reallocation.
 #pragma once
 
 #include <bit>

@@ -57,9 +57,8 @@ bool bounds_applicable(const sched::TaskSet& ts) {
 // Lifecycle.
 // ---------------------------------------------------------------------------
 
-AdmissionService::WorkerContext::WorkerContext(const ServiceOptions& opts)
+AdmissionService::WorkerContext::WorkerContext()
     : engine(placeholder_engine_options()) {
-  (void)opts;
   engine.reserve(32, 4 * 32 + 16);
 }
 
@@ -225,7 +224,7 @@ void AdmissionService::note_latency(Duration elapsed) {
 // ---------------------------------------------------------------------------
 
 void AdmissionService::worker_loop() {
-  WorkerContext ctx(opts_);
+  WorkerContext ctx;
   while (auto popped = queue_.pop()) {
     Pending& item = popped->first;
     const AnalysisTier tier = update_tier(popped->second);
@@ -376,10 +375,6 @@ CachedVerdict AdmissionService::compute(WorkerContext& ctx,
 
   rt::EngineOptions eopts;
   eopts.horizon = Instant::epoch() + horizon;
-  eopts.event_queue = opts_.event_queue;
-  eopts.sink_mode = trace::SinkMode::kStaticCounting;
-  eopts.counting_sink = &ctx.counting;
-  ctx.counting.reset();
   ctx.engine.reset(eopts);
   std::vector<rt::TaskHandle> handles;
   handles.reserve(ts.size());

@@ -79,7 +79,6 @@ struct ServiceOptions {
   /// would release more jobs than this — one pathological request must
   /// not monopolize a worker.
   std::int64_t max_cross_check_jobs = 200'000;
-  rt::EventQueueMode event_queue = rt::EventQueueMode::kTimingWheel;
   DegradationPolicy degradation;
   ServiceFaultPlan faults;
   /// Start the worker pool in the constructor. Tests pass false, preload
@@ -121,13 +120,12 @@ class AdmissionService {
     std::int64_t deadline_ns = 0;  ///< service-clock date; 0 = none.
   };
 
-  /// Per-worker pooled execution context (the PR 2 reset() path): one
-  /// engine and one counting sink reused across every request the
-  /// worker serves.
+  /// Per-worker pooled execution context (the reset() path): one
+  /// sink-free engine reused across every request the worker serves;
+  /// the cross-check reads misses from its TaskStats.
   struct WorkerContext {
-    explicit WorkerContext(const ServiceOptions& opts);
+    WorkerContext();
     rt::Engine engine;
-    trace::CountingSink counting;
   };
 
   /// Service clock: steady_clock nanoseconds plus the injected skew.

@@ -176,33 +176,6 @@ bool apply_sweep_flag(std::string_view arg,
     } catch (const std::exception&) {
       bad_value("--policy", v, "names no known treatment policy");
     }
-  } else if (arg == "--event-queue") {
-    const std::string v = value();
-    if (v == "wheel") {
-      opts.event_queue = rt::EventQueueMode::kTimingWheel;
-    } else if (v == "heap") {
-      opts.event_queue = rt::EventQueueMode::kPooledHeap;
-    } else {
-      bad_value("--event-queue", v, "expects 'wheel' or 'heap'");
-    }
-  } else if (arg == "--sink-mode") {
-    const std::string v = value();
-    if (v == "static") {
-      opts.sink_dispatch = SinkDispatch::kStatic;
-    } else if (v == "virtual") {
-      opts.sink_dispatch = SinkDispatch::kVirtual;
-    } else {
-      bad_value("--sink-mode", v, "expects 'static' or 'virtual'");
-    }
-  } else if (arg == "--cost-spec") {
-    const std::string v = value();
-    if (v == "flat") {
-      opts.cost_spec = CostSpecMode::kFlat;
-    } else if (v == "function") {
-      opts.cost_spec = CostSpecMode::kFunction;
-    } else {
-      bad_value("--cost-spec", v, "expects 'flat' or 'function'");
-    }
   } else if (arg == "--horizon-periods") {
     opts.horizon_periods = static_cast<std::int64_t>(
         parse_u64("--horizon-periods", value(), 1, kMaxHorizonPeriods));
@@ -299,15 +272,6 @@ std::vector<std::string> worker_argv(const std::string& runner,
   }
   argv.emplace_back("--policy");
   argv.emplace_back(core::to_string(opts.detector_policy));
-  argv.emplace_back("--event-queue");
-  argv.emplace_back(
-      opts.event_queue == rt::EventQueueMode::kTimingWheel ? "wheel" : "heap");
-  argv.emplace_back("--sink-mode");
-  argv.emplace_back(
-      opts.sink_dispatch == SinkDispatch::kStatic ? "static" : "virtual");
-  argv.emplace_back("--cost-spec");
-  argv.emplace_back(
-      opts.cost_spec == CostSpecMode::kFlat ? "flat" : "function");
   argv.emplace_back("--horizon-periods");
   argv.push_back(std::to_string(opts.horizon_periods));
   if (opts.full_traces) argv.emplace_back("--full-traces");

@@ -63,11 +63,10 @@ struct ShardRequest {
 /// Applies one sweep-defining flag (--scenarios, --workers, --seed,
 /// --tasks, --util, --detector-cost-us, --stop-latency-us, --cores,
 /// --quantum-us, --partitioner, --core-fault, --policy,
-/// --event-queue, --sink-mode, --cost-spec, --horizon-periods,
-/// --full-traces) to `opts`. Returns
-/// false when `arg` is none of these — the caller handles its own
-/// flags; throws ArgError on a bad value. `value` supplies the flag's
-/// argument and is called at most once.
+/// --horizon-periods, --full-traces) to `opts`. Returns false when
+/// `arg` is none of these — the caller handles its own flags; throws
+/// ArgError on a bad value. `value` supplies the flag's argument and is
+/// called at most once.
 bool apply_sweep_flag(std::string_view arg,
                       const std::function<std::string()>& value,
                       SweepOptions& opts);

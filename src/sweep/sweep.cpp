@@ -245,8 +245,8 @@ ScenarioRunner::ScenarioRunner(const SweepOptions& opts)
   // bound sizes the per-task outcome logs (Engine::add_task reserves
   // them from the actual horizon and period). The event queue only ever
   // holds *outstanding* events — one release and at most one completion
-  // and one deadline check per task, plus stop/overhead slack — so its
-  // hint is a small multiple of the largest swept task count.
+  // per task, plus detector timers and stop/overhead slack — so its hint
+  // is a small multiple of the largest swept task count.
   std::size_t max_tasks = 0;
   for (const std::size_t n : opts.grid.task_counts) {
     max_tasks = std::max(max_tasks, n);
@@ -270,49 +270,20 @@ void ScenarioRunner::arm(const sched::TaskSet& ts, Duration horizon,
   rt::EngineOptions eopts;
   eopts.horizon = Instant::epoch() + horizon;
   eopts.stop_poll_latency = stop_poll_latency_;
-  eopts.event_queue = opts_.event_queue;
   if (opts_.full_traces) {
     full_.clear();
     eopts.sink = &full_;
-  } else {
-    counting_.reset();
-    if (opts_.sink_dispatch == SinkDispatch::kStatic) {
-      // The zero-virtual path: events fold into an engine-local bank
-      // and flush into counting_ when each run returns — which is
-      // before total_misses() reads it, so verdicts see whole runs.
-      eopts.sink_mode = trace::SinkMode::kStaticCounting;
-      eopts.counting_sink = &counting_;
-    } else {
-      eopts.sink = &counting_;  // per-event virtual oracle.
-    }
   }
   engine_.reset(eopts);
   handles_.clear();
   for (sched::TaskId id = 0; id < ts.size(); ++id) {
     rt::CostSpec cost;  // nominal
-    if (faulty && *faulty == id) {
-      if (opts_.cost_spec == CostSpecMode::kFlat) {
-        cost = rt::CostSpec::fixed_overrun(0, extra);
-      } else {
-        const Duration nominal = ts[id].cost;  // closure oracle.
-        cost = rt::CostModel([nominal, extra](std::int64_t job) {
-          return job == 0 ? nominal + extra : nominal;
-        });
-      }
-    }
+    if (faulty && *faulty == id) cost = rt::CostSpec::fixed_overrun(0, extra);
     handles_.push_back(engine_.add_task(ts[id], std::move(cost)));
   }
 }
 
 std::int64_t ScenarioRunner::total_misses() const {
-  // In the default mode the CountingSink *is* the verdict source — the
-  // per-task counters it maintains are exactly what a verdict needs (the
-  // sink-equivalence tests pin them to the engine's statistics). With
-  // full traces the Recorder keeps raw events instead, so fall back to
-  // the engine's counters.
-  if (!opts_.full_traces) {
-    return counting_.total(trace::EventKind::kDeadlineMiss);
-  }
   std::int64_t misses = 0;
   for (const rt::TaskHandle h : handles_) misses += engine_.stats(h).missed;
   return misses;
@@ -412,12 +383,9 @@ void ScenarioRunner::run_multicore(const ScenarioSpec& spec,
                                    const sched::TaskSet& ts,
                                    Duration horizon, ScenarioVerdict& v) {
   // Engine statistics are the only verdict source here, so the stage
-  // runs sink-free (kStaticNull) whatever the sweep's dispatch mode —
-  // the sink/cost-mode fingerprint equivalence holds by construction.
+  // runs with no sink, even under full_traces.
   rt::EngineOptions eopts;
   eopts.horizon = Instant::epoch() + horizon;
-  eopts.event_queue = opts_.event_queue;
-  eopts.sink_mode = trace::SinkMode::kStaticNull;
 
   // Deterministic fault date: a fixed fraction of the horizon. The
   // double product is exact IEEE arithmetic on integral inputs, so

@@ -106,26 +106,6 @@ struct ScenarioSpec {
   Duration quantum = Duration::ms(1);  ///< detector-quantizer resolution.
 };
 
-/// How the sweep's engines observe events (counter-only runs; a
-/// full_traces run always uses the virtual Recorder seam).
-enum class SinkDispatch : std::uint8_t {
-  /// Engine-local batched counting (trace::SinkMode::kStaticCounting):
-  /// zero virtual calls per event. The production path.
-  kStatic,
-  /// Per-event virtual CountingSink::record through the Sink* seam —
-  /// the original design, retained as the equivalence oracle.
-  kVirtual,
-};
-
-/// How scenario fault injections reach the engine.
-enum class CostSpecMode : std::uint8_t {
-  /// Flat rt::CostSpec resolved inline per job. The production path.
-  kFlat,
-  /// A std::function closure per faulty task — the original design,
-  /// retained as the equivalence oracle.
-  kFunction,
-};
-
 /// Which placement strategies the multicore stage runs. kBoth pairs
 /// the verdicts per scenario — the evidence the fault-aware placement
 /// is worth its admission cost is exactly a cell where it stays clean
@@ -168,26 +148,15 @@ struct SweepOptions {
   /// Keep the per-scenario verdicts in the report (aggregates are always
   /// computed). Off saves memory on very large sweeps.
   bool keep_verdicts = true;
-  /// Observation mode for the engine runs. By default every worker
-  /// records through a reused, allocation-free trace::CountingSink —
-  /// the paper's keep-the-substrate-undisturbed discipline at sweep
-  /// scale. Setting this routes events into a per-worker full-fidelity
-  /// trace::Recorder instead (cleared between runs). Verdicts and the
-  /// fingerprint are identical either way; the knob exists for debugging
-  /// and for measuring what full-trace observation costs.
+  /// Observation for the engine runs. By default the engines run with
+  /// no sink at all — verdicts read the engine's TaskStats and the
+  /// detector bank, the paper's keep-the-substrate-undisturbed
+  /// discipline at sweep scale. Setting this routes every event into a
+  /// per-worker full-fidelity trace::Recorder (cleared between runs).
+  /// Verdicts and the fingerprint are identical either way; the knob
+  /// exists for debugging and for measuring what full-trace observation
+  /// costs.
   bool full_traces = false;
-  /// Event-queue implementation for the engine runs. Trace-equivalent
-  /// by construction (the engine's dispatch order is total); the knob
-  /// exists for the equivalence tests and for benchmarking the oracle.
-  rt::EventQueueMode event_queue = rt::EventQueueMode::kTimingWheel;
-  /// Observation dispatch for counter-only runs. Verdicts and the
-  /// fingerprint are identical in both modes (pinned by tests and CI);
-  /// kVirtual exists as the oracle and benchmark baseline. Ignored when
-  /// full_traces routes events into the Recorder.
-  SinkDispatch sink_dispatch = SinkDispatch::kStatic;
-  /// Fault-injection representation. Verdict- and fingerprint-
-  /// equivalent; kFunction is the oracle.
-  CostSpecMode cost_spec = CostSpecMode::kFlat;
   /// Progress hook: invoked once per completed scenario with
   /// (scenarios completed so far, scenarios in this run) — for a shard
   /// run, "this run" is the shard. Invocations are serialized (the
@@ -319,13 +288,12 @@ void fill_cell_metadata(const SweepOptions& opts,
                         std::vector<CellSummary>& cells);
 
 /// True when two option sets define the same scenario population —
-/// every field a verdict depends on. Workers, observation mode (full
-/// traces and sink dispatch), cost-spec representation and the
-/// event-queue implementation are excluded on purpose: they are proven
-/// not to affect verdicts, so shards run with different worker counts
-/// (or one per queue/sink/cost mode) merge fine. Shared by merge() and the sweep
-/// coordinator's checkpoint-resume validation, so "same sweep" cannot
-/// mean different things in the two places.
+/// every field a verdict depends on. Workers and full_traces are
+/// excluded on purpose: they do not affect verdicts, so shards run with
+/// different worker counts (or with and without full traces) merge
+/// fine. Shared by merge() and the sweep coordinator's checkpoint-resume
+/// validation, so "same sweep" cannot mean different things in the two
+/// places.
 [[nodiscard]] bool same_scenario_identity(const SweepOptions& a,
                                           const SweepOptions& b);
 }  // namespace detail
@@ -479,13 +447,14 @@ class ShardMerger {
   std::vector<ShardResult> pending_;  ///< out-of-order arrivals.
 };
 
-/// Per-worker reusable execution context: one engine and one sink,
-/// re-armed between scenarios, so a sweep pays no per-scenario engine or
-/// trace-buffer allocation (the seed design heap-allocated a fresh
-/// engine plus a 64K-event recorder for every one of the four runs of
-/// every scenario). `opts` is borrowed and must outlive the runner.
-/// Verdicts remain pure functions of the spec: run() fully resets the
-/// engine, so reuse is observationally identical to a fresh engine.
+/// Per-worker reusable execution context: one engine (plus a recorder
+/// under full_traces), re-armed between scenarios, so a sweep pays no
+/// per-scenario engine or trace-buffer allocation (the seed design
+/// heap-allocated a fresh engine plus a 64K-event recorder for every one
+/// of the four runs of every scenario). `opts` is borrowed and must
+/// outlive the runner. Verdicts remain pure functions of the spec: run()
+/// fully resets the engine, so reuse is observationally identical to a
+/// fresh engine.
 class ScenarioRunner {
  public:
   explicit ScenarioRunner(const SweepOptions& opts);
@@ -503,14 +472,12 @@ class ScenarioRunner {
   /// The multicore stage (cells with cores > 1): places the set with
   /// each requested partitioner, kills the busiest core at the
   /// configured horizon fraction, and fills the ff_*/fa_* verdict
-  /// fields. Verdicts come from engine statistics, so the stage is
-  /// independent of sink dispatch and cost-spec representation.
+  /// fields. Verdicts come from engine statistics.
   void run_multicore(const ScenarioSpec& spec, const sched::TaskSet& ts,
                      Duration horizon, ScenarioVerdict& v);
 
   const SweepOptions& opts_;
   rt::Engine engine_;
-  trace::CountingSink counting_;
   trace::Recorder full_;  ///< used only when opts.full_traces.
   std::vector<rt::TaskHandle> handles_;
   Duration stop_poll_latency_;  ///< current scenario's §4.1 poll delay.

@@ -1,7 +1,5 @@
 #include "trace/sink.hpp"
 
-#include <algorithm>
-
 namespace rtft::trace {
 
 NullSink& NullSink::instance() {
@@ -9,34 +7,12 @@ NullSink& NullSink::instance() {
   return sink;
 }
 
-void CounterBank::merge(const CounterBank& delta) {
-  for (std::size_t k = 0; k < kEventKindCount; ++k) {
-    kind_totals_[k] += delta.kind_totals_[k];
-  }
-  if (delta.tasks_.size() > tasks_.size()) tasks_.resize(delta.tasks_.size());
-  for (std::size_t i = 0; i < delta.tasks_.size(); ++i) {
-    const TaskCounters& d = delta.tasks_[i];
-    TaskCounters& c = tasks_[i];
-    c.released += d.released;
-    c.started += d.started;
-    c.completed += d.completed;
-    c.missed += d.missed;
-    c.aborted += d.aborted;
-    c.preemptions += d.preemptions;
-    c.detector_fires += d.detector_fires;
-    c.faults_detected += d.faults_detected;
-    c.stopped = c.stopped || d.stopped;
-    c.max_response = std::max(c.max_response, d.max_response);
-    if (d.completed > 0) c.last_response = d.last_response;
-  }
-}
-
-void CounterBank::clear() {
+void CountingSink::reset() {
   tasks_.clear();
   for (std::int64_t& n : kind_totals_) n = 0;
 }
 
-const TaskCounters& CounterBank::counters(std::size_t task) const {
+const TaskCounters& CountingSink::counters(std::size_t task) const {
   static const TaskCounters kZero{};
   return task < tasks_.size() ? tasks_[task] : kZero;
 }

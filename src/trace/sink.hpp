@@ -13,13 +13,8 @@
 //   Recorder     — the full-fidelity event buffer (trace/recorder.hpp),
 //                  for charts, logs, validation and golden tests.
 //
-// The virtual seam above is the *general* observation path. Sweep-scale
-// runs select a compile-time mode instead (SinkMode below): the engine
-// dispatches on a plain enum in its inner loop — no virtual call per
-// event — and counting becomes batched: events accumulate in an
-// engine-local CounterBank and flush into the configured CountingSink
-// at run boundaries via absorb(). Both paths produce identical counters
-// (tests/runtime/observation_equivalence_test.cpp pins this).
+// A run that needs no observation passes no sink at all: the engine then
+// drops each event on a null test (runtime/engine.hpp).
 #pragma once
 
 #include <cstddef>
@@ -33,21 +28,6 @@ namespace rtft::trace {
 /// Number of EventKind enumerators (kIdleEnd is last).
 inline constexpr std::size_t kEventKindCount =
     static_cast<std::size_t>(EventKind::kIdleEnd) + 1;
-
-/// How an engine observes its own event stream.
-enum class SinkMode : std::uint8_t {
-  /// Every event goes through the runtime-polymorphic Sink* seam —
-  /// required for Recorder (full traces), FtSystem composition and the
-  /// wall-clock executor; retained as the equivalence oracle.
-  kVirtual,
-  /// Events are discarded by a branch on this enum: zero virtual calls
-  /// and zero counter writes per event.
-  kStaticNull,
-  /// Events accumulate in an engine-local CounterBank (no virtual call
-  /// per event) and flush into EngineOptions::counting_sink when a
-  /// run() / run_until() returns.
-  kStaticCounting,
-};
 
 /// Where trace events go. Implementations must tolerate any well-formed
 /// event stream; record() is called on the execution hot path, so it
@@ -65,7 +45,8 @@ class Sink {
   }
 };
 
-/// Discards every event. The engine's default when no sink is supplied.
+/// Discards every event. What Engine::sink() hands detectors and
+/// treatments when no sink is supplied.
 class NullSink final : public Sink {
  public:
   using Sink::record;
@@ -75,7 +56,7 @@ class NullSink final : public Sink {
   static NullSink& instance();
 };
 
-/// Per-task counters maintained by a CounterBank — the same facts an
+/// Per-task counters maintained by a CountingSink — the same facts an
 /// engine's TaskStats carries, derived purely from the event stream.
 struct TaskCounters {
   std::int64_t released = 0;
@@ -91,15 +72,13 @@ struct TaskCounters {
   Duration last_response;
 };
 
-/// The flat counting core shared by CountingSink (per-event, virtual
-/// seam) and the engine's batched static-counting mode (accumulate
-/// locally, absorb at run boundaries). add() is non-virtual and inline:
-/// it is *the* per-event cost of counted observation.
-class CounterBank {
+/// Maintains only per-task counters: constant work per event, O(tasks)
+/// memory for a run of any length — counters without the full-trace
+/// cost.
+class CountingSink final : public Sink {
  public:
-  /// Folds one event into the bank. Identical semantics to the classic
-  /// CountingSink::record.
-  void add(const TraceEvent& event) {
+  using Sink::record;
+  void record(const TraceEvent& event) override {
     kind_totals_[static_cast<std::size_t>(event.kind)]++;
     if (event.task == kNoTask) return;
     const auto task = static_cast<std::size_t>(event.task);
@@ -125,22 +104,12 @@ class CounterBank {
     }
   }
 
-  /// Merges another bank into this one. Counts add; `stopped` ors;
-  /// `max_response` takes the max; `last_response` is overridden only
-  /// when `delta` completed at least one job of the task — so merging
-  /// the per-run_until() deltas of a split run leaves exactly the
-  /// counters one contiguous bank would hold.
-  void merge(const CounterBank& delta);
-
   /// Forgets everything; keeps allocated capacity for reuse.
-  void clear();
-
-  /// Pre-sizes per-task storage (capacity hint; growing later is safe).
-  void reserve(std::size_t tasks) { tasks_.reserve(tasks); }
+  void reset();
 
   /// Counters for one task (zeroes if the task never appeared).
   [[nodiscard]] const TaskCounters& counters(std::size_t task) const;
-  /// One past the largest task id seen since the last clear().
+  /// One past the largest task id seen since the last reset().
   [[nodiscard]] std::size_t task_count() const { return tasks_.size(); }
   /// Total events of one kind, across tasks and taskless events.
   [[nodiscard]] std::int64_t total(EventKind kind) const {
@@ -150,38 +119,6 @@ class CounterBank {
  private:
   std::vector<TaskCounters> tasks_;
   std::int64_t kind_totals_[kEventKindCount] = {};
-};
-
-/// Maintains only per-task counters: constant work per event, O(tasks)
-/// memory for a run of any length. This is what a scenario sweep needs —
-/// verdict counters without the full-trace cost. In the engine's
-/// batched mode the per-event add() happens in an engine-local bank and
-/// lands here through absorb() instead.
-class CountingSink final : public Sink {
- public:
-  using Sink::record;
-  void record(const TraceEvent& event) override { bank_.add(event); }
-
-  /// Merges a batch of counters accumulated elsewhere (the engine's
-  /// run-boundary flush); see CounterBank::merge for the semantics.
-  void absorb(const CounterBank& delta) { bank_.merge(delta); }
-
-  /// Forgets everything; keeps allocated capacity for reuse.
-  void reset() { bank_.clear(); }
-
-  /// Counters for one task (zeroes if the task never appeared).
-  [[nodiscard]] const TaskCounters& counters(std::size_t task) const {
-    return bank_.counters(task);
-  }
-  /// One past the largest task id seen since the last reset().
-  [[nodiscard]] std::size_t task_count() const { return bank_.task_count(); }
-  /// Total events of one kind, across tasks and taskless events.
-  [[nodiscard]] std::int64_t total(EventKind kind) const {
-    return bank_.total(kind);
-  }
-
- private:
-  CounterBank bank_;
 };
 
 }  // namespace rtft::trace

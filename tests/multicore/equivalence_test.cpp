@@ -1,9 +1,8 @@
 // M=1 equivalence oracle — a MultiEngine fleet with a single core must
 // be bit-identical to a plain rt::Engine on randomized scenarios
-// (tests/runtime/scenario_fuzz.hpp), under both event-queue modes,
-// whatever sync quantum the fleet steps in and however its run is
-// segmented. The multicore layer must add exactly nothing to the
-// uniprocessor semantics it composes.
+// (tests/runtime/scenario_fuzz.hpp), whatever sync quantum the fleet
+// steps in and however its run is segmented. The multicore layer must
+// add exactly nothing to the uniprocessor semantics it composes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -36,14 +35,12 @@ rt::CostSpec scenario_cost(const Scenario& s, std::size_t i,
   });
 }
 
-rt::EngineOptions scenario_options(const Scenario& s, trace::Recorder& rec,
-                                   rt::EventQueueMode mode) {
+rt::EngineOptions scenario_options(const Scenario& s, trace::Recorder& rec) {
   rt::EngineOptions opts;
   opts.horizon = Instant::epoch() + s.horizon;
   opts.stop_poll_latency = s.stop_poll_latency;
   opts.context_switch_cost = s.context_switch_cost;
   opts.sink = &rec;
-  opts.event_queue = mode;
   return opts;
 }
 
@@ -59,10 +56,9 @@ RunResult collect(rt::Engine& engine, const trace::Recorder& rec,
 }
 
 /// The oracle: the plain engine run in one shot.
-RunResult run_plain(rt::Engine& engine, const Scenario& s,
-                    rt::EventQueueMode mode) {
+RunResult run_plain(rt::Engine& engine, const Scenario& s) {
   trace::Recorder rec;
-  engine.reset(scenario_options(s, rec, mode));
+  engine.reset(scenario_options(s, rec));
   std::int64_t fires = 0;
   const std::int64_t quantum = fuzz::cost_quantum(s);
   fuzz::apply_scenario(
@@ -76,14 +72,14 @@ RunResult run_plain(rt::Engine& engine, const Scenario& s,
 /// advanced through randomized run_until segments before the final
 /// run() — the harshest segmentation the fleet API allows.
 RunResult run_fleet(MultiEngine& fleet, const Scenario& s,
-                    rt::EventQueueMode mode, std::uint64_t seed) {
-  std::mt19937_64 rng(seed * 0x9e3779b9ULL + static_cast<int>(mode));
+                    std::uint64_t seed) {
+  std::mt19937_64 rng(seed * 0x9e3779b9ULL);
   const Duration sync_quantum =
       (rng() % 2 != 0)
           ? Duration::us(static_cast<std::int64_t>(100 + rng() % 7000))
           : Duration::zero();
   trace::Recorder rec;
-  fleet.reset(1, scenario_options(s, rec, mode), sync_quantum);
+  fleet.reset(1, scenario_options(s, rec), sync_quantum);
   rt::Engine& engine = fleet.core(0);
   std::int64_t fires = 0;
   const std::int64_t quantum = fuzz::cost_quantum(s);
@@ -104,10 +100,8 @@ RunResult run_fleet(MultiEngine& fleet, const Scenario& s,
 }
 
 void expect_equivalent(const RunResult& a, const RunResult& b,
-                       std::uint64_t seed, rt::EventQueueMode mode) {
-  ASSERT_EQ(a.events, b.events)
-      << "trace divergence at seed " << seed << ", mode "
-      << static_cast<int>(mode);
+                       std::uint64_t seed) {
+  ASSERT_EQ(a.events, b.events) << "trace divergence at seed " << seed;
   ASSERT_EQ(a.stats.size(), b.stats.size());
   for (std::size_t i = 0; i < a.stats.size(); ++i) {
     ASSERT_EQ(a.stats[i].released, b.stats[i].released) << "seed " << seed;
@@ -128,12 +122,7 @@ TEST(SingleCoreEquivalence, FleetMatchesPlainEngineOnRandomScenarios) {
   MultiEngine fleet;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     const Scenario s = fuzz::random_scenario(seed, /*quantized=*/false);
-    for (const rt::EventQueueMode mode :
-         {rt::EventQueueMode::kTimingWheel, rt::EventQueueMode::kPooledHeap}) {
-      const RunResult oracle = run_plain(plain, s, mode);
-      const RunResult subject = run_fleet(fleet, s, mode, seed);
-      expect_equivalent(oracle, subject, seed, mode);
-    }
+    expect_equivalent(run_plain(plain, s), run_fleet(fleet, s, seed), seed);
   }
 }
 
@@ -146,12 +135,7 @@ TEST(SingleCoreEquivalence, FleetMatchesPlainEngineOnQuantizedGrids) {
   MultiEngine fleet;
   for (std::uint64_t seed = 1000; seed < 1030; ++seed) {
     const Scenario s = fuzz::random_scenario(seed, /*quantized=*/true);
-    for (const rt::EventQueueMode mode :
-         {rt::EventQueueMode::kTimingWheel, rt::EventQueueMode::kPooledHeap}) {
-      const RunResult oracle = run_plain(plain, s, mode);
-      const RunResult subject = run_fleet(fleet, s, mode, seed);
-      expect_equivalent(oracle, subject, seed, mode);
-    }
+    expect_equivalent(run_plain(plain, s), run_fleet(fleet, s, seed), seed);
   }
 }
 

@@ -29,7 +29,6 @@ sched::TaskParams simple_task(const char* name, int priority, Duration cost,
 rt::EngineOptions quiet_options(Duration horizon) {
   rt::EngineOptions o;
   o.horizon = Instant::epoch() + horizon;
-  o.sink_mode = trace::SinkMode::kStaticNull;
   return o;
 }
 

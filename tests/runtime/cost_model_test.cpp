@@ -41,33 +41,6 @@ TEST(CostSpec, FixedOverrunFloorsNegativeDeltasAtOneNanosecond) {
   EXPECT_EQ(CostSpec::fixed_overrun(0, -(1_ms) + 1_ns).resolve(1_ms, 0), 1_ns);
 }
 
-TEST(CostSpec, SeededJitterIsDeterministicBoundedAndQuantized) {
-  const CostSpec s = CostSpec::seeded_jitter(99, 1_ms, 4_ms, 500_us);
-  for (std::int64_t job = 0; job < 200; ++job) {
-    const Duration c = s.resolve(2_ms, job);
-    EXPECT_GE(c, 1_ms) << "job " << job;
-    EXPECT_LE(c, 4_ms) << "job " << job;
-    EXPECT_EQ(c.count() % 500'000, 0) << "job " << job;
-    EXPECT_EQ(c, s.resolve(2_ms, job)) << "job " << job;  // pure function
-  }
-  // Different seeds decorrelate; same seed reproduces.
-  const CostSpec t = CostSpec::seeded_jitter(100, 1_ms, 4_ms, 500_us);
-  bool any_differ = false;
-  for (std::int64_t job = 0; job < 50; ++job) {
-    any_differ = any_differ || t.resolve(2_ms, job) != s.resolve(2_ms, job);
-  }
-  EXPECT_TRUE(any_differ);
-}
-
-TEST(CostSpec, SeededJitterRejectsMalformedBounds) {
-  EXPECT_THROW((void)CostSpec::seeded_jitter(1, 0_ns, 1_ms),
-               ContractViolation);
-  EXPECT_THROW((void)CostSpec::seeded_jitter(1, 2_ms, 1_ms),
-               ContractViolation);
-  EXPECT_THROW((void)CostSpec::seeded_jitter(1, 1_ms, 2_ms, 0_ns),
-               ContractViolation);
-}
-
 TEST(CostSpec, CallablesConvertToCustomAndKeepTheirContract) {
   const CostSpec s = [](std::int64_t job) {
     return job == 0 ? 5_ms : 2_ms;

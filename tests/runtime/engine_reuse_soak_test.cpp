@@ -1,10 +1,10 @@
 // Engine-reuse soak — one pooled engine reset()-cycled through ten
 // thousand heterogeneous scenarios (tests/runtime/scenario_fuzz.hpp)
 // must stay observationally identical to a fresh engine built per
-// scenario. Each iteration draws its event-queue mode, observation mode
-// and cost representation from the seed, so the pooled engine constantly
-// flips configuration across reuses — the pattern the admission
-// service's worker pool and the sweep's ScenarioRunner both rely on.
+// scenario. Each iteration draws its observation mode and cost
+// representation from the seed, so the pooled engine constantly flips
+// configuration across reuses — the pattern the admission service's
+// worker pool and the sweep's ScenarioRunner both rely on.
 //
 // The comparison is as strong as the drawn observation mode allows:
 // full trace equality under a Recorder, per-task counter equality under
@@ -27,13 +27,12 @@ using fuzz::Scenario;
 
 constexpr std::uint64_t kScenarios = 10'000;
 
-enum class Observation { kRecorder, kStaticCounting, kStaticNull };
+enum class Observation { kRecorder, kCounting, kNone };
 
 /// Per-scenario configuration, drawn from the seed independently of the
 /// scenario content (splitmix so neighbouring seeds land on different
 /// mixes even though random_scenario consumes the raw seed).
 struct Mix {
-  EventQueueMode queue;
   Observation obs;
   bool flat_costs;
   bool quantized;
@@ -45,28 +44,29 @@ Mix mix_for(std::uint64_t seed) {
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   z ^= z >> 31;
   Mix mix;
-  mix.queue = (z & 1) != 0 ? EventQueueMode::kTimingWheel
-                           : EventQueueMode::kPooledHeap;
   switch ((z >> 1) % 3) {
     case 0: mix.obs = Observation::kRecorder; break;
-    case 1: mix.obs = Observation::kStaticCounting; break;
-    default: mix.obs = Observation::kStaticNull; break;
+    case 1: mix.obs = Observation::kCounting; break;
+    default: mix.obs = Observation::kNone; break;
   }
   mix.flat_costs = (z >> 3 & 1) != 0;
   mix.quantized = (z >> 4) % 5 == 0;  // ~20% tie-heavy quantized grids
   return mix;
 }
 
-/// Flat cost spec cycling through every non-custom CostKind (same
-/// rotation as the observation-equivalence suite).
-CostSpec flat_cost(const Scenario& s, std::size_t i) {
+/// Cost spec cycling through every CostKind: fuzz::jittered_cost
+/// through a closure, a fixed deviation (negative ones big enough to
+/// exercise the 1 ns floor) and the nominal cost.
+CostSpec task_cost(const Scenario& s, std::size_t i) {
   const Duration nominal = s.tasks[i].cost;
-  const std::int64_t quantum = fuzz::cost_quantum(s);
   switch (i % 3) {
-    case 0:
-      return CostSpec::seeded_jitter(s.cost_seeds[i],
-                                     Duration::ns(nominal.count() / 2 + 1),
-                                     nominal * 2, Duration::ns(quantum));
+    case 0: {
+      const std::uint64_t seed = s.cost_seeds[i];
+      const std::int64_t quantum = fuzz::cost_quantum(s);
+      return CostModel([nominal, seed, quantum](std::int64_t job) {
+        return fuzz::jittered_cost(nominal, seed, job, quantum);
+      });
+    }
     case 1:
       return CostSpec::fixed_overrun(
           static_cast<std::int64_t>(i % 5),
@@ -76,9 +76,9 @@ CostSpec flat_cost(const Scenario& s, std::size_t i) {
   }
 }
 
-/// std::function oracle computing the identical per-job costs.
-CostSpec function_cost(const Scenario& s, std::size_t i) {
-  const CostSpec spec = flat_cost(s, i);
+/// The same per-job costs, every one behind a closure.
+CostSpec closure_cost(const Scenario& s, std::size_t i) {
+  const CostSpec spec = task_cost(s, i);
   const Duration nominal = s.tasks[i].cost;
   return CostModel([spec, nominal](std::int64_t job) {
     return spec.resolve(nominal, job);
@@ -87,8 +87,8 @@ CostSpec function_cost(const Scenario& s, std::size_t i) {
 
 struct RunResult {
   std::vector<fuzz::FlatEvent> events;        ///< kRecorder only.
-  std::vector<trace::TaskCounters> counters;  ///< kStaticCounting only.
-  std::vector<std::int64_t> kind_totals;      ///< kStaticCounting only.
+  std::vector<trace::TaskCounters> counters;  ///< kCounting only.
+  std::vector<std::int64_t> kind_totals;      ///< kCounting only.
   std::vector<TaskStats> stats;
   std::int64_t fires = 0;
 };
@@ -100,18 +100,10 @@ EngineOptions scenario_options(const Scenario& s, const Mix& mix,
   opts.horizon = Instant::epoch() + s.horizon;
   opts.stop_poll_latency = s.stop_poll_latency;
   opts.context_switch_cost = s.context_switch_cost;
-  opts.event_queue = mix.queue;
   switch (mix.obs) {
-    case Observation::kRecorder:
-      opts.sink = rec;
-      break;
-    case Observation::kStaticCounting:
-      opts.sink_mode = trace::SinkMode::kStaticCounting;
-      opts.counting_sink = counting;
-      break;
-    case Observation::kStaticNull:
-      opts.sink_mode = trace::SinkMode::kStaticNull;
-      break;
+    case Observation::kRecorder: opts.sink = rec; break;
+    case Observation::kCounting: opts.sink = counting; break;
+    case Observation::kNone: break;
   }
   return opts;
 }
@@ -124,14 +116,14 @@ RunResult run_applied(Engine& engine, const Scenario& s, const Mix& mix,
   fuzz::apply_scenario(
       engine, s,
       [&](std::size_t i) {
-        return mix.flat_costs ? flat_cost(s, i) : function_cost(s, i);
+        return mix.flat_costs ? task_cost(s, i) : closure_cost(s, i);
       },
       result.fires);
   engine.run();
   if (mix.obs == Observation::kRecorder) {
     result.events = fuzz::flatten(rec);
   }
-  if (mix.obs == Observation::kStaticCounting) {
+  if (mix.obs == Observation::kCounting) {
     for (std::size_t i = 0; i < engine.task_count(); ++i) {
       result.counters.push_back(counting.counters(i));
     }
@@ -192,16 +184,15 @@ TEST(EngineReuseSoak, TenThousandMixedScenariosMatchFreshEngines) {
 
   // Every axis must actually flip during the soak, or the mix derivation
   // silently degenerated and the "heterogeneous" claim is hollow.
-  std::uint64_t wheel = 0, recorder = 0, counting_runs = 0, null_runs = 0;
+  std::uint64_t recorder = 0, counting_runs = 0, null_runs = 0;
   std::uint64_t flat = 0, quantized = 0;
 
   for (std::uint64_t seed = 1; seed <= kScenarios; ++seed) {
     const Mix mix = mix_for(seed);
     const Scenario s = fuzz::random_scenario(seed, mix.quantized);
-    wheel += mix.queue == EventQueueMode::kTimingWheel ? 1 : 0;
     recorder += mix.obs == Observation::kRecorder ? 1 : 0;
-    counting_runs += mix.obs == Observation::kStaticCounting ? 1 : 0;
-    null_runs += mix.obs == Observation::kStaticNull ? 1 : 0;
+    counting_runs += mix.obs == Observation::kCounting ? 1 : 0;
+    null_runs += mix.obs == Observation::kNone ? 1 : 0;
     flat += mix.flat_costs ? 1 : 0;
     quantized += mix.quantized ? 1 : 0;
 
@@ -221,8 +212,6 @@ TEST(EngineReuseSoak, TenThousandMixedScenariosMatchFreshEngines) {
     if (::testing::Test::HasFatalFailure()) return;
   }
 
-  EXPECT_GT(wheel, 0u);
-  EXPECT_LT(wheel, kScenarios);
   EXPECT_GT(recorder, 0u);
   EXPECT_GT(counting_runs, 0u);
   EXPECT_GT(null_runs, 0u);

@@ -1,7 +1,7 @@
 // Timer behaviour under engine reuse: a reset() engine must reproduce a
 // fresh engine's timer traces exactly — one-shot, periodic and cancelled
-// timers, in both event-queue modes (the timing wheel keeps timer events
-// in pooled slot lists and the cursor survives nothing across clear()).
+// timers (the timing wheel keeps timer events in pooled slot lists and
+// the cursor survives nothing across clear()).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -39,12 +39,11 @@ struct TimerTrace {
 /// Arms the reference timer scenario on `engine` and runs it: a task to
 /// keep the processor busy, a one-shot timer, a fast periodic timer, and
 /// a periodic timer cancelled mid-run from a one-shot handler.
-TimerTrace run_timer_scenario(Engine& engine, EventQueueMode mode) {
+TimerTrace run_timer_scenario(Engine& engine) {
   trace::Recorder rec;
   EngineOptions opts;
   opts.horizon = Instant::epoch() + 60_ms;
   opts.sink = &rec;
-  opts.event_queue = mode;
   engine.reset(opts);
   engine.add_task(sched::TaskParams{"t0", 5, 2_ms, 10_ms, 10_ms, 0_ms});
 
@@ -70,14 +69,11 @@ void expect_same(const TimerTrace& a, const TimerTrace& b) {
   EXPECT_EQ(a.cancelled_fires, b.cancelled_fires);
 }
 
-class EngineTimerReuse : public ::testing::TestWithParam<EventQueueMode> {};
-
-TEST_P(EngineTimerReuse, FreshAndResetEnginesAgree) {
-  const EventQueueMode mode = GetParam();
+TEST(EngineTimerReuse, FreshAndResetEnginesAgree) {
   EngineOptions bootstrap;
   bootstrap.horizon = Instant::epoch() + 1_ms;
   Engine fresh(bootstrap);
-  const TimerTrace reference = run_timer_scenario(fresh, mode);
+  const TimerTrace reference = run_timer_scenario(fresh);
   ASSERT_EQ(reference.one_shot_fires, 1);
   // First fire at 1ms, then every 4ms until the 60ms horizon.
   ASSERT_EQ(reference.periodic_fires, 15);
@@ -92,7 +88,6 @@ TEST_P(EngineTimerReuse, FreshAndResetEnginesAgree) {
     EngineOptions other;
     other.horizon = Instant::epoch() + 35_ms;
     other.sink = &scratch;
-    other.event_queue = mode;
     reused.reset(other);
     reused.add_task(sched::TaskParams{"x", 2, 1_ms, 3_ms, 3_ms, 0_ms});
     const TimerHandle dead = reused.add_periodic_timer(
@@ -104,19 +99,17 @@ TEST_P(EngineTimerReuse, FreshAndResetEnginesAgree) {
     // Stop mid-run so undispatched timer events are left in the queue.
     reused.run_until(Instant::epoch() + 20_ms);
   }
-  expect_same(run_timer_scenario(reused, mode), reference);
+  expect_same(run_timer_scenario(reused), reference);
 
   // And again: repeated reuse (the sweep's thousands-of-runs pattern).
-  expect_same(run_timer_scenario(reused, mode), reference);
+  expect_same(run_timer_scenario(reused), reference);
 }
 
-TEST_P(EngineTimerReuse, CancelledTimerStaysCancelledOnlyWithinItsRun) {
+TEST(EngineTimerReuse, CancelledTimerStaysCancelledOnlyWithinItsRun) {
   // Cancelling timer k in run 1 must not affect the timer that happens
   // to get handle k in run 2 (slot reuse across reset()).
-  const EventQueueMode mode = GetParam();
   EngineOptions opts;
   opts.horizon = Instant::epoch() + 10_ms;
-  opts.event_queue = mode;
   Engine engine(opts);
   const TimerHandle first =
       engine.add_periodic_timer(Instant::epoch() + 1_ms, 1_ms, [](Engine&) {});
@@ -131,15 +124,6 @@ TEST_P(EngineTimerReuse, CancelledTimerStaysCancelledOnlyWithinItsRun) {
   engine.run();
   EXPECT_EQ(fires, 10);
 }
-
-INSTANTIATE_TEST_SUITE_P(BothQueues, EngineTimerReuse,
-                         ::testing::Values(EventQueueMode::kTimingWheel,
-                                           EventQueueMode::kPooledHeap),
-                         [](const auto& info) {
-                           return info.param == EventQueueMode::kTimingWheel
-                                      ? "TimingWheel"
-                                      : "PooledHeap";
-                         });
 
 }  // namespace
 }  // namespace rtft::rt

@@ -1,11 +1,15 @@
 // Golden engine corpus — golden/engine_corpus.inc freezes, for 200
 // scenario_fuzz.hpp scenarios (seeds 1-100, free-form and quantized
 // tie-heavy grids), a hash of the full Recorder trace, of every
-// TaskStats and of the CountingSink counters the engine produces. Each
-// scenario runs with the corpus' injected overrun in both its flat
-// CostSpec and its closure form, under every dispatcher, event queue
-// and observation mode, and every run must reproduce the frozen
-// hashes; every corpus trace must also pass trace::validate_trace.
+// TaskStats and of the CountingSink counters the engine produces. The
+// corpus was generated while the engine still carried its linear-scan
+// dispatcher, pooled-heap event queue and static sink modes, and every
+// combination of them reproduced it. Each scenario now runs with the
+// corpus' injected overrun in both its flat CostSpec and its closure
+// form, under a Recorder, a CountingSink and no sink, and every run
+// must reproduce the frozen hashes; every corpus trace must also pass
+// trace::validate_trace. reference_model_test.cpp checks the engine
+// against an independent naive simulator on fresh seeds.
 //
 // To regenerate after a deliberate semantic change, replace
 // golden/engine_corpus.inc with the output of
@@ -35,7 +39,7 @@ using fuzz::Scenario;
 using golden::CorpusEntry;
 constexpr const auto& kCorpus = golden::kEngineCorpus;
 
-enum class Observation { kRecorder, kCounting, kStaticNull, kStaticCounting };
+enum class Observation { kRecorder, kCounting, kNone };
 
 /// What one run of a corpus scenario produced; a hash is zero when the
 /// observation mode could not see it.
@@ -47,26 +51,17 @@ struct Observed {
 };
 
 Observed run(Engine& engine, const Scenario& s, Observation obs,
-             bool flat_overrun, DispatchMode dispatch, EventQueueMode queue,
-             trace::Recorder& rec) {
+             bool flat_overrun, trace::Recorder& rec) {
   trace::CountingSink counting;
   rec.clear();
   EngineOptions opts;
   opts.horizon = Instant::epoch() + s.horizon;
   opts.stop_poll_latency = s.stop_poll_latency;
   opts.context_switch_cost = s.context_switch_cost;
-  opts.dispatch = dispatch;
-  opts.event_queue = queue;
   switch (obs) {
     case Observation::kRecorder: opts.sink = &rec; break;
     case Observation::kCounting: opts.sink = &counting; break;
-    case Observation::kStaticNull:
-      opts.sink_mode = trace::SinkMode::kStaticNull;
-      break;
-    case Observation::kStaticCounting:
-      opts.sink_mode = trace::SinkMode::kStaticCounting;
-      opts.counting_sink = &counting;
-      break;
+    case Observation::kNone: break;
   }
   engine.reset(opts);
   std::int64_t fires = 0;
@@ -81,7 +76,7 @@ Observed run(Engine& engine, const Scenario& s, Observation obs,
     out.trace = fuzz::trace_hash(rec, fires);
     out.events = rec.size();
   }
-  if (obs == Observation::kCounting || obs == Observation::kStaticCounting) {
+  if (obs == Observation::kCounting) {
     out.counters = fuzz::counters_hash(counting, engine.task_count());
   }
   return out;
@@ -97,16 +92,12 @@ std::string corpus_line(const CorpusEntry& e) {
   return buf;
 }
 
-/// The entry a run of the production configuration produces today.
+/// The entry the engine produces today.
 CorpusEntry measure(Engine& engine, std::uint64_t seed, bool quantized) {
   const Scenario s = fuzz::random_scenario(seed, quantized);
   trace::Recorder rec;
-  const Observed traced = run(engine, s, Observation::kRecorder, true,
-                              DispatchMode::kReadyQueue,
-                              EventQueueMode::kTimingWheel, rec);
-  const Observed counted = run(engine, s, Observation::kCounting, true,
-                               DispatchMode::kReadyQueue,
-                               EventQueueMode::kTimingWheel, rec);
+  const Observed traced = run(engine, s, Observation::kRecorder, true, rec);
+  const Observed counted = run(engine, s, Observation::kCounting, true, rec);
   return CorpusEntry{seed,          quantized,       traced.trace,
                      traced.stats,  counted.counters, traced.events};
 }
@@ -119,7 +110,7 @@ TEST(GoldenCorpus, CoversTwoHundredFreeAndQuantizedSeeds) {
   EXPECT_EQ(quantized, 100u);
 }
 
-TEST(GoldenCorpus, EveryModeCombinationReproducesTheCorpus) {
+TEST(GoldenCorpus, EveryObservationAndOverrunFormReproducesTheCorpus) {
   // One engine serves every run, so state surviving reset() across
   // scenarios and configurations is covered too.
   EngineOptions bootstrap;
@@ -130,31 +121,21 @@ TEST(GoldenCorpus, EveryModeCombinationReproducesTheCorpus) {
     const Scenario s = fuzz::random_scenario(e.seed, e.quantized);
     const std::string at = "seed " + std::to_string(e.seed) +
                            (e.quantized ? " (quantized)" : " (free)");
-    for (const DispatchMode dispatch :
-         {DispatchMode::kReadyQueue, DispatchMode::kLinearScan}) {
-      for (const EventQueueMode queue :
-           {EventQueueMode::kTimingWheel, EventQueueMode::kPooledHeap}) {
-        for (const Observation obs :
-             {Observation::kRecorder, Observation::kCounting,
-              Observation::kStaticNull, Observation::kStaticCounting}) {
-          for (const bool flat : {true, false}) {
-            const Observed o = run(engine, s, obs, flat, dispatch, queue, rec);
-            const bool traced = obs == Observation::kRecorder;
-            const bool counted = obs == Observation::kCounting ||
-                                 obs == Observation::kStaticCounting;
-            const bool match =
-                o.stats == e.stats &&
-                (!traced || (o.trace == e.trace && o.events == e.events)) &&
-                (!counted || o.counters == e.counters);
-            ASSERT_TRUE(match)
-                << at << ", dispatch " << static_cast<int>(dispatch)
-                << ", queue " << static_cast<int>(queue) << ", observation "
-                << static_cast<int>(obs)
-                << (flat ? ", flat overrun" : ", closure overrun")
-                << "; measured "
-                << corpus_line(measure(engine, e.seed, e.quantized));
-          }
-        }
+    for (const Observation obs :
+         {Observation::kRecorder, Observation::kCounting, Observation::kNone}) {
+      for (const bool flat : {true, false}) {
+        const Observed o = run(engine, s, obs, flat, rec);
+        const bool traced = obs == Observation::kRecorder;
+        const bool counted = obs == Observation::kCounting;
+        const bool match =
+            o.stats == e.stats &&
+            (!traced || (o.trace == e.trace && o.events == e.events)) &&
+            (!counted || o.counters == e.counters);
+        ASSERT_TRUE(match)
+            << at << ", observation " << static_cast<int>(obs)
+            << (flat ? ", flat overrun" : ", closure overrun")
+            << "; measured "
+            << corpus_line(measure(engine, e.seed, e.quantized));
       }
     }
   }
@@ -167,8 +148,7 @@ TEST(GoldenCorpus, EveryCorpusTraceValidates) {
   trace::Recorder rec;
   for (const CorpusEntry& e : kCorpus) {
     const Scenario s = fuzz::random_scenario(e.seed, e.quantized);
-    (void)run(engine, s, Observation::kRecorder, true,
-              DispatchMode::kReadyQueue, EventQueueMode::kTimingWheel, rec);
+    (void)run(engine, s, Observation::kRecorder, true, rec);
     const trace::ValidationResult v =
         trace::validate_trace(fuzz::task_set(s), rec);
     EXPECT_TRUE(v.ok()) << "seed " << e.seed << ": " << v.summary();

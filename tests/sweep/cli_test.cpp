@@ -136,49 +136,25 @@ TEST(ApplySweepFlag, ClaimsOnlySweepFlagsAndRejectsBadValues) {
   EXPECT_THROW(apply_sweep_flag(
                    "--policy", [] { return std::string("nonsense"); }, opts),
                ArgError);
-  EXPECT_THROW(apply_sweep_flag(
-                   "--event-queue", [] { return std::string("ring"); }, opts),
-               ArgError);
 }
 
-TEST(ApplySweepFlag, ParsesSinkModeAndCostSpecStrictly) {
-  SweepOptions opts;
-  EXPECT_TRUE(apply_sweep_flag(
-      "--sink-mode", [] { return std::string("virtual"); }, opts));
-  EXPECT_EQ(opts.sink_dispatch, SinkDispatch::kVirtual);
-  EXPECT_TRUE(apply_sweep_flag(
-      "--sink-mode", [] { return std::string("static"); }, opts));
-  EXPECT_EQ(opts.sink_dispatch, SinkDispatch::kStatic);
-  EXPECT_TRUE(apply_sweep_flag(
-      "--cost-spec", [] { return std::string("function"); }, opts));
-  EXPECT_EQ(opts.cost_spec, CostSpecMode::kFunction);
-  EXPECT_TRUE(apply_sweep_flag(
-      "--cost-spec", [] { return std::string("flat"); }, opts));
-  EXPECT_EQ(opts.cost_spec, CostSpecMode::kFlat);
-
-  // Rejections name the flag, echo the value and say what is accepted.
-  for (const char* bad : {"", "Static", "null", "counting"}) {
-    const std::string msg = arg_error_of([&] {
-      apply_sweep_flag(
-          "--sink-mode", [&] { return std::string(bad); }, opts);
-    });
-    EXPECT_NE(msg.find("--sink-mode"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("'static' or 'virtual'"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("(got '" + std::string(bad) + "')"),
-              std::string::npos)
-        << msg;
+TEST(ApplySweepFlag, RetiredEngineModeFlagsAreNotSweepFlags) {
+  // The engine has one implementation; the flags that once selected its
+  // oracle modes fall through to the caller's unknown-flag error
+  // without consuming a value.
+  for (const char* retired : {"--event-queue", "--sink-mode", "--cost-spec"}) {
+    SweepOptions opts;
+    bool consumed = false;
+    EXPECT_FALSE(apply_sweep_flag(
+        retired,
+        [&] {
+          consumed = true;
+          return std::string("wheel");
+        },
+        opts))
+        << retired;
+    EXPECT_FALSE(consumed) << retired;
   }
-  for (const char* bad : {"", "Flat", "closure", "nonsense"}) {
-    const std::string msg = arg_error_of([&] {
-      apply_sweep_flag(
-          "--cost-spec", [&] { return std::string(bad); }, opts);
-    });
-    EXPECT_NE(msg.find("--cost-spec"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("'flat' or 'function'"), std::string::npos) << msg;
-  }
-  // Bad values must not have clobbered the last good settings.
-  EXPECT_EQ(opts.sink_dispatch, SinkDispatch::kStatic);
-  EXPECT_EQ(opts.cost_spec, CostSpecMode::kFlat);
 }
 
 TEST(ApplySweepFlag, ParsesTheMulticoreAxesStrictly) {
@@ -279,10 +255,6 @@ TEST(WorkerArgv, RoundTripsTheScenarioIdentityBitForBit) {
   opts.grid.detector_costs = {Duration::zero(), Duration::us(200)};
   opts.grid.stop_poll_latencies = {Duration::us(50)};
   opts.detector_policy = core::TreatmentPolicy::kInstantStop;
-  opts.event_queue = rt::EventQueueMode::kPooledHeap;
-  // Non-default dispatch knobs must survive the round trip too.
-  opts.sink_dispatch = SinkDispatch::kVirtual;
-  opts.cost_spec = CostSpecMode::kFunction;
   opts.horizon_periods = 6;
   opts.full_traces = true;
 
@@ -299,9 +271,6 @@ TEST(WorkerArgv, RoundTripsTheScenarioIdentityBitForBit) {
   EXPECT_TRUE(detail::same_scenario_identity(plan.options(), reparsed));
   // ...with the same execution knobs...
   EXPECT_EQ(reparsed.workers, opts.workers);
-  EXPECT_EQ(reparsed.event_queue, opts.event_queue);
-  EXPECT_EQ(reparsed.sink_dispatch, opts.sink_dispatch);
-  EXPECT_EQ(reparsed.cost_spec, opts.cost_spec);
   EXPECT_TRUE(reparsed.full_traces);
   // ...and the runner-only flags are exactly the shard/emit/progress
   // triple the coordinator relies on.

@@ -220,25 +220,6 @@ TEST(ShardMerge, ReproducesTheSingleProcessReportBitForBit) {
   }
 }
 
-TEST(ShardMerge, MixedWorkerCountsAndQueueModesMerge) {
-  // Shards produced under different worker counts and different engine
-  // event-queue implementations are still the same sweep — verdicts are
-  // pure functions of (options identity, index).
-  const SweepOptions opts = small_options();
-  const SweepReport single = run_sweep(opts);
-  SweepOptions wheel = opts;
-  wheel.workers = 1;
-  wheel.event_queue = rt::EventQueueMode::kTimingWheel;
-  SweepOptions heap = opts;
-  heap.workers = 2;
-  heap.event_queue = rt::EventQueueMode::kPooledHeap;
-  const SweepPlan plan(opts);
-  std::vector<ShardResult> shards;
-  shards.push_back(run_shard(plan.shard(0, 2), wheel));
-  shards.push_back(run_shard(plan.shard(1, 2), heap));
-  expect_same_report(merge(shards), single);
-}
-
 TEST(ShardMerge, DroppedVerdictsKeepAggregatesAndFingerprint) {
   SweepOptions opts = small_options();
   const SweepReport single = run_sweep(opts);

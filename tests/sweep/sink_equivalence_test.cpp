@@ -5,9 +5,7 @@
 //     CountingSink yields identical engine TaskStats, and the counting
 //     sink's event-derived counters agree with both;
 //   * sweeps reproduce one fingerprint whatever the observation mode
-//     (counting vs full traces), across the static/virtual sink
-//     dispatch and flat/function cost-spec axes, and whether verdicts
-//     are kept.
+//     (no sink vs full traces) and whether verdicts are kept.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -107,38 +105,14 @@ TEST(SinkEquivalence, SameScenarioSameTaskStatsUnderEverySink) {
   }
 }
 
-TEST(SinkEquivalence, FullTracesReproduceTheCountingFingerprint) {
+TEST(SinkEquivalence, FullTracesReproduceTheDefaultFingerprint) {
   SweepOptions opts = small_options();
-  const SweepReport counting = run_sweep(opts);
+  const SweepReport unobserved = run_sweep(opts);
   opts.full_traces = true;
   const SweepReport full = run_sweep(opts);
-  EXPECT_EQ(counting.fingerprint, full.fingerprint);
-  EXPECT_EQ(counting.totals.engine_clean, full.totals.engine_clean);
-  EXPECT_EQ(counting.totals.detector_clean, full.totals.detector_clean);
-}
-
-TEST(SinkEquivalence, EveryDispatchCombinationReproducesTheFingerprint) {
-  // The devirtualized hot path (static sink + flat cost specs) and the
-  // retained oracles (virtual sink, std::function costs) are four
-  // selectable combinations; all must fold to one fingerprint.
-  SweepOptions opts = small_options();
-  opts.sink_dispatch = SinkDispatch::kStatic;
-  opts.cost_spec = CostSpecMode::kFlat;
-  const SweepReport baseline = run_sweep(opts);
-  for (const SinkDispatch sd : {SinkDispatch::kStatic,
-                                SinkDispatch::kVirtual}) {
-    for (const CostSpecMode cs : {CostSpecMode::kFlat,
-                                  CostSpecMode::kFunction}) {
-      opts.sink_dispatch = sd;
-      opts.cost_spec = cs;
-      const SweepReport r = run_sweep(opts);
-      EXPECT_EQ(r.fingerprint, baseline.fingerprint)
-          << "sink " << static_cast<int>(sd) << " cost "
-          << static_cast<int>(cs);
-      EXPECT_EQ(r.totals.engine_clean, baseline.totals.engine_clean);
-      EXPECT_EQ(r.totals.detector_clean, baseline.totals.detector_clean);
-    }
-  }
+  EXPECT_EQ(unobserved.fingerprint, full.fingerprint);
+  EXPECT_EQ(unobserved.totals.engine_clean, full.totals.engine_clean);
+  EXPECT_EQ(unobserved.totals.detector_clean, full.totals.detector_clean);
 }
 
 TEST(SinkEquivalence, DroppingVerdictsReproducesTheFingerprint) {

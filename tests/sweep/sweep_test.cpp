@@ -137,31 +137,6 @@ TEST(Sweep, WorkerCountIndependence) {
     expect_same_aggregate(serial.cells[c].agg, parallel.cells[c].agg);
 }
 
-TEST(Sweep, EventQueueModesProduceIdenticalFingerprints) {
-  // The timing wheel and the pooled-heap oracle must agree verdict for
-  // verdict — the sweep is the engine-equivalence test at population
-  // scale. Exercise a stopping policy too, so stop effects and the
-  // faulty detector run cross the queue as well.
-  SweepOptions opts = small_options();
-  opts.scenario_count = 60;
-  opts.detector_policy = core::TreatmentPolicy::kInstantStop;
-  opts.grid.stop_poll_latencies = {Duration::zero(), Duration::ms(5)};
-  opts.event_queue = rt::EventQueueMode::kTimingWheel;
-  const SweepReport wheel = run_sweep(opts);
-  opts.event_queue = rt::EventQueueMode::kPooledHeap;
-  const SweepReport heap = run_sweep(opts);
-  EXPECT_EQ(wheel.fingerprint, heap.fingerprint);
-  expect_same_aggregate(wheel.totals, heap.totals);
-  ASSERT_EQ(wheel.verdicts.size(), heap.verdicts.size());
-  for (std::size_t i = 0; i < wheel.verdicts.size(); ++i) {
-    EXPECT_EQ(wheel.verdicts[i].nominal_misses,
-              heap.verdicts[i].nominal_misses);
-    EXPECT_EQ(wheel.verdicts[i].detector_faults,
-              heap.verdicts[i].detector_faults);
-    EXPECT_EQ(wheel.verdicts[i].allowance, heap.verdicts[i].allowance);
-  }
-}
-
 TEST(SweepGrid, DefaultStopLatencyAxisKeepsHistoricalMapping) {
   // A single zero-latency axis must not perturb the cell mapping or the
   // fingerprint: pre-axis sweeps stay bit-for-bit reproducible.

@@ -79,81 +79,6 @@ TEST(CountingSink, ResetForgetsEverything) {
   EXPECT_EQ(sink.counters(1).released, 1);
 }
 
-TEST(CounterBank, AddMatchesCountingSinkRecordExactly) {
-  // The bank is the counting core: folding a stream directly must leave
-  // the same counters record() does through the virtual seam.
-  CounterBank bank;
-  CountingSink sink;
-  const TraceEvent stream[] = {
-      ev(0_ms, EventKind::kJobRelease, 0, 0),
-      ev(0_ms, EventKind::kJobStart, 0, 0),
-      ev(3_ms, EventKind::kJobEnd, 0, 0, (3_ms).count()),
-      ev(4_ms, EventKind::kTimerFire, kNoTask, kNoJob, 2),
-      ev(5_ms, EventKind::kDeadlineMiss, 0, 1),
-      ev(5_ms, EventKind::kTaskStopped, 0, 1),
-  };
-  for (const TraceEvent& e : stream) {
-    bank.add(e);
-    sink.record(e);
-  }
-  EXPECT_EQ(bank.task_count(), sink.task_count());
-  EXPECT_EQ(bank.counters(0).released, sink.counters(0).released);
-  EXPECT_EQ(bank.counters(0).completed, sink.counters(0).completed);
-  EXPECT_EQ(bank.counters(0).missed, sink.counters(0).missed);
-  EXPECT_EQ(bank.counters(0).stopped, sink.counters(0).stopped);
-  EXPECT_EQ(bank.counters(0).max_response, sink.counters(0).max_response);
-  EXPECT_EQ(bank.total(EventKind::kTimerFire),
-            sink.total(EventKind::kTimerFire));
-}
-
-TEST(CounterBank, AbsorbingSplitBatchesEqualsOneContiguousStream) {
-  // Split one stream at an arbitrary boundary, absorb both deltas: the
-  // result must equal a sink that saw the stream per-event. Exercises
-  // the merge rules for sums, `stopped`, max_response and the
-  // completed-gated last_response override.
-  const TraceEvent stream[] = {
-      ev(0_ms, EventKind::kJobRelease, 0, 0),
-      ev(3_ms, EventKind::kJobEnd, 0, 0, (3_ms).count()),
-      ev(4_ms, EventKind::kJobRelease, 0, 1),
-      // -- split here: the second batch completes nothing for task 1 --
-      ev(5_ms, EventKind::kJobEnd, 0, 1, (1_ms).count()),
-      ev(6_ms, EventKind::kJobRelease, 1, 0),
-      ev(7_ms, EventKind::kTaskStopped, 1, 0),
-  };
-  CountingSink per_event;
-  for (const TraceEvent& e : stream) per_event.record(e);
-
-  for (std::size_t split = 0; split <= std::size(stream); ++split) {
-    CounterBank first;
-    CounterBank second;
-    for (std::size_t i = 0; i < std::size(stream); ++i) {
-      (i < split ? first : second).add(stream[i]);
-    }
-    CountingSink merged;
-    merged.absorb(first);
-    merged.absorb(second);
-    for (std::uint32_t task = 0; task < 2; ++task) {
-      const TaskCounters& a = merged.counters(task);
-      const TaskCounters& b = per_event.counters(task);
-      EXPECT_EQ(a.released, b.released) << "split " << split;
-      EXPECT_EQ(a.completed, b.completed) << "split " << split;
-      EXPECT_EQ(a.stopped, b.stopped) << "split " << split;
-      EXPECT_EQ(a.max_response, b.max_response) << "split " << split;
-      EXPECT_EQ(a.last_response, b.last_response) << "split " << split;
-    }
-    EXPECT_EQ(merged.total(EventKind::kJobRelease),
-              per_event.total(EventKind::kJobRelease));
-  }
-}
-
-TEST(CounterBank, ClearKeepsNothing) {
-  CounterBank bank;
-  bank.add(ev(0_ms, EventKind::kJobRelease, 3, 0));
-  bank.clear();
-  EXPECT_EQ(bank.task_count(), 0u);
-  EXPECT_EQ(bank.total(EventKind::kJobRelease), 0);
-}
-
 TEST(Sink, RecorderIsAFullFidelitySink) {
   Recorder rec;
   Sink& sink = rec;  // engines only see this interface
