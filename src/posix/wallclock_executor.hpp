@@ -40,11 +40,11 @@ struct WallclockOptions {
   /// Burn CPU for "execution" instead of sleeping through it.
   bool busy_spin = false;
   /// Where trace events go (borrowed; must outlive the executor) — the
-  /// engine's Sink seam applied to the wall-clock substrate, so a sweep
-  /// can observe wall-clock runs through the same CountingSink it uses
-  /// for virtual-time runs. Null (the default) keeps the historical
-  /// behavior: the executor owns a full-fidelity Recorder, exposed
-  /// through recorder().
+  /// engine's Sink seam applied to the wall-clock substrate, so a caller
+  /// can observe wall-clock runs through the same sink (e.g. a
+  /// CountingSink) it uses for virtual-time runs. Null (the default)
+  /// keeps the historical behavior: the executor owns a full-fidelity
+  /// Recorder, exposed through recorder().
   trace::Sink* sink = nullptr;
 };
 

@@ -8,8 +8,8 @@
 // through a Sink pointer and never knows what, if anything, is kept.
 //
 //   NullSink     — discards everything; a run costs zero observation.
-//   CountingSink — per-task counters only (what sweep verdicts need);
-//                  O(tasks) memory however long the run.
+//   CountingSink — per-task counters only, derived from the event
+//                  stream; O(tasks) memory however long the run.
 //   Recorder     — the full-fidelity event buffer (trace/recorder.hpp),
 //                  for charts, logs, validation and golden tests.
 //
