@@ -6,7 +6,13 @@
 #include <charconv>
 #include <clocale>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
+
+#include "common/strings.hpp"
 
 namespace rtft::sweep {
 namespace {
@@ -207,6 +213,110 @@ TEST(SweepExport, ExportsAreDeterministic) {
   const SweepReport b = run_sweep(opts);
   EXPECT_EQ(verdicts_csv(a), verdicts_csv(b));
   EXPECT_EQ(cells_csv(a), cells_csv(b));
+}
+
+// ---------------------------------------------------------------------------
+// Golden export corpus: golden/ holds the bytes every export format
+// wrote for one small sweep — both shard files of a 2-way split plus the
+// report JSON and both CSVs. A change to any of them is a change to the
+// shard format or to what plotting scripts read, so the corpus is
+// regenerated only together with a kShardFormatVersion bump, by running
+// rtft_sweep_export_test with --gtest_also_run_disabled_tests
+// --gtest_filter='GoldenExportCorpus.DISABLED_Regenerate'.
+// ---------------------------------------------------------------------------
+
+/// Every grid axis off its default except the task count, one
+/// utilization above 1 and a stopping policy: 24 scenarios over 32
+/// cells, so the exports carry multicore verdicts and empty cells too.
+SweepOptions golden_options() {
+  SweepOptions opts;
+  opts.scenario_count = 24;
+  opts.workers = 2;
+  opts.base_seed = 2006;
+  opts.grid.task_counts = {4};
+  opts.grid.utilizations = {0.7, 1.2};
+  opts.grid.detector_costs = {Duration::zero(), Duration::us(200)};
+  opts.grid.stop_poll_latencies = {Duration::zero(), Duration::us(500)};
+  opts.grid.core_counts = {1, 2};
+  opts.grid.quantizer_resolutions = {Duration::ms(1), Duration::us(500)};
+  opts.detector_policy = core::TreatmentPolicy::kInstantStop;
+  return opts;
+}
+
+std::string golden_path(const std::string& name) {
+  return std::string(RTFT_SWEEP_GOLDEN_DIR) + "/" + name;
+}
+
+std::string read_golden(const std::string& name) {
+  std::ifstream in(golden_path(name), std::ios::binary);
+  EXPECT_TRUE(in) << "cannot open golden file " << golden_path(name);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+/// The in-process report of the corpus sweep. Wall-clock time is not
+/// part of the deterministic state, so it is zeroed.
+SweepReport golden_report() {
+  SweepReport report = run_sweep(golden_options());
+  report.elapsed_seconds = 0.0;
+  return report;
+}
+
+/// Every corpus file as this build writes it: (file name, bytes).
+std::vector<std::pair<std::string, std::string>> current_exports() {
+  const SweepPlan plan(golden_options());
+  std::vector<std::pair<std::string, std::string>> files;
+  for (std::uint64_t i = 0; i < 2; ++i) {
+    ShardResult shard = run_shard(plan.shard(i, 2), plan.options());
+    shard.elapsed_seconds = 0.0;
+    files.emplace_back("shard-" + std::to_string(i) + ".json",
+                       shard_json(shard));
+  }
+  const SweepReport report = golden_report();
+  files.emplace_back("report.json", report_json(report));
+  files.emplace_back("verdicts.csv", verdicts_csv(report));
+  files.emplace_back("cells.csv", cells_csv(report));
+  return files;
+}
+
+TEST(GoldenExportCorpus, EveryExportMatchesTheFrozenBytes) {
+  for (const auto& [name, bytes] : current_exports()) {
+    EXPECT_EQ(bytes, read_golden(name)) << name << " changed";
+  }
+}
+
+TEST(GoldenExportCorpus, CommittedShardFilesMergeToTheInProcessReport) {
+  const std::string expected = report_json(golden_report());
+  for (const bool reversed : {false, true}) {
+    std::vector<ShardResult> shards;
+    shards.push_back(load_shard_json(read_golden("shard-0.json")));
+    shards.push_back(load_shard_json(read_golden("shard-1.json")));
+    if (reversed) std::swap(shards[0], shards[1]);
+    EXPECT_EQ(report_json(merge(std::move(shards))), expected)
+        << (reversed ? "shard-1 first" : "shard-0 first");
+  }
+}
+
+TEST(GoldenExportCorpus, VerdictsCsvKeepsTheColumnsCiReadsByPosition) {
+  // CI's multicore soundness check reads the placement and fail-over
+  // flags of verdicts.csv by column number (awk $20-$23).
+  const std::string csv = read_golden("verdicts.csv");
+  const std::vector<std::string_view> header =
+      split(std::string_view(csv).substr(0, csv.find('\n')), ',');
+  ASSERT_GE(header.size(), 23u);
+  EXPECT_EQ(header[19], "ff_placement_feasible");
+  EXPECT_EQ(header[20], "fa_placement_feasible");
+  EXPECT_EQ(header[21], "ff_failover_clean");
+  EXPECT_EQ(header[22], "fa_failover_clean");
+}
+
+TEST(GoldenExportCorpus, DISABLED_Regenerate) {
+  for (const auto& [name, bytes] : current_exports()) {
+    std::ofstream out(golden_path(name), std::ios::binary);
+    out << bytes;
+    ASSERT_TRUE(out) << "cannot write " << golden_path(name);
+  }
 }
 
 }  // namespace
