@@ -192,42 +192,6 @@ std::vector<std::string> worker_argv(const std::string& runner,
                                      const ShardSpec& shard,
                                      const std::string& emit_path) {
   RTFT_EXPECTS(!runner.empty(), "worker argv needs a runner binary path");
-  // Everything that defines the scenario population must survive the
-  // trip through the runner's flags, or the worker computes a different
-  // sweep and the merge rejects its shard. Fields the CLI cannot
-  // express must therefore sit at their defaults.
-  const SweepOptions defaults;
-  RTFT_EXPECTS(opts.allowance_granularity == defaults.allowance_granularity,
-               "the runner CLI cannot express a non-default allowance "
-               "granularity");
-  RTFT_EXPECTS(opts.grid.deadline_min_factor ==
-                       defaults.grid.deadline_min_factor &&
-                   opts.grid.deadline_max_factor ==
-                       defaults.grid.deadline_max_factor,
-               "the runner CLI cannot express non-default deadline factors");
-  RTFT_EXPECTS(opts.grid.min_period == defaults.grid.min_period &&
-                   opts.grid.max_period == defaults.grid.max_period,
-               "the runner CLI cannot express a non-default period range");
-  RTFT_EXPECTS(opts.base_seed <=
-                   static_cast<std::uint64_t>(
-                       std::numeric_limits<std::int64_t>::max()),
-               "the runner CLI parses seeds as signed 64-bit integers");
-  for (const Duration c : opts.grid.detector_costs) {
-    RTFT_EXPECTS(c.count() % 1000 == 0,
-                 "the runner CLI expresses detector costs in whole "
-                 "microseconds");
-  }
-  for (const Duration l : opts.grid.stop_poll_latencies) {
-    RTFT_EXPECTS(l.count() % 1000 == 0,
-                 "the runner CLI expresses stop latencies in whole "
-                 "microseconds");
-  }
-  for (const Duration q : opts.grid.quantizer_resolutions) {
-    RTFT_EXPECTS(q.count() % 1000 == 0,
-                 "the runner CLI expresses quantizer resolutions in whole "
-                 "microseconds");
-  }
-
   std::vector<std::string> argv;
   argv.reserve(32);
   argv.push_back(runner);
@@ -275,6 +239,24 @@ std::vector<std::string> worker_argv(const std::string& runner,
   argv.emplace_back("--horizon-periods");
   argv.push_back(std::to_string(opts.horizon_periods));
   if (opts.full_traces) argv.emplace_back("--full-traces");
+
+  // Everything that defines the scenario population must survive the
+  // trip through the runner's flags, or the worker computes a different
+  // sweep and the merge rejects its shard. Parse the flags back the way
+  // the runner does and require the same identity.
+  SweepOptions reparsed;
+  bool parsed = true;
+  try {
+    for (std::size_t i = 1; parsed && i < argv.size(); ++i) {
+      parsed = apply_sweep_flag(argv[i], [&] { return argv[++i]; }, reparsed);
+    }
+  } catch (const ArgError&) {
+    parsed = false;
+  }
+  RTFT_EXPECTS(parsed && detail::same_scenario_identity(opts, reparsed),
+               "the runner CLI cannot express these sweep options (they "
+               "do not survive a round trip through its flags)");
+
   argv.emplace_back("--shard");
   argv.push_back(std::to_string(shard.index) + "/" +
                  std::to_string(shard.shards));

@@ -73,13 +73,13 @@ bool apply_sweep_flag(std::string_view arg,
 
 /// The argv for one worker process running `shard` of the sweep `opts`
 /// describes: runner path, then the exact inverse of apply_sweep_flag,
-/// then `--shard i/n --emit-shard emit_path --progress`. Re-parsing the
-/// result reproduces the scenario identity bit for bit (doubles travel
-/// as %.17g). Throws ContractViolation when `opts` holds
-/// identity-relevant fields the runner CLI cannot express: a
-/// non-default allowance granularity, deadline-factor or period range,
-/// sub-microsecond detector costs or stop latencies, or a seed above
-/// the CLI's signed-integer range.
+/// then `--shard i/n --emit-shard emit_path --progress`. Doubles travel
+/// as %.17g. The sweep flags are parsed back through apply_sweep_flag,
+/// and a result whose scenario identity differs from `opts` throws
+/// ContractViolation: that is how options the runner CLI cannot express
+/// are refused (a non-default allowance granularity, deadline-factor or
+/// period range, sub-microsecond grid durations, a seed above the CLI's
+/// signed-integer range).
 [[nodiscard]] std::vector<std::string> worker_argv(
     const std::string& runner, const SweepOptions& opts,
     const ShardSpec& shard, const std::string& emit_path);

@@ -1,11 +1,13 @@
 #include "sweep/export.hpp"
 
 #include <charconv>
-#include <cinttypes>
 #include <clocale>
+#include <concepts>
 #include <cstdarg>
 #include <cstdio>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "core/treatment.hpp"
@@ -74,287 +76,325 @@ void append_double(std::string& out, double value) {
 namespace {
 
 using detail::append_double;
-using detail::appendf;
 
-void append_hex(std::string& out, std::uint64_t v) {
-  appendf(out, "%016" PRIx64, v);
+// ---------------------------------------------------------------------------
+// The field lists: one per record, in document and CSV column order. Each
+// calls f(key, field) once per field; the JSON writer, the CSV writers
+// and the loader all walk these lists, so every key is spelled once.
+// (Fingerprint::add keeps its own historical order: both pinned
+// fingerprints depend on it.)
+// ---------------------------------------------------------------------------
+
+/// A 64-bit value that travels as a 16-digit hex string: JSON numbers
+/// stop being exact at 2^53.
+template <typename T>
+struct Hex {
+  T& value;
+};
+
+template <typename Verdict, typename F>
+void verdict_fields(Verdict& v, F&& f) {
+  f("index", v.index);
+  f("seed", Hex{v.seed});
+  f("cell", v.cell);
+  f("tasks", v.task_count);
+  f("target_utilization", v.target_utilization);
+  f("actual_utilization", v.actual_utilization);
+  f("detector_cost_ns", v.detector_cost);
+  f("stop_poll_latency_ns", v.stop_poll_latency);
+  f("rta_schedulable", v.rta_schedulable);
+  f("engine_clean", v.engine_clean);
+  f("nominal_misses", v.nominal_misses);
+  f("agreement", v.agreement);
+  f("allowance_feasible", v.allowance_feasible);
+  f("allowance_ns", v.allowance);
+  f("allowance_honored", v.allowance_honored);
+  f("detector_clean", v.detector_clean);
+  f("detector_faults", v.detector_faults);
+  f("cores", v.cores);
+  f("quantum_ns", v.quantum);
+  f("ff_placement_feasible", v.ff_placement_feasible);
+  f("fa_placement_feasible", v.fa_placement_feasible);
+  f("ff_failover_clean", v.ff_failover_clean);
+  f("fa_failover_clean", v.fa_failover_clean);
+  f("ff_missed_tasks", v.ff_missed_tasks);
+  f("fa_missed_tasks", v.fa_missed_tasks);
+  f("ff_lost_jobs", v.ff_lost_jobs);
+  f("fa_lost_jobs", v.fa_lost_jobs);
 }
 
-const char* b(bool v) { return v ? "1" : "0"; }
+/// The stored counters; the documents add the derived mean allowance.
+template <typename Aggregate, typename F>
+void aggregate_fields(Aggregate& a, F&& f) {
+  f("total", a.total);
+  f("rta_schedulable", a.rta_schedulable);
+  f("engine_clean", a.engine_clean);
+  f("agreement_violations", a.agreement_violations);
+  f("allowance_feasible", a.allowance_feasible);
+  f("allowance_honored", a.allowance_honored);
+  f("detector_clean", a.detector_clean);
+  f("allowance_sum_ns", a.allowance_sum);
+  f("multicore", a.multicore);
+  f("ff_placed", a.ff_placed);
+  f("fa_placed", a.fa_placed);
+  f("ff_failover_clean", a.ff_failover_clean);
+  f("fa_failover_clean", a.fa_failover_clean);
+}
 
-void append_aggregate_json(std::string& out, const SweepAggregate& a) {
-  appendf(out,
-          "{\"total\":%" PRIu64 ",\"rta_schedulable\":%" PRIu64
-          ",\"engine_clean\":%" PRIu64 ",\"agreement_violations\":%" PRIu64
-          ",\"allowance_feasible\":%" PRIu64 ",\"allowance_honored\":%" PRIu64
-          ",\"detector_clean\":%" PRIu64 ",\"allowance_sum_ns\":%" PRId64
-          ",\"multicore\":%" PRIu64 ",\"ff_placed\":%" PRIu64
-          ",\"fa_placed\":%" PRIu64 ",\"ff_failover_clean\":%" PRIu64
-          ",\"fa_failover_clean\":%" PRIu64 ",\"mean_allowance_ms\":",
-          a.total, a.rta_schedulable, a.engine_clean, a.agreement_violations,
-          a.allowance_feasible, a.allowance_honored, a.detector_clean,
-          a.allowance_sum.count(), a.multicore, a.ff_placed, a.fa_placed,
-          a.ff_failover_clean, a.fa_failover_clean);
-  append_double(out, a.mean_allowance_ms());
+/// A cell's grid coordinates; the documents prefix its index.
+template <typename Cell, typename F>
+void cell_fields(Cell& c, F&& f) {
+  f("tasks", c.task_count);
+  f("utilization", c.utilization);
+  f("detector_cost_ns", c.detector_cost);
+  f("stop_poll_latency_ns", c.stop_poll_latency);
+  f("cores", c.cores);
+  f("quantum_ns", c.quantum);
+}
+
+template <typename Grid, typename F>
+void grid_fields(Grid& g, F&& f) {
+  f("task_counts", g.task_counts);
+  f("utilizations", g.utilizations);
+  f("detector_cost_ns", g.detector_costs);
+  f("stop_poll_latency_ns", g.stop_poll_latencies);
+  f("core_counts", g.core_counts);
+  f("quantizer_resolution_ns", g.quantizer_resolutions);
+  f("deadline_min_factor", g.deadline_min_factor);
+  f("deadline_max_factor", g.deadline_max_factor);
+  f("min_period_ns", g.min_period);
+  f("max_period_ns", g.max_period);
+}
+
+/// The shard document's options (report_json keeps its own selection).
+template <typename Options, typename F>
+void shard_option_fields(Options& o, F&& f) {
+  f("scenario_count", o.scenario_count);
+  f("base_seed", Hex{o.base_seed});
+  f("workers", o.workers);
+  f("horizon_periods", o.horizon_periods);
+  f("allowance_granularity_ns", o.allowance_granularity);
+  f("detector_policy", o.detector_policy);
+  f("partitioner", o.partitioner);
+  f("core_fault_fraction", o.core_fault_fraction);
+  f("grid", o.grid);
+}
+
+template <typename Shard, typename F>
+void shard_spec_fields(Shard& s, F&& f) {
+  f("index", s.index);
+  f("shards", s.shards);
+  f("begin", s.begin);
+  f("end", s.end);
+}
+
+// ---------------------------------------------------------------------------
+// Writers. Keys are appended directly and integers go through to_chars:
+// the shard writer runs once per shard file on the sweep's data path.
+// ---------------------------------------------------------------------------
+
+void append_hex(std::string& out, std::uint64_t v) {
+  char digits[16];
+  for (int i = 15; i >= 0; --i, v >>= 4) digits[i] = "0123456789abcdef"[v & 15];
+  out.append(digits, sizeof(digits));
+}
+
+void put(std::string& out, bool v) { out += v ? "true" : "false"; }
+
+template <std::integral T>
+void put(std::string& out, T v) {
+  char digits[24];
+  const auto [end, ec] = std::to_chars(digits, digits + sizeof(digits), v);
+  out.append(digits, end);
+}
+
+void put(std::string& out, double v) { append_double(out, v); }
+
+void put(std::string& out, Duration d) { put(out, d.count()); }
+
+template <typename T>
+void put(std::string& out, Hex<T> h) {
+  out += '"';
+  append_hex(out, h.value);
+  out += '"';
+}
+
+/// Enums travel by their to_string name.
+template <typename Enum>
+  requires std::is_enum_v<Enum>
+void put(std::string& out, Enum e) {
+  out += '"';
+  out += to_string(e);
+  out += '"';
+}
+
+template <typename T>
+void put(std::string& out, const std::vector<T>& values) {
+  out += '[';
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) out += ',';
+    put(out, values[i]);
+  }
+  out += ']';
+}
+
+void put(std::string& out, const SweepGrid& g);
+void put(std::string& out, const SweepAggregate& a);
+
+/// Field-list visitor writing `"key":value` object members.
+struct JsonMembers {
+  std::string& out;
+  bool first = true;
+
+  template <typename T>
+  void operator()(const char* key, const T& value) {
+    if (!first) out += ',';
+    first = false;
+    out += '"';
+    out += key;
+    out += "\":";
+    put(out, value);
+  }
+};
+
+void put(std::string& out, const SweepGrid& g) {
+  out += '{';
+  grid_fields(g, JsonMembers{out});
   out += '}';
 }
 
-/// The one verdict-object serialization, shared by report_json and the
-/// shard writer: two hand-maintained copies of a 27-field format string
-/// would drift apart silently.
-void append_verdict_json(std::string& out, const ScenarioVerdict& v) {
-  appendf(out, "{\"index\":%" PRIu64 ",\"seed\":\"", v.index);
-  append_hex(out, v.seed);
-  appendf(out, "\",\"cell\":%zu,\"tasks\":%zu,\"target_utilization\":",
-          v.cell, v.task_count);
-  append_double(out, v.target_utilization);
-  out += ",\"actual_utilization\":";
-  append_double(out, v.actual_utilization);
-  appendf(out,
-          ",\"detector_cost_ns\":%" PRId64 ",\"stop_poll_latency_ns\":%" PRId64
-          ",\"rta_schedulable\":%s,\"engine_clean\":%s,\"nominal_misses\":%"
-          PRId64 ",\"agreement\":%s,\"allowance_feasible\":%s,\"allowance_ns\""
-          ":%" PRId64 ",\"allowance_honored\":%s,\"detector_clean\":%s,"
-          "\"detector_faults\":%" PRId64,
-          v.detector_cost.count(), v.stop_poll_latency.count(),
-          v.rta_schedulable ? "true" : "false",
-          v.engine_clean ? "true" : "false", v.nominal_misses,
-          v.agreement ? "true" : "false",
-          v.allowance_feasible ? "true" : "false", v.allowance.count(),
-          v.allowance_honored ? "true" : "false",
-          v.detector_clean ? "true" : "false", v.detector_faults);
-  appendf(out,
-          ",\"cores\":%zu,\"quantum_ns\":%" PRId64
-          ",\"ff_placement_feasible\":%s,\"fa_placement_feasible\":%s"
-          ",\"ff_failover_clean\":%s,\"fa_failover_clean\":%s"
-          ",\"ff_missed_tasks\":%" PRId64 ",\"fa_missed_tasks\":%" PRId64
-          ",\"ff_lost_jobs\":%" PRId64 ",\"fa_lost_jobs\":%" PRId64 "}",
-          v.cores, v.quantum.count(),
-          v.ff_placement_feasible ? "true" : "false",
-          v.fa_placement_feasible ? "true" : "false",
-          v.ff_failover_clean ? "true" : "false",
-          v.fa_failover_clean ? "true" : "false", v.ff_missed_tasks,
-          v.fa_missed_tasks, v.ff_lost_jobs, v.fa_lost_jobs);
+void put(std::string& out, const SweepAggregate& a) {
+  out += '{';
+  JsonMembers m{out};
+  aggregate_fields(a, m);
+  m("mean_allowance_ms", a.mean_allowance_ms());
+  out += '}';
+}
+
+/// Field-list visitor writing one CSV row: the keys when `header` is
+/// set, else the values (booleans as 1/0, hex values unquoted).
+struct CsvRow {
+  std::string& out;
+  bool header = false;
+  bool first = true;
+
+  template <typename T>
+  void operator()(const char* key, const T& value) {
+    if (!first) out += ',';
+    first = false;
+    if (header) {
+      out += key;
+    } else if constexpr (std::is_same_v<T, bool>) {
+      out += value ? '1' : '0';
+    } else if constexpr (std::is_same_v<T, Hex<const std::uint64_t>>) {
+      append_hex(out, value.value);
+    } else {
+      put(out, value);
+    }
+  }
+};
+
+/// The totals, cells and verdicts members report_json and shard_json
+/// share, each on its own line.
+void put_results(std::string& out, const SweepAggregate& totals,
+                 const std::vector<CellSummary>& cells,
+                 const std::vector<ScenarioVerdict>& verdicts) {
+  out += "  \"totals\": ";
+  put(out, totals);
+  out += ",\n  \"cells\": [";
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    out += c > 0 ? ",\n    {" : "\n    {";
+    JsonMembers m{out};
+    m("cell", c);
+    cell_fields(cells[c], m);
+    m("aggregate", cells[c].agg);
+    out += '}';
+  }
+  out += "\n  ],\n  \"verdicts\": [";
+  for (std::size_t i = 0; i < verdicts.size(); ++i) {
+    out += i > 0 ? ",\n    {" : "\n    {";
+    verdict_fields(verdicts[i], JsonMembers{out});
+    out += '}';
+  }
+  out += "\n  ],\n";
 }
 
 }  // namespace
 
 std::string verdicts_csv(const SweepReport& report) {
-  std::string out =
-      "index,seed,cell,tasks,target_utilization,actual_utilization,"
-      "detector_cost_ns,stop_poll_latency_ns,rta_schedulable,engine_clean,"
-      "nominal_misses,"
-      "agreement,allowance_feasible,allowance_ns,allowance_honored,"
-      "detector_clean,detector_faults,cores,quantum_ns,"
-      "ff_placement_feasible,fa_placement_feasible,ff_failover_clean,"
-      "fa_failover_clean,ff_missed_tasks,fa_missed_tasks,ff_lost_jobs,"
-      "fa_lost_jobs\n";
+  std::string out;
+  const ScenarioVerdict header;
+  verdict_fields(header, CsvRow{out, /*header=*/true});
+  out += '\n';
   for (const ScenarioVerdict& v : report.verdicts) {
-    appendf(out, "%" PRIu64 ",", v.index);
-    append_hex(out, v.seed);
-    appendf(out, ",%zu,%zu,", v.cell, v.task_count);
-    append_double(out, v.target_utilization);
-    out += ',';
-    append_double(out, v.actual_utilization);
-    appendf(out,
-            ",%" PRId64 ",%" PRId64 ",%s,%s,%" PRId64 ",%s,%s,%" PRId64
-            ",%s,%s,%" PRId64,
-            v.detector_cost.count(), v.stop_poll_latency.count(),
-            b(v.rta_schedulable), b(v.engine_clean),
-            v.nominal_misses, b(v.agreement), b(v.allowance_feasible),
-            v.allowance.count(), b(v.allowance_honored), b(v.detector_clean),
-            v.detector_faults);
-    appendf(out,
-            ",%zu,%" PRId64 ",%s,%s,%s,%s,%" PRId64 ",%" PRId64 ",%" PRId64
-            ",%" PRId64 "\n",
-            v.cores, v.quantum.count(), b(v.ff_placement_feasible),
-            b(v.fa_placement_feasible), b(v.ff_failover_clean),
-            b(v.fa_failover_clean), v.ff_missed_tasks, v.fa_missed_tasks,
-            v.ff_lost_jobs, v.fa_lost_jobs);
+    verdict_fields(v, CsvRow{out});
+    out += '\n';
   }
   return out;
 }
 
 std::string cells_csv(const SweepReport& report) {
-  std::string out =
-      "cell,tasks,utilization,detector_cost_ns,stop_poll_latency_ns,cores,"
-      "quantum_ns,total,"
-      "rta_schedulable,"
-      "engine_clean,agreement_violations,allowance_feasible,"
-      "allowance_honored,detector_clean,multicore,ff_placed,fa_placed,"
-      "ff_failover_clean,fa_failover_clean,mean_allowance_ms\n";
-  for (std::size_t c = 0; c < report.cells.size(); ++c) {
-    const CellSummary& cell = report.cells[c];
-    const SweepAggregate& a = cell.agg;
-    appendf(out, "%zu,%zu,", c, cell.task_count);
-    append_double(out, cell.utilization);
-    appendf(out,
-            ",%" PRId64 ",%" PRId64 ",%zu,%" PRId64 ",%" PRIu64 ",%" PRIu64
-            ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
-            ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",",
-            cell.detector_cost.count(), cell.stop_poll_latency.count(),
-            cell.cores, cell.quantum.count(), a.total, a.rta_schedulable,
-            a.engine_clean, a.agreement_violations, a.allowance_feasible,
-            a.allowance_honored, a.detector_clean, a.multicore, a.ff_placed,
-            a.fa_placed, a.ff_failover_clean, a.fa_failover_clean);
-    append_double(out, a.mean_allowance_ms());
+  std::string out;
+  const auto row = [&out](bool header, std::size_t index,
+                          const CellSummary& cell) {
+    CsvRow csv{out, header};
+    csv("cell", index);
+    cell_fields(cell, csv);
+    // The counters and their mean allowance; the nanosecond sum stays
+    // in the JSON documents.
+    aggregate_fields(cell.agg, [&csv](const char* key, const auto& value) {
+      if constexpr (!std::is_same_v<std::decay_t<decltype(value)>, Duration>) {
+        csv(key, value);
+      }
+    });
+    csv("mean_allowance_ms", cell.agg.mean_allowance_ms());
     out += '\n';
+  };
+  row(true, 0, CellSummary{});
+  for (std::size_t c = 0; c < report.cells.size(); ++c) {
+    row(false, c, report.cells[c]);
   }
   return out;
 }
 
 std::string report_json(const SweepReport& report) {
   const SweepOptions& o = report.options;
-  std::string out = "{\n  \"options\": ";
-  appendf(out,
-          "{\"scenario_count\":%" PRIu64 ",\"workers\":%zu,\"base_seed\":\"",
-          o.scenario_count, o.workers);
-  append_hex(out, o.base_seed);
-  appendf(out,
-          "\",\"horizon_periods\":%" PRId64
-          ",\"allowance_granularity_ns\":%" PRId64
-          ",\"keep_verdicts\":%s,\"full_traces\":%s,\"partitioner\":\"%.*s\""
-          ",\"core_fault_fraction\":",
-          o.horizon_periods, o.allowance_granularity.count(),
-          o.keep_verdicts ? "true" : "false",
-          o.full_traces ? "true" : "false",
-          static_cast<int>(to_string(o.partitioner).size()),
-          to_string(o.partitioner).data());
-  append_double(out, o.core_fault_fraction);
+  std::string out = "{\n  \"options\": {";
+  JsonMembers m{out};
+  m("scenario_count", o.scenario_count);
+  m("workers", o.workers);
+  m("base_seed", Hex{o.base_seed});
+  m("horizon_periods", o.horizon_periods);
+  m("allowance_granularity_ns", o.allowance_granularity);
+  m("keep_verdicts", o.keep_verdicts);
+  m("full_traces", o.full_traces);
+  m("partitioner", o.partitioner);
+  m("core_fault_fraction", o.core_fault_fraction);
   out += "},\n";
-  out += "  \"totals\": ";
-  append_aggregate_json(out, report.totals);
-  out += ",\n  \"cells\": [";
-  for (std::size_t c = 0; c < report.cells.size(); ++c) {
-    const CellSummary& cell = report.cells[c];
-    if (c > 0) out += ',';
-    appendf(out, "\n    {\"cell\":%zu,\"tasks\":%zu,\"utilization\":", c,
-            cell.task_count);
-    append_double(out, cell.utilization);
-    appendf(out,
-            ",\"detector_cost_ns\":%" PRId64
-            ",\"stop_poll_latency_ns\":%" PRId64 ",\"cores\":%zu"
-            ",\"quantum_ns\":%" PRId64 ",\"aggregate\":",
-            cell.detector_cost.count(), cell.stop_poll_latency.count(),
-            cell.cores, cell.quantum.count());
-    append_aggregate_json(out, cell.agg);
-    out += '}';
-  }
-  out += "\n  ],\n  \"verdicts\": [";
-  for (std::size_t i = 0; i < report.verdicts.size(); ++i) {
-    if (i > 0) out += ',';
-    out += "\n    ";
-    append_verdict_json(out, report.verdicts[i]);
-  }
-  out += "\n  ],\n  \"elapsed_seconds\": ";
-  append_double(out, report.elapsed_seconds);
-  out += ",\n  \"fingerprint\": \"";
-  append_hex(out, report.fingerprint);
-  out += "\"\n}\n";
+  put_results(out, report.totals, report.cells, report.verdicts);
+  out += "  \"elapsed_seconds\": ";
+  put(out, report.elapsed_seconds);
+  out += ",\n  \"fingerprint\": ";
+  put(out, Hex{report.fingerprint});
+  out += "\n}\n";
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// Shard interchange: writer.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-void append_grid_json(std::string& out, const SweepGrid& g) {
-  out += "{\"task_counts\":[";
-  for (std::size_t i = 0; i < g.task_counts.size(); ++i) {
-    appendf(out, "%s%zu", i > 0 ? "," : "", g.task_counts[i]);
-  }
-  out += "],\"utilizations\":[";
-  for (std::size_t i = 0; i < g.utilizations.size(); ++i) {
-    if (i > 0) out += ',';
-    append_double(out, g.utilizations[i]);
-  }
-  out += "],\"detector_cost_ns\":[";
-  for (std::size_t i = 0; i < g.detector_costs.size(); ++i) {
-    appendf(out, "%s%" PRId64, i > 0 ? "," : "",
-            g.detector_costs[i].count());
-  }
-  out += "],\"stop_poll_latency_ns\":[";
-  for (std::size_t i = 0; i < g.stop_poll_latencies.size(); ++i) {
-    appendf(out, "%s%" PRId64, i > 0 ? "," : "",
-            g.stop_poll_latencies[i].count());
-  }
-  out += "],\"core_counts\":[";
-  for (std::size_t i = 0; i < g.core_counts.size(); ++i) {
-    appendf(out, "%s%zu", i > 0 ? "," : "", g.core_counts[i]);
-  }
-  out += "],\"quantizer_resolution_ns\":[";
-  for (std::size_t i = 0; i < g.quantizer_resolutions.size(); ++i) {
-    appendf(out, "%s%" PRId64, i > 0 ? "," : "",
-            g.quantizer_resolutions[i].count());
-  }
-  out += "],\"deadline_min_factor\":";
-  append_double(out, g.deadline_min_factor);
-  out += ",\"deadline_max_factor\":";
-  append_double(out, g.deadline_max_factor);
-  appendf(out, ",\"min_period_ns\":%" PRId64 ",\"max_period_ns\":%" PRId64 "}",
-          g.min_period.count(), g.max_period.count());
-}
-
-}  // namespace
-
 std::string shard_json(const ShardResult& shard) {
-  const SweepOptions& o = shard.options;
-  std::string out;
-  appendf(out, "{\n  \"format\": \"%.*s\",\n  \"version\": %" PRId64 ",\n",
-          static_cast<int>(kShardFormatName.size()), kShardFormatName.data(),
-          kShardFormatVersion);
-  out += "  \"options\": {";
-  appendf(out, "\"scenario_count\":%" PRIu64 ",\"base_seed\":\"",
-          o.scenario_count);
-  append_hex(out, o.base_seed);
-  appendf(out,
-          "\",\"workers\":%zu,\"horizon_periods\":%" PRId64
-          ",\"allowance_granularity_ns\":%" PRId64 ",\"detector_policy\":"
-          "\"%.*s\",\"partitioner\":\"%.*s\",\"core_fault_fraction\":",
-          o.workers, o.horizon_periods, o.allowance_granularity.count(),
-          static_cast<int>(to_string(o.detector_policy).size()),
-          to_string(o.detector_policy).data(),
-          static_cast<int>(to_string(o.partitioner).size()),
-          to_string(o.partitioner).data());
-  append_double(out, o.core_fault_fraction);
-  out += ",\"grid\":";
-  append_grid_json(out, o.grid);
-  out += "},\n  \"shard\": ";
-  appendf(out,
-          "{\"index\":%" PRIu64 ",\"shards\":%" PRIu64 ",\"begin\":%" PRIu64
-          ",\"end\":%" PRIu64 "},\n",
-          shard.shard.index, shard.shard.shards, shard.shard.begin,
-          shard.shard.end);
-  out += "  \"totals\": ";
-  append_aggregate_json(out, shard.totals);
-  out += ",\n  \"cells\": [";
-  for (std::size_t c = 0; c < shard.cells.size(); ++c) {
-    const CellSummary& cell = shard.cells[c];
-    if (c > 0) out += ',';
-    appendf(out, "\n    {\"cell\":%zu,\"tasks\":%zu,\"utilization\":", c,
-            cell.task_count);
-    append_double(out, cell.utilization);
-    appendf(out,
-            ",\"detector_cost_ns\":%" PRId64
-            ",\"stop_poll_latency_ns\":%" PRId64 ",\"cores\":%zu"
-            ",\"quantum_ns\":%" PRId64 ",\"aggregate\":",
-            cell.detector_cost.count(), cell.stop_poll_latency.count(),
-            cell.cores, cell.quantum.count());
-    append_aggregate_json(out, cell.agg);
-    out += '}';
-  }
-  out += "\n  ],\n  \"verdicts\": [";
-  for (std::size_t i = 0; i < shard.verdicts.size(); ++i) {
-    if (i > 0) out += ',';
-    out += "\n    ";
-    append_verdict_json(out, shard.verdicts[i]);
-  }
-  out += "\n  ],\n  \"fingerprint\": \"";
-  append_hex(out, shard.fingerprint);
-  out += "\",\n  \"elapsed_seconds\": ";
-  append_double(out, shard.elapsed_seconds);
+  std::string out = "{\n  \"format\": \"";
+  out += kShardFormatName;
+  out += "\",\n  \"version\": ";
+  put(out, kShardFormatVersion);
+  out += ",\n  \"options\": {";
+  shard_option_fields(shard.options, JsonMembers{out});
+  out += "},\n  \"shard\": {";
+  shard_spec_fields(shard.shard, JsonMembers{out});
+  out += "},\n";
+  put_results(out, shard.totals, shard.cells, shard.verdicts);
+  out += "  \"fingerprint\": ";
+  put(out, Hex{shard.fingerprint});
+  out += ",\n  \"elapsed_seconds\": ";
+  put(out, shard.elapsed_seconds);
   out += "\n}\n";
   return out;
 }
@@ -556,49 +596,6 @@ const JsonValue& member(const JsonValue& obj, const char* key) {
   return *v;
 }
 
-std::uint64_t as_u64(const JsonValue& v, const char* what) {
-  std::uint64_t out = 0;
-  const char* b = v.text.data();
-  const char* e = b + v.text.size();
-  if (v.kind != JsonValue::Kind::kNumber) {
-    field_error(what, "expected a number");
-  }
-  const auto [p, ec] = std::from_chars(b, e, out);
-  if (ec != std::errc{} || p != e) {
-    field_error(what, "expected an unsigned integer");
-  }
-  return out;
-}
-
-std::int64_t as_i64(const JsonValue& v, const char* what) {
-  std::int64_t out = 0;
-  const char* b = v.text.data();
-  const char* e = b + v.text.size();
-  if (v.kind != JsonValue::Kind::kNumber) {
-    field_error(what, "expected a number");
-  }
-  const auto [p, ec] = std::from_chars(b, e, out);
-  if (ec != std::errc{} || p != e) field_error(what, "expected an integer");
-  return out;
-}
-
-double as_double(const JsonValue& v, const char* what) {
-  double out = 0.0;
-  const char* b = v.text.data();
-  const char* e = b + v.text.size();
-  if (v.kind != JsonValue::Kind::kNumber) {
-    field_error(what, "expected a number");
-  }
-  const auto [p, ec] = std::from_chars(b, e, out);
-  if (ec != std::errc{} || p != e) field_error(what, "expected a number");
-  return out;
-}
-
-bool as_bool(const JsonValue& v, const char* what) {
-  if (v.kind != JsonValue::Kind::kBool) field_error(what, "expected a bool");
-  return v.boolean;
-}
-
 const std::string& as_string(const JsonValue& v, const char* what) {
   if (v.kind != JsonValue::Kind::kString) {
     field_error(what, "expected a string");
@@ -606,105 +603,100 @@ const std::string& as_string(const JsonValue& v, const char* what) {
   return v.text;
 }
 
-/// 64-bit values ride as hex strings (JSON numbers stop being exact at
-/// 2^53); accepts what append_hex writes.
-std::uint64_t as_hex_u64(const JsonValue& v, const char* what) {
-  const std::string& s = as_string(v, what);
-  std::uint64_t out = 0;
-  const char* b = s.data();
-  const char* e = b + s.size();
-  const auto [p, ec] = std::from_chars(b, e, out, 16);
-  if (ec != std::errc{} || p != e || s.empty() || s.size() > 16) {
-    field_error(what, "expected a 64-bit hex string");
-  }
-  return out;
-}
-
 const std::vector<JsonValue>& as_array(const JsonValue& v, const char* what) {
   if (v.kind != JsonValue::Kind::kArray) field_error(what, "expected an array");
   return v.items;
 }
 
-SweepAggregate read_aggregate(const JsonValue& v) {
-  SweepAggregate a;
-  a.total = as_u64(member(v, "total"), "total");
-  a.rta_schedulable = as_u64(member(v, "rta_schedulable"), "rta_schedulable");
-  a.engine_clean = as_u64(member(v, "engine_clean"), "engine_clean");
-  a.agreement_violations =
-      as_u64(member(v, "agreement_violations"), "agreement_violations");
-  a.allowance_feasible =
-      as_u64(member(v, "allowance_feasible"), "allowance_feasible");
-  a.allowance_honored =
-      as_u64(member(v, "allowance_honored"), "allowance_honored");
-  a.detector_clean = as_u64(member(v, "detector_clean"), "detector_clean");
-  a.multicore = as_u64(member(v, "multicore"), "multicore");
-  a.ff_placed = as_u64(member(v, "ff_placed"), "ff_placed");
-  a.fa_placed = as_u64(member(v, "fa_placed"), "fa_placed");
-  a.ff_failover_clean =
-      as_u64(member(v, "ff_failover_clean"), "ff_failover_clean");
-  a.fa_failover_clean =
-      as_u64(member(v, "fa_failover_clean"), "fa_failover_clean");
-  a.allowance_sum =
-      Duration::ns(as_i64(member(v, "allowance_sum_ns"), "allowance_sum_ns"));
-  return a;
+// Readers, one per field type; each accepts exactly what put writes.
+
+void get(const JsonValue& v, const char* what, bool& out) {
+  if (v.kind != JsonValue::Kind::kBool) field_error(what, "expected a bool");
+  out = v.boolean;
 }
 
-bool aggregates_equal(const SweepAggregate& a, const SweepAggregate& b) {
-  return a.total == b.total && a.rta_schedulable == b.rta_schedulable &&
-         a.engine_clean == b.engine_clean &&
-         a.agreement_violations == b.agreement_violations &&
-         a.allowance_feasible == b.allowance_feasible &&
-         a.allowance_honored == b.allowance_honored &&
-         a.detector_clean == b.detector_clean &&
-         a.multicore == b.multicore && a.ff_placed == b.ff_placed &&
-         a.fa_placed == b.fa_placed &&
-         a.ff_failover_clean == b.ff_failover_clean &&
-         a.fa_failover_clean == b.fa_failover_clean &&
-         a.allowance_sum == b.allowance_sum;
+/// Numbers convert from their raw token, so 64-bit integers and %.17g
+/// doubles arrive losslessly.
+template <typename T>
+  requires std::is_arithmetic_v<T>
+void get(const JsonValue& v, const char* what, T& out) {
+  const char* end = v.text.data() + v.text.size();
+  const auto [p, ec] = std::from_chars(v.text.data(), end, out);
+  if (v.kind != JsonValue::Kind::kNumber || ec != std::errc{} || p != end) {
+    if constexpr (std::is_floating_point_v<T>) {
+      field_error(what, "expected a number");
+    } else if constexpr (std::is_signed_v<T>) {
+      field_error(what, "expected an integer");
+    } else {
+      field_error(what, "expected an unsigned integer");
+    }
+  }
 }
 
-ScenarioVerdict read_verdict(const JsonValue& jv) {
-  ScenarioVerdict v;
-  v.index = as_u64(member(jv, "index"), "index");
-  v.seed = as_hex_u64(member(jv, "seed"), "seed");
-  v.cell = static_cast<std::size_t>(as_u64(member(jv, "cell"), "cell"));
-  v.task_count =
-      static_cast<std::size_t>(as_u64(member(jv, "tasks"), "tasks"));
-  v.target_utilization =
-      as_double(member(jv, "target_utilization"), "target_utilization");
-  v.actual_utilization =
-      as_double(member(jv, "actual_utilization"), "actual_utilization");
-  v.detector_cost =
-      Duration::ns(as_i64(member(jv, "detector_cost_ns"), "detector_cost_ns"));
-  v.stop_poll_latency = Duration::ns(
-      as_i64(member(jv, "stop_poll_latency_ns"), "stop_poll_latency_ns"));
-  v.rta_schedulable = as_bool(member(jv, "rta_schedulable"), "rta_schedulable");
-  v.engine_clean = as_bool(member(jv, "engine_clean"), "engine_clean");
-  v.nominal_misses = as_i64(member(jv, "nominal_misses"), "nominal_misses");
-  v.agreement = as_bool(member(jv, "agreement"), "agreement");
-  v.allowance_feasible =
-      as_bool(member(jv, "allowance_feasible"), "allowance_feasible");
-  v.allowance =
-      Duration::ns(as_i64(member(jv, "allowance_ns"), "allowance_ns"));
-  v.allowance_honored =
-      as_bool(member(jv, "allowance_honored"), "allowance_honored");
-  v.detector_clean = as_bool(member(jv, "detector_clean"), "detector_clean");
-  v.detector_faults = as_i64(member(jv, "detector_faults"), "detector_faults");
-  v.cores = static_cast<std::size_t>(as_u64(member(jv, "cores"), "cores"));
-  v.quantum = Duration::ns(as_i64(member(jv, "quantum_ns"), "quantum_ns"));
-  v.ff_placement_feasible =
-      as_bool(member(jv, "ff_placement_feasible"), "ff_placement_feasible");
-  v.fa_placement_feasible =
-      as_bool(member(jv, "fa_placement_feasible"), "fa_placement_feasible");
-  v.ff_failover_clean =
-      as_bool(member(jv, "ff_failover_clean"), "ff_failover_clean");
-  v.fa_failover_clean =
-      as_bool(member(jv, "fa_failover_clean"), "fa_failover_clean");
-  v.ff_missed_tasks = as_i64(member(jv, "ff_missed_tasks"), "ff_missed_tasks");
-  v.fa_missed_tasks = as_i64(member(jv, "fa_missed_tasks"), "fa_missed_tasks");
-  v.ff_lost_jobs = as_i64(member(jv, "ff_lost_jobs"), "ff_lost_jobs");
-  v.fa_lost_jobs = as_i64(member(jv, "fa_lost_jobs"), "fa_lost_jobs");
-  return v;
+void get(const JsonValue& v, const char* what, Duration& out) {
+  std::int64_t ns = 0;
+  get(v, what, ns);
+  out = Duration::ns(ns);
+}
+
+void get(const JsonValue& v, const char* what, Hex<std::uint64_t> h) {
+  const std::string& s = as_string(v, what);
+  const auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(),
+                                       h.value, 16);
+  if (ec != std::errc{} || p != s.data() + s.size() || s.empty() ||
+      s.size() > 16) {
+    field_error(what, "expected a 64-bit hex string");
+  }
+}
+
+/// Enums arrive by name; an unknown name is a defect of the file.
+template <typename Enum>
+void get_named(const JsonValue& v, const char* what, Enum& out,
+               Enum (*from_name)(std::string_view)) {
+  try {
+    out = from_name(as_string(v, what));
+  } catch (const ContractViolation&) {
+    field_error(what, "unknown name");
+  }
+}
+
+void get(const JsonValue& v, const char* what, core::TreatmentPolicy& out) {
+  get_named(v, what, out, core::treatment_policy_from_string);
+}
+
+void get(const JsonValue& v, const char* what, PartitionerMode& out) {
+  get_named(v, what, out, partitioner_mode_from_string);
+}
+
+template <typename T>
+void get(const JsonValue& v, const char* what, std::vector<T>& out) {
+  const std::vector<JsonValue>& items = as_array(v, what);
+  out.assign(items.size(), T{});
+  for (std::size_t i = 0; i < items.size(); ++i) get(items[i], what, out[i]);
+}
+
+void get(const JsonValue& v, const char* what, SweepGrid& g);
+
+/// Field-list visitor reading every field from one JSON object.
+struct JsonReader {
+  const JsonValue& obj;
+
+  template <typename T>
+  void operator()(const char* key, T&& field) {
+    get(member(obj, key), key, field);
+  }
+};
+
+void get(const JsonValue& v, const char*, SweepGrid& g) {
+  grid_fields(g, JsonReader{v});
+}
+
+/// A cell as the document declares it: coordinates and aggregate.
+CellSummary read_cell(const JsonValue& v) {
+  CellSummary cell;
+  cell_fields(cell, JsonReader{v});
+  aggregate_fields(cell.agg, JsonReader{member(v, "aggregate")});
+  return cell;
 }
 
 }  // namespace
@@ -718,7 +710,8 @@ ShardResult load_shard_json(std::string_view json) {
   if (as_string(member(root, "format"), "format") != kShardFormatName) {
     throw ShardError("not an rtft-shard document (format field differs)");
   }
-  const std::int64_t version = as_i64(member(root, "version"), "version");
+  std::int64_t version = 0;
+  get(member(root, "version"), "version", version);
   if (version != kShardFormatVersion) {
     throw ShardError("unsupported rtft-shard version " +
                      std::to_string(version) + " (this build reads version " +
@@ -727,72 +720,7 @@ ShardResult load_shard_json(std::string_view json) {
 
   ShardResult result;
   SweepOptions& o = result.options;
-  const JsonValue& jo = member(root, "options");
-  o.scenario_count = as_u64(member(jo, "scenario_count"), "scenario_count");
-  o.base_seed = as_hex_u64(member(jo, "base_seed"), "base_seed");
-  o.workers = static_cast<std::size_t>(as_u64(member(jo, "workers"),
-                                              "workers"));
-  o.horizon_periods = as_i64(member(jo, "horizon_periods"), "horizon_periods");
-  o.allowance_granularity = Duration::ns(as_i64(
-      member(jo, "allowance_granularity_ns"), "allowance_granularity_ns"));
-  try {
-    o.detector_policy = core::treatment_policy_from_string(
-        as_string(member(jo, "detector_policy"), "detector_policy"));
-  } catch (const ContractViolation&) {
-    throw ShardError("unknown detector_policy name");
-  }
-  try {
-    o.partitioner = partitioner_mode_from_string(
-        as_string(member(jo, "partitioner"), "partitioner"));
-  } catch (const ContractViolation&) {
-    throw ShardError("unknown partitioner name");
-  }
-  o.core_fault_fraction =
-      as_double(member(jo, "core_fault_fraction"), "core_fault_fraction");
-  const JsonValue& jg = member(jo, "grid");
-  SweepGrid& g = o.grid;
-  g.task_counts.clear();
-  for (const JsonValue& t : as_array(member(jg, "task_counts"),
-                                     "task_counts")) {
-    g.task_counts.push_back(static_cast<std::size_t>(as_u64(t,
-                                                            "task_counts")));
-  }
-  g.utilizations.clear();
-  for (const JsonValue& u : as_array(member(jg, "utilizations"),
-                                     "utilizations")) {
-    g.utilizations.push_back(as_double(u, "utilizations"));
-  }
-  g.detector_costs.clear();
-  for (const JsonValue& c : as_array(member(jg, "detector_cost_ns"),
-                                     "detector_cost_ns")) {
-    g.detector_costs.push_back(Duration::ns(as_i64(c, "detector_cost_ns")));
-  }
-  g.stop_poll_latencies.clear();
-  for (const JsonValue& l : as_array(member(jg, "stop_poll_latency_ns"),
-                                     "stop_poll_latency_ns")) {
-    g.stop_poll_latencies.push_back(
-        Duration::ns(as_i64(l, "stop_poll_latency_ns")));
-  }
-  g.core_counts.clear();
-  for (const JsonValue& m : as_array(member(jg, "core_counts"),
-                                     "core_counts")) {
-    g.core_counts.push_back(static_cast<std::size_t>(as_u64(m,
-                                                            "core_counts")));
-  }
-  g.quantizer_resolutions.clear();
-  for (const JsonValue& q : as_array(member(jg, "quantizer_resolution_ns"),
-                                     "quantizer_resolution_ns")) {
-    g.quantizer_resolutions.push_back(
-        Duration::ns(as_i64(q, "quantizer_resolution_ns")));
-  }
-  g.deadline_min_factor =
-      as_double(member(jg, "deadline_min_factor"), "deadline_min_factor");
-  g.deadline_max_factor =
-      as_double(member(jg, "deadline_max_factor"), "deadline_max_factor");
-  g.min_period = Duration::ns(as_i64(member(jg, "min_period_ns"),
-                                     "min_period_ns"));
-  g.max_period = Duration::ns(as_i64(member(jg, "max_period_ns"),
-                                     "max_period_ns"));
+  shard_option_fields(o, JsonReader{member(root, "options")});
   // A merged report of loaded shards always carries its verdicts: they
   // are what the file transported.
   o.keep_verdicts = true;
@@ -807,38 +735,36 @@ ShardResult load_shard_json(std::string_view json) {
                      e.what());
   }
 
-  const JsonValue& js = member(root, "shard");
-  result.shard.index = as_u64(member(js, "index"), "shard.index");
-  result.shard.shards = as_u64(member(js, "shards"), "shard.shards");
-  result.shard.begin = as_u64(member(js, "begin"), "shard.begin");
-  result.shard.end = as_u64(member(js, "end"), "shard.end");
-  if (result.shard.shards == 0 ||
-      result.shard.index >= result.shard.shards) {
+  ShardSpec& s = result.shard;
+  shard_spec_fields(s, JsonReader{member(root, "shard")});
+  if (s.shards == 0 || s.index >= s.shards) {
     throw ShardError("shard index/count are inconsistent");
   }
-  if (result.shard.begin > result.shard.end ||
-      result.shard.end > o.scenario_count) {
+  if (s.begin > s.end || s.end > o.scenario_count) {
     throw ShardError("shard range does not lie within the sweep");
+  }
+  // Nothing is sized from the declared grid before the document proves
+  // it carries that many cells: a forged grid can declare 10^18.
+  const std::size_t cells = o.grid.cell_count();
+  const auto& jcells = as_array(member(root, "cells"), "cells");
+  if (jcells.size() != cells) {
+    throw ShardError("cell count does not match the sweep grid");
   }
 
   // Verdicts: the payload. Everything derivable is re-derived and
   // compared, so a shard that loads is internally consistent.
-  const std::size_t cells = o.grid.cell_count();
   const auto& jverdicts = as_array(member(root, "verdicts"), "verdicts");
-  if (jverdicts.size() != result.shard.count()) {
+  if (jverdicts.size() != s.count()) {
     throw ShardError("verdict count " + std::to_string(jverdicts.size()) +
                      " does not match the shard range [" +
-                     std::to_string(result.shard.begin) + ", " +
-                     std::to_string(result.shard.end) + ")");
+                     std::to_string(s.begin) + ", " + std::to_string(s.end) +
+                     ")");
   }
-  result.verdicts.reserve(jverdicts.size());
-  std::vector<SweepAggregate> cell_aggs(cells);
-  Fingerprint fp;
+  result.verdicts.resize(jverdicts.size());
   for (std::size_t i = 0; i < jverdicts.size(); ++i) {
-    ScenarioVerdict v = read_verdict(jverdicts[i]);
-    const std::uint64_t expect_index =
-        result.shard.begin + static_cast<std::uint64_t>(i);
-    if (v.index != expect_index) {
+    ScenarioVerdict& v = result.verdicts[i];
+    verdict_fields(v, JsonReader{jverdicts[i]});
+    if (v.index != s.begin + static_cast<std::uint64_t>(i)) {
       throw ShardError("verdict " + std::to_string(i) +
                        " is out of index order");
     }
@@ -859,41 +785,31 @@ ShardResult load_shard_json(std::string_view json) {
                        " carries a target utilization the grid does not "
                        "derive");
     }
-    result.totals.add(v);
-    cell_aggs[v.cell].add(v);
-    fp.add(v);
-    result.verdicts.push_back(std::move(v));
   }
 
-  // Declared aggregates and fingerprint must equal the recomputation —
-  // the tamper/bit-rot/version-skew check.
-  if (!aggregates_equal(result.totals, read_aggregate(member(root,
-                                                             "totals")))) {
+  // Declared summaries must equal the recomputation — the
+  // tamper/bit-rot/version-skew check.
+  detail::summarize(result);
+  SweepAggregate totals;
+  aggregate_fields(totals, JsonReader{member(root, "totals")});
+  if (totals != result.totals) {
     throw ShardError("totals do not match the verdicts (corrupt shard file)");
   }
-  const auto& jcells = as_array(member(root, "cells"), "cells");
-  if (jcells.size() != cells) {
-    throw ShardError("cell count does not match the sweep grid");
-  }
-  result.cells.resize(cells);
   for (std::size_t c = 0; c < cells; ++c) {
-    if (!aggregates_equal(cell_aggs[c],
-                          read_aggregate(member(jcells[c], "aggregate")))) {
+    if (read_cell(jcells[c]) != result.cells[c]) {
       throw ShardError("cell " + std::to_string(c) +
-                       " aggregate does not match the verdicts");
+                       " does not match the grid and the verdicts");
     }
-    result.cells[c].agg = cell_aggs[c];
   }
-  detail::fill_cell_metadata(o, result.cells);
-  result.fingerprint = fp.value();
-  if (result.fingerprint !=
-      as_hex_u64(member(root, "fingerprint"), "fingerprint")) {
+  std::uint64_t fingerprint = 0;
+  get(member(root, "fingerprint"), "fingerprint", Hex{fingerprint});
+  if (fingerprint != result.fingerprint) {
     throw ShardError(
         "fingerprint does not match the verdicts (corrupt or tampered "
         "shard file)");
   }
-  result.elapsed_seconds =
-      as_double(member(root, "elapsed_seconds"), "elapsed_seconds");
+  get(member(root, "elapsed_seconds"), "elapsed_seconds",
+      result.elapsed_seconds);
   return result;
 }
 

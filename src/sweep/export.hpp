@@ -20,15 +20,19 @@
 //                     fingerprint;
 //   load_shard_json — the inverse, with full validation: malformed
 //                     documents, foreign formats/versions, ranges that
-//                     do not match the verdicts, aggregates that do not
-//                     match the verdicts, and fingerprint mismatches
-//                     (bit rot, tampering, version skew) all throw
-//                     ShardError with a message naming the defect.
+//                     do not match the verdicts, cells or aggregates
+//                     that do not match the grid and the verdicts, and
+//                     fingerprint mismatches (bit rot, tampering, version
+//                     skew) all throw ShardError with a message naming
+//                     the defect.
 //
-// 64-bit seeds and fingerprints are emitted as hex strings: JSON
-// numbers lose integer precision beyond 2^53. Doubles are %.17g, which
-// round-trips bit-exactly — a loaded shard merges to the same
-// fingerprint the in-process ShardResult would have.
+// Each record — verdict, aggregate, cell, grid, shard options — has one
+// field list in export.cpp that the JSON writer, the CSV writers and the
+// loader all walk, so a field's name, position and encoding are defined
+// once for every document. 64-bit seeds and fingerprints are emitted as
+// hex strings: JSON numbers lose integer precision beyond 2^53. Doubles
+// are %.17g, which round-trips bit-exactly — a loaded shard merges to
+// the same fingerprint the in-process ShardResult would have.
 #pragma once
 
 #include <string>
@@ -62,18 +66,20 @@ inline constexpr std::int64_t kShardFormatVersion = 2;
 
 /// Parses and validates a shard_json document. Beyond syntax, the
 /// loader re-derives everything derivable — verdict indices, seeds and
-/// cells from the options; totals and per-cell aggregates from the
-/// verdicts; the fingerprint from a fresh FNV-1a fold — and requires
-/// each to equal what the document claims, so a shard that loads
-/// cleanly merges exactly like the in-process result it serialized.
-/// Throws ShardError (with the defect named) on any violation.
+/// cells from the options; totals, cells and the fingerprint through the
+/// same detail::summarize run_shard uses — and requires each to equal
+/// what the document claims, so a shard that loads cleanly merges
+/// exactly like the in-process result it serialized. Nothing is sized
+/// from a count the document declares before the document proves it
+/// holds that many entries. Throws ShardError (with the defect named) on
+/// any violation.
 [[nodiscard]] ShardResult load_shard_json(std::string_view json);
 
 namespace detail {
 
-/// printf-style append. Rows that exceed the internal stack buffer are
-/// formatted again into the grown destination — never truncated (the
-/// export format must stay parseable whatever the row width).
+/// printf-style append. Output that exceeds the internal stack buffer
+/// is formatted again into the grown destination — never truncated, so
+/// a document built with it stays parseable whatever the row width.
 void appendf(std::string& out, const char* fmt, ...)
 #if defined(__GNUC__) || defined(__clang__)
     __attribute__((format(printf, 2, 3)))

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -203,23 +204,6 @@ ScenarioSpec scenario_spec(const SweepOptions& opts, std::uint64_t index) {
   spec.quantum = g.quantizer_resolutions[q_i];
   return spec;
 }
-
-namespace detail {
-
-void fill_cell_metadata(const SweepOptions& opts,
-                        std::vector<CellSummary>& cells) {
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    const ScenarioSpec spec = scenario_spec(opts, c);
-    cells[c].task_count = spec.tasks.tasks;
-    cells[c].utilization = spec.tasks.total_utilization;
-    cells[c].detector_cost = spec.detector_cost;
-    cells[c].stop_poll_latency = spec.stop_poll_latency;
-    cells[c].cores = spec.cores;
-    cells[c].quantum = spec.quantum;
-  }
-}
-
-}  // namespace detail
 
 // ---------------------------------------------------------------------------
 // One scenario.
@@ -447,7 +431,19 @@ SweepPlan::SweepPlan(const SweepOptions& opts) : opts_(opts) {
   // Validate here, on the calling thread: a bad grid must surface as one
   // ContractViolation, not a std::terminate from every worker at once.
   RTFT_EXPECTS(opts.scenario_count > 0, "sweep needs at least one scenario");
-  RTFT_EXPECTS(opts.grid.cell_count() > 0, "sweep grid must not be empty");
+  // The cell count must be positive and fit in 64 bits: every axis is
+  // non-empty and no running product passes 2^64 - 1.
+  const SweepGrid& g = opts.grid;
+  std::uint64_t cells = 1;
+  for (const std::size_t n :
+       {g.task_counts.size(), g.utilizations.size(), g.detector_costs.size(),
+        g.stop_poll_latencies.size(), g.core_counts.size(),
+        g.quantizer_resolutions.size()}) {
+    RTFT_EXPECTS(n > 0, "every sweep grid axis needs at least one value");
+    RTFT_EXPECTS(cells <= std::numeric_limits<std::uint64_t>::max() / n,
+                 "the sweep grid's cell count must fit in 64 bits");
+    cells *= n;
+  }
   RTFT_EXPECTS(opts.horizon_periods > 0, "horizon must cover >= 1 period");
   RTFT_EXPECTS(opts.allowance_granularity.is_positive(),
                "allowance granularity must be positive");
@@ -464,17 +460,11 @@ SweepPlan::SweepPlan(const SweepOptions& opts) : opts_(opts) {
     RTFT_EXPECTS(u > 0.0, "every swept utilization must be positive");
   for (const Duration c : opts.grid.detector_costs)
     RTFT_EXPECTS(!c.is_negative(), "detector cost must be non-negative");
-  RTFT_EXPECTS(!opts.grid.stop_poll_latencies.empty(),
-               "sweep needs at least one stop-poll latency");
   for (const Duration l : opts.grid.stop_poll_latencies)
     RTFT_EXPECTS(!l.is_negative(), "stop-poll latency must be non-negative");
-  RTFT_EXPECTS(!opts.grid.core_counts.empty(),
-               "sweep needs at least one core count");
   for (const std::size_t m : opts.grid.core_counts)
     RTFT_EXPECTS(m >= 1 && m <= 64,
                  "every swept core count must be in [1, 64]");
-  RTFT_EXPECTS(!opts.grid.quantizer_resolutions.empty(),
-               "sweep needs at least one quantizer resolution");
   for (const Duration q : opts.grid.quantizer_resolutions)
     RTFT_EXPECTS(q.is_positive(), "quantizer resolution must be positive");
   RTFT_EXPECTS(
@@ -579,179 +569,51 @@ ShardResult run_shard(const ShardSpec& shard, const SweepOptions& opts) {
   ShardResult result;
   result.options = resolved;
   result.shard = shard;
-  result.cells.resize(resolved.grid.cell_count());
-  Fingerprint fp;
-  for (const ScenarioVerdict& v : verdicts) {
-    result.totals.add(v);
-    result.cells[v.cell].agg.add(v);
-    fp.add(v);
-  }
-  result.fingerprint = fp.value();
-  detail::fill_cell_metadata(resolved, result.cells);
   result.verdicts = std::move(verdicts);
+  detail::summarize(result);
   result.elapsed_seconds = std::chrono::duration<double>(t1 - t0).count();
   return result;
 }
 
-// ---------------------------------------------------------------------------
-// Merging shards back into one report.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-[[noreturn]] void merge_error(std::size_t shard_pos, const std::string& why) {
-  throw ShardError("cannot merge shard #" + std::to_string(shard_pos) + ": " +
-                   why);
-}
-
-}  // namespace
-
 namespace detail {
+
+void summarize(ShardResult& r) {
+  r.totals = {};
+  r.cells.assign(r.options.grid.cell_count(), CellSummary{});
+  for (std::size_t c = 0; c < r.cells.size(); ++c) {
+    const ScenarioSpec spec = scenario_spec(r.options, c);
+    CellSummary& cell = r.cells[c];
+    cell.task_count = spec.tasks.tasks;
+    cell.utilization = spec.tasks.total_utilization;
+    cell.detector_cost = spec.detector_cost;
+    cell.stop_poll_latency = spec.stop_poll_latency;
+    cell.cores = spec.cores;
+    cell.quantum = spec.quantum;
+  }
+  Fingerprint fp;
+  for (const ScenarioVerdict& v : r.verdicts) {
+    RTFT_EXPECTS(v.cell < r.cells.size(),
+                 "every verdict's cell must lie within the grid");
+    r.totals.add(v);
+    r.cells[v.cell].agg.add(v);
+    fp.add(v);
+  }
+  r.fingerprint = fp.value();
+}
 
 bool same_scenario_identity(const SweepOptions& a, const SweepOptions& b) {
   return a.scenario_count == b.scenario_count && a.base_seed == b.base_seed &&
          a.horizon_periods == b.horizon_periods &&
          a.allowance_granularity == b.allowance_granularity &&
-         a.detector_policy == b.detector_policy &&
-         a.grid.task_counts == b.grid.task_counts &&
-         a.grid.utilizations == b.grid.utilizations &&
-         a.grid.detector_costs == b.grid.detector_costs &&
-         a.grid.stop_poll_latencies == b.grid.stop_poll_latencies &&
-         a.grid.core_counts == b.grid.core_counts &&
-         a.grid.quantizer_resolutions == b.grid.quantizer_resolutions &&
+         a.detector_policy == b.detector_policy && a.grid == b.grid &&
          a.partitioner == b.partitioner &&
-         a.core_fault_fraction == b.core_fault_fraction &&
-         a.grid.deadline_min_factor == b.grid.deadline_min_factor &&
-         a.grid.deadline_max_factor == b.grid.deadline_max_factor &&
-         a.grid.min_period == b.grid.min_period &&
-         a.grid.max_period == b.grid.max_period;
+         a.core_fault_fraction == b.core_fault_fraction;
 }
 
 }  // namespace detail
 
-namespace {
-
-/// Shared merge implementation over shards in arbitrary input order.
-/// `take_verdicts` moves each shard's verdict vector into the report
-/// (the pointees are then consumed); false copies and never mutates.
-SweepReport merge_shards(const std::vector<ShardResult*>& input,
-                         bool take_verdicts) {
-  if (input.empty()) {
-    throw ShardError("cannot merge an empty shard list");
-  }
-  // Index order = fingerprint order. Accept any input order; sort by
-  // range start and then require an exact tiling of [0, count).
-  std::vector<ShardResult*> ordered = input;
-  // (begin, end) — not begin alone: an empty shard [b, b) must order
-  // before a non-empty [b, e) or the tiling walk below would reject a
-  // valid tiling depending on std::sort's unspecified tie order.
-  std::sort(ordered.begin(), ordered.end(),
-            [](const ShardResult* a, const ShardResult* b) {
-              return a->shard.begin != b->shard.begin
-                         ? a->shard.begin < b->shard.begin
-                         : a->shard.end < b->shard.end;
-            });
-
-  const SweepOptions& base = ordered.front()->options;
-  const std::size_t cells = base.grid.cell_count();
-  std::uint64_t expected_begin = 0;
-  for (std::size_t i = 0; i < ordered.size(); ++i) {
-    const ShardResult& s = *ordered[i];
-    if (!detail::same_scenario_identity(base, s.options)) {
-      // Name the shard by its range — positions here follow the sorted
-      // order, not the caller's input order, so a bare index would not
-      // identify the offending file.
-      merge_error(i, "the shard covering [" + std::to_string(s.shard.begin) +
-                         ", " + std::to_string(s.shard.end) +
-                         ") belongs to a different sweep (seed, grid, "
-                         "policy or scenario count differ)");
-    }
-    if (s.shard.begin != expected_begin) {
-      merge_error(i, "shard ranges must tile the index space contiguously: "
-                     "expected a shard starting at scenario " +
-                         std::to_string(expected_begin) + ", got [" +
-                         std::to_string(s.shard.begin) + ", " +
-                         std::to_string(s.shard.end) + ")");
-    }
-    if (s.verdicts.size() != s.shard.count()) {
-      merge_error(i, "verdict count does not match the shard's index range");
-    }
-    if (s.cells.size() != cells) {
-      merge_error(i, "cell count does not match the sweep grid");
-    }
-    expected_begin = s.shard.end;
-  }
-  if (expected_begin != base.scenario_count) {
-    throw ShardError(
-        "shards cover only [0, " + std::to_string(expected_begin) +
-        ") of the sweep's " + std::to_string(base.scenario_count) +
-        " scenarios");
-  }
-
-  SweepReport report;
-  report.options = base;
-  report.cells.resize(cells);
-  // Chain the fingerprint across shards by re-folding every verdict's
-  // fields in index order: FNV-1a state is sequential, so this — not a
-  // combination of the per-shard hashes — is what reproduces the
-  // single-process value bit for bit.
-  Fingerprint fp;
-  std::vector<ScenarioVerdict> verdicts;
-  // Reserve unless the single-shard move below adopts the vector whole.
-  if (base.keep_verdicts && !(take_verdicts && ordered.size() == 1)) {
-    verdicts.reserve(base.scenario_count);
-  }
-  for (ShardResult* s : ordered) {
-    report.totals.merge(s->totals);
-    for (std::size_t c = 0; c < cells; ++c) {
-      report.cells[c].agg.merge(s->cells[c].agg);
-    }
-    for (const ScenarioVerdict& v : s->verdicts) fp.add(v);
-    if (base.keep_verdicts) {
-      if (take_verdicts && ordered.size() == 1) {
-        // The single-shard fast path (run_sweep): adopt the vector
-        // whole — a full sweep never holds its verdicts twice.
-        verdicts = std::move(s->verdicts);
-      } else {
-        verdicts.insert(verdicts.end(), s->verdicts.begin(),
-                        s->verdicts.end());
-        if (take_verdicts) {
-          // Consume as we go: peak memory stays at the report plus one
-          // shard, not the report plus every shard.
-          s->verdicts.clear();
-          s->verdicts.shrink_to_fit();
-        }
-      }
-    }
-    report.elapsed_seconds += s->elapsed_seconds;
-  }
-  report.fingerprint = fp.value();
-  report.verdicts = std::move(verdicts);
-  detail::fill_cell_metadata(base, report.cells);
-  return report;
-}
-
-}  // namespace
-
-SweepReport merge(std::span<const ShardResult> shards) {
-  std::vector<ShardResult*> input;
-  input.reserve(shards.size());
-  for (const ShardResult& s : shards) {
-    // Safe cast: merge_shards(..., false) never mutates the pointees.
-    input.push_back(const_cast<ShardResult*>(&s));
-  }
-  return merge_shards(input, /*take_verdicts=*/false);
-}
-
-SweepReport merge(std::vector<ShardResult>&& shards) {
-  std::vector<ShardResult*> input;
-  input.reserve(shards.size());
-  for (ShardResult& s : shards) input.push_back(&s);
-  return merge_shards(input, /*take_verdicts=*/true);
-}
-
 // ---------------------------------------------------------------------------
-// Incremental merge.
+// Merging shards back into one report.
 // ---------------------------------------------------------------------------
 
 void ShardMerger::fold(ShardResult&& shard) {
@@ -761,12 +623,17 @@ void ShardMerger::fold(ShardResult&& shard) {
   }
   for (const ScenarioVerdict& v : shard.verdicts) fp_.add(v);
   if (report_.options.keep_verdicts) {
-    report_.verdicts.insert(report_.verdicts.end(),
-                            std::make_move_iterator(shard.verdicts.begin()),
-                            std::make_move_iterator(shard.verdicts.end()));
+    if (report_.verdicts.empty()) {
+      // The first shard's vector is adopted whole: a whole-sweep shard
+      // (run_sweep) never has its verdicts held twice.
+      report_.verdicts = std::move(shard.verdicts);
+    } else {
+      report_.verdicts.insert(report_.verdicts.end(),
+                              std::make_move_iterator(shard.verdicts.begin()),
+                              std::make_move_iterator(shard.verdicts.end()));
+    }
   }
   report_.elapsed_seconds += shard.elapsed_seconds;
-  accepted_scenarios_ += shard.shard.count();
   // Only non-empty shards advance the frontier: an empty shard is a
   // no-op wherever its [b, b) marker sits and must not fake coverage.
   if (shard.shard.count() > 0) expected_begin_ = shard.shard.end;
@@ -779,11 +646,9 @@ void ShardMerger::drain_pending() {
   while (progressed) {
     progressed = false;
     for (std::size_t i = 0; i < pending_.size(); ++i) {
-      const ShardSpec& s = pending_[i].shard;
-      if (s.begin == expected_begin_) {  // empties are never buffered.
+      if (pending_[i].shard.begin == expected_begin_) {  // never empty.
         ShardResult next = std::move(pending_[i]);
-        pending_.erase(pending_.begin() +
-                       static_cast<std::ptrdiff_t>(i));
+        pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
         fold(std::move(next));
         progressed = true;
         break;  // indices shifted; restart the scan.
@@ -793,50 +658,37 @@ void ShardMerger::drain_pending() {
 }
 
 void ShardMerger::add(ShardResult&& shard) {
-  const auto range_of = [](const ShardSpec& s) {
-    return "[" + std::to_string(s.begin) + ", " + std::to_string(s.end) +
-           ")";
+  const ShardSpec& s = shard.shard;
+  const auto reject = [&s](const std::string& why) {
+    throw ShardError("cannot merge the shard covering [" +
+                     std::to_string(s.begin) + ", " + std::to_string(s.end) +
+                     "): " + why);
   };
   // Shape checks first — a malformed shard must not corrupt the fold.
-  if (shard.shard.begin > shard.shard.end ||
-      shard.shard.end > shard.options.scenario_count) {
-    throw ShardError("cannot merge the shard covering " +
-                     range_of(shard.shard) +
-                     ": its range does not lie within the sweep");
+  if (s.begin > s.end || s.end > shard.options.scenario_count) {
+    reject("its range does not lie within the sweep");
   }
-  if (shard.verdicts.size() != shard.shard.count()) {
-    throw ShardError("cannot merge the shard covering " +
-                     range_of(shard.shard) +
-                     ": verdict count does not match the shard's index "
-                     "range");
+  if (shard.verdicts.size() != s.count()) {
+    reject("verdict count does not match the shard's index range");
+  }
+  if (shard.cells.size() != shard.options.grid.cell_count()) {
+    reject("cell count does not match the sweep grid");
   }
   if (!have_base_) {
+    // The first shard fixes the identity and the cells' coordinates.
     report_.options = shard.options;
-    report_.cells.resize(shard.options.grid.cell_count());
-    if (report_.options.keep_verdicts) {
-      report_.verdicts.reserve(report_.options.scenario_count);
-    }
+    report_.cells = shard.cells;
+    for (CellSummary& cell : report_.cells) cell.agg = {};
     have_base_ = true;
-  } else if (!detail::same_scenario_identity(report_.options,
-                                             shard.options)) {
-    throw ShardError("cannot merge the shard covering " +
-                     range_of(shard.shard) +
-                     ": it belongs to a different sweep (seed, grid, "
-                     "policy or scenario count differ)");
+  } else if (!detail::same_scenario_identity(report_.options, shard.options)) {
+    reject("it belongs to a different sweep (seed, grid, policy or scenario "
+           "count differ)");
   }
-  if (shard.cells.size() != report_.cells.size()) {
-    throw ShardError("cannot merge the shard covering " +
-                     range_of(shard.shard) +
-                     ": cell count does not match the sweep grid");
+  if (s.count() > 0 && s.begin < expected_begin_) {
+    reject("it overlaps scenarios already merged (the fold has reached "
+           "scenario " + std::to_string(expected_begin_) + ")");
   }
-  if (shard.shard.count() > 0 && shard.shard.begin < expected_begin_) {
-    throw ShardError("cannot merge the shard covering " +
-                     range_of(shard.shard) +
-                     ": it overlaps scenarios already merged (the fold "
-                     "has reached scenario " +
-                     std::to_string(expected_begin_) + ")");
-  }
-  if (shard.shard.begin == expected_begin_ || shard.shard.count() == 0) {
+  if (s.begin == expected_begin_ || s.count() == 0) {
     fold(std::move(shard));
     drain_pending();
   } else {
@@ -849,18 +701,18 @@ SweepReport ShardMerger::finish() {
     throw ShardError("cannot merge an empty shard list");
   }
   if (!pending_.empty()) {
-    // Name the gap the way the batch merge does: the lowest buffered
-    // range is the first shard the tiling is missing a predecessor of.
-    const ShardResult* lowest = &pending_.front();
-    for (const ShardResult& s : pending_) {
-      if (s.shard.begin < lowest->shard.begin) lowest = &s;
+    // The lowest buffered range is the first shard the tiling is
+    // missing a predecessor of.
+    const ShardSpec* lowest = &pending_.front().shard;
+    for (const ShardResult& r : pending_) {
+      if (r.shard.begin < lowest->begin) lowest = &r.shard;
     }
     throw ShardError(
         "shard ranges must tile the index space contiguously: expected "
         "a shard starting at scenario " +
         std::to_string(expected_begin_) + ", got [" +
-        std::to_string(lowest->shard.begin) + ", " +
-        std::to_string(lowest->shard.end) + ")");
+        std::to_string(lowest->begin) + ", " + std::to_string(lowest->end) +
+        ")");
   }
   if (expected_begin_ != report_.options.scenario_count) {
     throw ShardError(
@@ -869,8 +721,13 @@ SweepReport ShardMerger::finish() {
         std::to_string(report_.options.scenario_count) + " scenarios");
   }
   report_.fingerprint = fp_.value();
-  detail::fill_cell_metadata(report_.options, report_.cells);
   return std::move(report_);
+}
+
+SweepReport merge(std::vector<ShardResult> shards) {
+  ShardMerger merger;
+  for (ShardResult& shard : shards) merger.add(std::move(shard));
+  return merger.finish();
 }
 
 // ---------------------------------------------------------------------------
@@ -879,9 +736,9 @@ SweepReport ShardMerger::finish() {
 
 SweepReport run_sweep(const SweepOptions& opts) {
   const SweepPlan plan(opts);
-  std::vector<ShardResult> whole;
-  whole.push_back(run_shard(plan.shard(0, 1), plan.options()));
-  return merge(std::move(whole));
+  ShardMerger merger;
+  merger.add(run_shard(plan.shard(0, 1), plan.options()));
+  return merger.finish();
 }
 
 // ---------------------------------------------------------------------------

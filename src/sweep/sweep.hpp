@@ -31,7 +31,9 @@
 //                                          //    bit for bit
 //
 // run_sweep() is the single-process convenience: plan -> run -> merge of
-// one shard covering everything. Shards serialize to versioned JSON
+// one shard covering everything. ShardMerger is the one merge: merge()
+// feeds it a list, `sweep_runner --merge` and the coordinator feed it
+// shards as they load. Shards serialize to versioned JSON
 // (sweep/export.hpp: shard_json / load_shard_json) so the run step can
 // cross process and host boundaries.
 #pragma once
@@ -39,7 +41,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -92,6 +93,7 @@ struct SweepGrid {
            stop_poll_latencies.size() * core_counts.size() *
            quantizer_resolutions.size();
   }
+  bool operator==(const SweepGrid&) const = default;
 };
 
 /// Everything one worker needs to run one scenario.
@@ -243,6 +245,7 @@ struct SweepAggregate {
   void merge(const SweepAggregate& other);
   /// Mean equitable allowance over the feasible scenarios.
   [[nodiscard]] double mean_allowance_ms() const;
+  bool operator==(const SweepAggregate&) const = default;
 };
 
 /// Aggregate for one grid cell.
@@ -254,6 +257,7 @@ struct CellSummary {
   std::size_t cores = 1;
   Duration quantum = Duration::ms(1);
   SweepAggregate agg;
+  bool operator==(const CellSummary&) const = default;
 };
 
 /// Full sweep outcome.
@@ -278,25 +282,6 @@ struct SweepReport {
 /// The spec for scenario `index` of a sweep (pure function of options).
 [[nodiscard]] ScenarioSpec scenario_spec(const SweepOptions& opts,
                                          std::uint64_t index);
-
-namespace detail {
-/// Fills every cell's grid coordinates (task count, utilization,
-/// detector cost, stop-poll latency) from the options, leaving the
-/// aggregates untouched. One definition shared by run_shard, merge and
-/// the shard-file loader so the metadata cannot drift between them.
-void fill_cell_metadata(const SweepOptions& opts,
-                        std::vector<CellSummary>& cells);
-
-/// True when two option sets define the same scenario population —
-/// every field a verdict depends on. Workers and full_traces are
-/// excluded on purpose: they do not affect verdicts, so shards run with
-/// different worker counts (or with and without full traces) merge
-/// fine. Shared by merge() and the sweep coordinator's checkpoint-resume
-/// validation, so "same sweep" cannot mean different things in the two
-/// places.
-[[nodiscard]] bool same_scenario_identity(const SweepOptions& a,
-                                          const SweepOptions& b);
-}  // namespace detail
 
 // ---------------------------------------------------------------------------
 // The partition/run/merge triad.
@@ -349,8 +334,9 @@ class SweepPlan {
 };
 
 /// The sweep fingerprint as a running FNV-1a fold over verdicts in
-/// index order. Exposed so that merge() and the shard-file loader chain
-/// or recompute the exact same hash the single-process sweep produces.
+/// index order. Exposed so that the merge and the shard-file loader
+/// chain or recompute the exact same hash the single-process sweep
+/// produces.
 class Fingerprint {
  public:
   /// Folds one verdict's deterministic fields into the state.
@@ -363,7 +349,7 @@ class Fingerprint {
 
 /// Outcome of one shard: the shard's slice of every SweepReport field.
 /// Verdicts are always kept — they are the shard's fingerprint
-/// contribution (FNV-1a state is sequential, so merge() re-folds the
+/// contribution (FNV-1a state is sequential, so the merge re-folds the
 /// verdict fields in index order; a lone hash could not be chained) —
 /// and SweepOptions::keep_verdicts decides only whether the *merged*
 /// report retains them.
@@ -387,37 +373,46 @@ struct ShardResult {
 [[nodiscard]] ShardResult run_shard(const ShardSpec& shard,
                                     const SweepOptions& opts);
 
-/// Combines shard results into the SweepReport the single-process sweep
-/// would have produced — totals, per-cell aggregates and fingerprint are
-/// bit-identical for any shard count and any per-shard worker count.
-/// Shards may arrive in any order but must come from the same sweep
-/// (equal seed/grid/policy identity) and tile [0, scenario_count)
-/// exactly; anything else throws ShardError.
-[[nodiscard]] SweepReport merge(std::span<const ShardResult> shards);
-/// Owning overload: moves the shards' verdicts into the report instead
-/// of copying them — what run_sweep and the CLI use, so a
-/// million-scenario sweep never holds its verdicts twice.
-[[nodiscard]] SweepReport merge(std::vector<ShardResult>&& shards);
+namespace detail {
+/// Derives every summary field of `r` from its options and verdicts:
+/// totals, the grid's cells (coordinates and aggregates) and the
+/// standalone fingerprint. The one derivation run_shard and the
+/// shard-file loader share, so a loaded shard is checked against
+/// exactly what a run would have produced. Every verdict's cell must
+/// lie within the grid.
+void summarize(ShardResult& r);
 
-/// Incremental merge: folds shards into the report one at a time, as
-/// they load, instead of holding every ShardResult in memory at once —
-/// what `sweep_runner --merge` and the coordinator use, so peak memory
-/// is the report plus the shards buffered out of order, not the whole
-/// sweep twice. Produces the exact report (totals, cells, verdicts and
-/// fingerprint bit for bit) the batch merge() overloads produce for the
-/// same shards in any arrival order: the FNV-1a fold is sequential in
-/// index order, so a shard arriving early is folded immediately and a
-/// shard arriving out of order is buffered until the gap before it
-/// closes.
+/// True when two option sets define the same scenario population —
+/// every field a verdict depends on. Workers and full_traces are
+/// excluded on purpose: they do not affect verdicts, so shards run with
+/// different worker counts (or with and without full traces) merge
+/// fine. Shared by ShardMerger, the sweep coordinator's checkpoint
+/// validation and worker_argv's round-trip check, so "same sweep"
+/// cannot mean different things in those places.
+[[nodiscard]] bool same_scenario_identity(const SweepOptions& a,
+                                          const SweepOptions& b);
+}  // namespace detail
+
+/// The merge: folds shards into the report one at a time, as they
+/// arrive, instead of holding every ShardResult in memory at once — so
+/// peak memory is the report plus the shards buffered out of order, not
+/// the whole sweep twice. The result (totals, cells, verdicts and
+/// fingerprint) is the single-process sweep's bit for bit, for any
+/// shard count, per-shard worker count and arrival order: the FNV-1a
+/// fold is sequential in index order, so a shard arriving in order is
+/// folded immediately and one arriving early is buffered until the gap
+/// before it closes. Storage grows only with the shards that arrived,
+/// never from a count a shard declares.
 ///
 ///   ShardMerger merger;
 ///   for (auto& file : files) merger.add(load_shard_json(read(file)));
 ///   SweepReport report = merger.finish();
 ///
-/// add() throws ShardError on identity mismatches and overlapping
-/// ranges as they are detected; finish() throws if the accepted shards
-/// do not tile [0, scenario_count) exactly. The merger is single-use:
-/// after finish() (or a throw from it) construct a fresh one.
+/// add() throws ShardError on malformed shards, identity mismatches and
+/// overlapping ranges as they are detected; finish() throws if the
+/// accepted shards do not tile [0, scenario_count) exactly. The merger
+/// is single-use: after finish() (or a throw from it) construct a fresh
+/// one.
 class ShardMerger {
  public:
   /// Folds one shard in. The first shard fixes the sweep identity;
@@ -425,9 +420,9 @@ class ShardMerger {
   /// not consumed logically — the merger stays usable).
   void add(ShardResult&& shard);
 
-  /// Scenarios folded so far (buffered out-of-order shards included).
+  /// Scenarios folded so far: the merged prefix [0, n) of the sweep.
   [[nodiscard]] std::uint64_t accepted_scenarios() const {
-    return accepted_scenarios_;
+    return expected_begin_;
   }
   /// Shards buffered waiting for a gap to close.
   [[nodiscard]] std::size_t pending_shards() const { return pending_.size(); }
@@ -440,12 +435,17 @@ class ShardMerger {
   void drain_pending();
 
   bool have_base_ = false;
-  SweepReport report_;           ///< accumulated in index order.
+  SweepReport report_;  ///< accumulated in index order.
   Fingerprint fp_;
   std::uint64_t expected_begin_ = 0;
-  std::uint64_t accepted_scenarios_ = 0;
   std::vector<ShardResult> pending_;  ///< out-of-order arrivals.
 };
+
+/// Feeds `shards`, in any order, to one ShardMerger and returns its
+/// report; throws ShardError exactly where the merger does. Takes the
+/// shards by value, so a caller that moves them in (run_sweep does)
+/// hands their verdicts over instead of copying them.
+[[nodiscard]] SweepReport merge(std::vector<ShardResult> shards);
 
 /// Per-worker reusable execution context: one engine (plus a recorder
 /// under full_traces), re-armed between scenarios, so a sweep pays no

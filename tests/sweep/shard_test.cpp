@@ -265,7 +265,7 @@ TEST(ShardMerge, RejectsGapsOverlapsDuplicatesAndForeignShards) {
   const SweepPlan plan(opts);
   const std::vector<ShardResult> shards = run_split(plan, 3);
 
-  EXPECT_THROW((void)merge(std::span<const ShardResult>{}), ShardError);
+  EXPECT_THROW((void)merge({}), ShardError);
 
   std::vector<ShardResult> gap = {shards[0], shards[2]};
   EXPECT_THROW((void)merge(gap), ShardError);
@@ -488,6 +488,45 @@ TEST(ShardJson, RejectsTamperedVerdictsAndFingerprints) {
   const std::size_t digit = fpos + 16;
   bad_fp[digit] = bad_fp[digit] == '0' ? '1' : '0';
   EXPECT_THROW((void)load_shard_json(bad_fp), ShardError);
+}
+
+TEST(ShardJson, ForgedScenarioCountFailsTheMergeNotTheAllocator) {
+  // A valid 10-scenario range whose declared scenario_count is raised
+  // to 2^62 loads cleanly (nothing in it derives from the count), so
+  // the merge must report the missing coverage instead of sizing
+  // anything from the declared count.
+  const SweepPlan plan(small_options());
+  std::string forged =
+      shard_json(run_shard(plan.shard(0, 6), plan.options()));
+  const std::string count = "\"scenario_count\":60";
+  const std::size_t pos = forged.find(count);
+  ASSERT_NE(pos, std::string::npos);
+  forged.replace(pos, count.size(), "\"scenario_count\":4611686018427387904");
+  ShardMerger merger;
+  merger.add(load_shard_json(forged));
+  EXPECT_THROW((void)merger.finish(), ShardError);
+}
+
+TEST(ShardJson, ForgedGridSizeIsRejectedBeforeAnyAllocation) {
+  // Each of the six grid axes repeats its first value 1000 times: a
+  // file of a few dozen KB declaring 10^18 cells. The loader must
+  // check the cells array before sizing anything from the grid.
+  const SweepPlan plan(small_options());
+  std::string forged =
+      shard_json(run_shard(plan.shard(0, 6), plan.options()));
+  for (const std::string axis :
+       {"task_counts", "utilizations", "detector_cost_ns",
+        "stop_poll_latency_ns", "core_counts", "quantizer_resolution_ns"}) {
+    const std::size_t open = forged.find("\"" + axis + "\":[");
+    ASSERT_NE(open, std::string::npos) << axis;
+    const std::size_t first = open + axis.size() + 4;
+    const std::string value =
+        forged.substr(first, forged.find_first_of(",]", first) - first);
+    std::string values = value;
+    for (int i = 1; i < 1000; ++i) values += "," + value;
+    forged.replace(first, forged.find(']', first) - first, values);
+  }
+  EXPECT_THROW((void)load_shard_json(forged), ShardError);
 }
 
 TEST(ShardJson, RejectsMergingShardsOfDifferentGrids) {
