@@ -1,17 +1,13 @@
 #include "multicore/multi_engine.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/assert.hpp"
 
 namespace rtft::multicore {
 
-void MultiEngine::reset(std::size_t cores, const rt::EngineOptions& base,
-                        Duration sync_quantum) {
+void MultiEngine::reset(std::size_t cores, const rt::EngineOptions& base) {
   RTFT_EXPECTS(cores >= 1, "a fleet needs at least one core");
-  RTFT_EXPECTS(!sync_quantum.is_negative(),
-               "the sync quantum must be non-negative");
   if (engines_.size() < cores) engines_.resize(cores);
   for (std::size_t i = 0; i < cores; ++i) {
     if (engines_[i]) {
@@ -27,7 +23,6 @@ void MultiEngine::reset(std::size_t cores, const rt::EngineOptions& base,
   placement_feasible_ = false;
   now_ = Instant::epoch();
   horizon_ = base.horizon;
-  sync_quantum_ = sync_quantum;
 }
 
 void MultiEngine::reserve(std::size_t cores, std::size_t tasks,
@@ -78,34 +73,13 @@ void MultiEngine::add_placed(const sched::TaskSet& ts,
   }
 }
 
-rt::TaskHandle MultiEngine::add_task(std::size_t core,
-                                     const sched::TaskParams& params,
-                                     rt::CostSpec cost) {
-  RTFT_EXPECTS(core < cores_, "core index out of range");
-  RTFT_EXPECTS(alive_[core], "cannot add a task to a failed core");
-  return engines_[core]->add_task(params, std::move(cost));
-}
-
 void MultiEngine::run_until(Instant stop_at) {
   RTFT_EXPECTS(stop_at >= now_, "the global clock cannot run backwards");
   RTFT_EXPECTS(stop_at <= horizon_, "cannot run past the fleet horizon");
   // Lockstep: every live core reaches the same global instant before
-  // any core passes it. With a positive sync quantum the fleet steps
-  // in fixed global ticks — observably identical (each engine is
-  // run_until-segmentation-invariant), and the equivalence suite runs
-  // both ways to prove it.
-  Instant t = now_;
-  while (t < stop_at) {
-    t = sync_quantum_.is_zero() ? stop_at
-                                : std::min(t + sync_quantum_, stop_at);
-    for (std::size_t i = 0; i < cores_; ++i) {
-      if (alive_[i]) engines_[i]->run_until(t);
-    }
-  }
-  if (now_ == stop_at) {  // zero-length segment still flushes.
-    for (std::size_t i = 0; i < cores_; ++i) {
-      if (alive_[i]) engines_[i]->run_until(stop_at);
-    }
+  // any core passes it (a zero-length segment still flushes).
+  for (std::size_t i = 0; i < cores_; ++i) {
+    if (alive_[i]) engines_[i]->run_until(stop_at);
   }
   now_ = stop_at;
 }

@@ -5,10 +5,9 @@
 // Partitioned multiprocessor scheduling keeps every core a plain
 // fixed-priority uniprocessor — exactly what rt::Engine models — so the
 // fleet is M pooled engines stepped in lockstep: run_until(t) advances
-// every live core to the same global instant (optionally in fixed
-// sync quanta, proving the segmentation invariance the single-core
-// engine already guarantees). Cores never exchange events; the shared
-// state is the clock, the horizon and the fail-over protocol:
+// every live core to the same global instant. Cores never exchange
+// events; the shared state is the clock, the horizon and the fail-over
+// protocol:
 //
 //   fail_core(c) at global time T_f
 //     * core c freezes: it is never stepped again, so jobs pending
@@ -87,14 +86,8 @@ class MultiEngine {
 
   /// Re-arms the fleet: `cores` engines (reusing pooled ones), each
   /// reset with `base` (horizon, latencies, sink — applied to every
-  /// core identically; a borrowed sink must outlive the fleet). A
-  /// positive `sync_quantum` makes run_until() advance the fleet in
-  /// global lockstep steps of that size instead of one segment — the
-  /// observable behaviour is identical (the engines are
-  /// run_until-segmentation-invariant); the knob exists for the
-  /// equivalence suite.
-  void reset(std::size_t cores, const rt::EngineOptions& base,
-             Duration sync_quantum = Duration::zero());
+  /// core identically; a borrowed sink must outlive the fleet).
+  void reset(std::size_t cores, const rt::EngineOptions& base);
 
   /// Pre-sizes every pooled engine (see Engine::reserve).
   void reserve(std::size_t cores, std::size_t tasks, std::size_t events);
@@ -112,14 +105,9 @@ class MultiEngine {
   void add_placed(const sched::TaskSet& ts, const Placement& placement,
                   const std::vector<rt::CostSpec>& costs = {});
 
-  /// Low-level escape hatch: registers one task on one core without
-  /// fail-over bookkeeping (the M=1 equivalence suite drives cores
-  /// directly through core(i)).
-  rt::TaskHandle add_task(std::size_t core, const sched::TaskParams& params,
-                          rt::CostSpec cost = {});
-
-  /// Advances every live core to `stop_at` (inclusive, <= horizon),
-  /// in lockstep sync quanta when configured.
+  /// Advances every live core to `stop_at` (inclusive, <= horizon).
+  /// The engines are run_until-segmentation-invariant, so any sequence
+  /// of calls reaching the same instant yields the same run.
   void run_until(Instant stop_at);
   /// Advances every live core to the horizon.
   void run();
@@ -159,7 +147,6 @@ class MultiEngine {
   bool placement_feasible_ = false;
   Instant now_;
   Instant horizon_;
-  Duration sync_quantum_;
 };
 
 }  // namespace rtft::multicore

@@ -1,7 +1,7 @@
 // M=1 equivalence oracle — a MultiEngine fleet with a single core must
 // be bit-identical to a plain rt::Engine on randomized scenarios
-// (tests/runtime/scenario_fuzz.hpp), whatever sync quantum the fleet
-// steps in and however its run is segmented. The multicore layer must
+// (tests/runtime/scenario_fuzz.hpp), whatever sync quantum the fleet is
+// stepped in and however its run is segmented. The multicore layer must
 // add exactly nothing to the uniprocessor semantics it composes.
 #include <gtest/gtest.h>
 
@@ -68,9 +68,19 @@ RunResult run_plain(rt::Engine& engine, const Scenario& s) {
   return collect(engine, rec, fires);
 }
 
-/// The subject: a one-core fleet with a randomized sync quantum,
-/// advanced through randomized run_until segments before the final
-/// run() — the harshest segmentation the fleet API allows.
+/// Advances `fleet` to `stop_at` in global lockstep ticks of `quantum`
+/// (one segment when it is zero).
+void step_to(MultiEngine& fleet, Instant stop_at, Duration quantum) {
+  for (Instant t = fleet.now() + quantum;
+       quantum.is_positive() && t < stop_at; t = t + quantum) {
+    fleet.run_until(t);
+  }
+  fleet.run_until(stop_at);
+}
+
+/// The subject: a one-core fleet advanced through randomized run_until
+/// segments to its horizon, each stepped in a randomized sync quantum —
+/// the harshest segmentation the fleet API allows.
 RunResult run_fleet(MultiEngine& fleet, const Scenario& s,
                     std::uint64_t seed) {
   std::mt19937_64 rng(seed * 0x9e3779b9ULL);
@@ -79,7 +89,7 @@ RunResult run_fleet(MultiEngine& fleet, const Scenario& s,
           ? Duration::us(static_cast<std::int64_t>(100 + rng() % 7000))
           : Duration::zero();
   trace::Recorder rec;
-  fleet.reset(1, scenario_options(s, rec), sync_quantum);
+  fleet.reset(1, scenario_options(s, rec));
   rt::Engine& engine = fleet.core(0);
   std::int64_t fires = 0;
   const std::int64_t quantum = fuzz::cost_quantum(s);
@@ -94,8 +104,8 @@ RunResult run_fleet(MultiEngine& fleet, const Scenario& s,
                        rng() % static_cast<std::uint64_t>(s.horizon.count()))));
   }
   std::sort(cuts.begin(), cuts.end());
-  for (const Instant cut : cuts) fleet.run_until(cut);
-  fleet.run();
+  cuts.push_back(fleet.horizon());
+  for (const Instant cut : cuts) step_to(fleet, cut, sync_quantum);
   return collect(engine, rec, fires);
 }
 
