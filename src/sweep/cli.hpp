@@ -4,9 +4,9 @@
 //
 // The coordinator spawns `sweep_runner --shard i/n --emit-shard ...`
 // workers, so the flag->options mapping and the options->argv mapping
-// must never drift apart; keeping both in this one module (and
-// round-tripping them in tests) is what prevents that. The executables
-// in examples/ are thin wrappers over these helpers.
+// must never drift apart; keeping both in this one module, and having
+// worker_argv parse its own output back, is what prevents that. The
+// executables in examples/ are thin wrappers over these helpers.
 //
 // Every parser here rejects bad input with ArgError carrying a complete
 // one-line message — non-numeric text, out-of-range values, overflow,

@@ -80,9 +80,9 @@ using detail::append_double;
 // ---------------------------------------------------------------------------
 // The field lists: one per record, in document and CSV column order. Each
 // calls f(key, field) once per field; the JSON writer, the CSV writers
-// and the loader all walk these lists, so every key is spelled once.
-// (Fingerprint::add keeps its own historical order: both pinned
-// fingerprints depend on it.)
+// and the loader all walk these lists, so a record's keys, order and
+// encodings are written down once. (Fingerprint::add keeps its own
+// historical order: both pinned fingerprints depend on it.)
 // ---------------------------------------------------------------------------
 
 /// A 64-bit value that travels as a 16-digit hex string: JSON numbers

@@ -233,8 +233,7 @@ TEST(ShardMerge, DroppedVerdictsKeepAggregatesAndFingerprint) {
 
 TEST(ShardMerge, EmptyShardsTyingWithNonEmptyOnesMergeInAnyOrder) {
   // An empty shard [b, b) tiles trivially but ties on begin with a
-  // non-empty [b, e); the merge must order it first whatever the input
-  // order, not depend on an unstable sort's whim.
+  // non-empty [b, e); it must merge as a no-op whatever the input order.
   SweepOptions opts = small_options();
   opts.scenario_count = 4;
   const SweepReport single = run_sweep(opts);
@@ -288,7 +287,8 @@ TEST(ShardMerge, RejectsGapsOverlapsDuplicatesAndForeignShards) {
 
 // ---------------------------------------------------------------------------
 // Incremental merging: ShardMerger folds shards as they arrive and must
-// reproduce the batch merge() bit-for-bit, whatever the arrival order.
+// reproduce the single-process sweep bit-for-bit, whatever the arrival
+// order.
 // ---------------------------------------------------------------------------
 
 SweepOptions multicore_options() {
@@ -298,11 +298,11 @@ SweepOptions multicore_options() {
   return opts;
 }
 
-TEST(ShardMergerTest, SixShardMixFoldsToTheBatchMergeBitForBit) {
+TEST(ShardMergerTest, SixShardMixFoldsToTheSingleProcessReportBitForBit) {
   // Six shards with mixed worker counts over a grid exercising the
   // multicore and quantizer axes, folded incrementally in order and in
   // reverse (so every shard but the first waits in the pending buffer):
-  // same fingerprint, aggregates and verdicts as the batch merge.
+  // same fingerprint, aggregates and verdicts as the single-process run.
   const SweepOptions opts = multicore_options();
   const SweepReport single = run_sweep(opts);
   const SweepPlan plan(opts);
