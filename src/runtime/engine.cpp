@@ -11,15 +11,11 @@
 namespace rtft::rt {
 namespace {
 
-/// Event kinds in dispatch order at equal dates (smaller = first).
-/// Deadline checks order after all of them; they live in DeadlineHeap.
-enum class EvKind : std::uint8_t {
-  kCompletion = 0,
-  kOverheadDone = 1,
-  kStopEffect = 2,
-  kTimer = 3,
-  kRelease = 4,
-};
+/// Event kinds in dispatch order at equal dates (smaller = first). The
+/// end of the running job or overhead interval orders before all of them
+/// and is never queued (Impl::cpu_until); deadline checks order after all
+/// of them and live in DeadlineHeap.
+enum class EvKind : std::uint8_t { kStopEffect, kTimer, kRelease };
 
 struct Ev {
   Instant time;
@@ -27,7 +23,6 @@ struct Ev {
   std::uint64_t seq = 0;    ///< creation order; final tie-breaker.
   std::size_t index = 0;    ///< task or timer index.
   std::int64_t job = -1;    ///< job index (release).
-  std::uint64_t gen = 0;    ///< validity generation (completion/overhead).
   StopMode stop_mode = StopMode::kTask;
 };
 
@@ -92,7 +87,6 @@ struct TaskRec {
   Instant cur_release;
   Duration remaining;
   bool cur_started = false;       ///< current job has held the CPU before.
-  std::uint64_t gen = 0;          ///< bumped on every running-state change.
   std::uint64_t ready_seq = 0;    ///< FIFO order within a priority level.
 
   std::vector<JobOutcome> outcomes;  ///< per released job.
@@ -128,8 +122,8 @@ struct Engine::Impl {
 
   CpuState cpu = CpuState::kIdle;
   std::size_t running_task = 0;       ///< valid when cpu == kTask.
+  Instant cpu_until;                  ///< end of the running job or overhead.
   Duration overhead_backlog;          ///< work at above-task priority.
-  std::uint64_t overhead_gen = 0;
 
   /// Context-switch accounting: the job last holding the CPU and the job
   /// a pending switch charge was issued for.
@@ -164,7 +158,6 @@ struct Engine::Impl {
     cpu = CpuState::kIdle;
     running_task = 0;
     overhead_backlog = Duration::zero();
-    overhead_gen = 0;
     have_last_job = false;
     last_job_task = 0;
     last_job_index = -1;
@@ -271,11 +264,11 @@ struct Engine::Impl {
       if (cpu == CpuState::kTask) {
         TaskRec& t = tasks[running_task];
         RTFT_ASSERT(t.remaining >= elapsed,
-                    "running job cannot execute past its completion event");
+                    "running job cannot execute past its completion");
         t.remaining -= elapsed;
       } else if (cpu == CpuState::kOverhead) {
         RTFT_ASSERT(overhead_backlog >= elapsed,
-                    "overhead cannot execute past its completion event");
+                    "overhead cannot execute past its end");
         overhead_backlog -= elapsed;
       }
     }
@@ -318,21 +311,16 @@ struct Engine::Impl {
       cpu = CpuState::kIdle;  // reschedule() will pick the next activity.
     }
     ready.erase(task_idx);
-    t.gen++;
     t.has_current = false;
     t.cur_index = -1;
   }
 
   /// Re-evaluates what the CPU should run after any state change.
   void reschedule() {
-    // The running overhead interval may have drained exactly at the
-    // current event's date while its completion event is still queued
-    // behind us; consume it eagerly so a ready task can take the CPU at
-    // this very instant (the queued OverheadDone becomes stale).
-    if (cpu == CpuState::kOverhead && overhead_backlog.is_zero()) {
-      overhead_gen++;
-      cpu = CpuState::kIdle;
-    }
+    // run_until() ends an overhead interval at its own date, before any
+    // queued event there, so the running one always has work left.
+    RTFT_ASSERT(cpu != CpuState::kOverhead || overhead_backlog.is_positive(),
+                "drained overhead still holds the CPU");
     // Decide the next activity: overhead first, then the top ready job.
     // The ready queue holds exactly the tasks with a current job (a kTask
     // stop retires the current job before the next reschedule()).
@@ -364,9 +352,7 @@ struct Engine::Impl {
       if (cpu == CpuState::kOverhead) return;  // already running it
       preempt_running_job();
       cpu = CpuState::kOverhead;
-      overhead_gen++;
-      push(Ev{now + overhead_backlog, EvKind::kOverheadDone, 0, 0, -1,
-              overhead_gen, StopMode::kTask});
+      cpu_until = now + overhead_backlog;
       return;
     }
 
@@ -398,9 +384,7 @@ struct Engine::Impl {
     last_job_index = t.cur_index;
     // The dispatch consumed any pending switch charge.
     have_charged_job = false;
-    t.gen++;
-    push(Ev{now + t.remaining, EvKind::kCompletion, 0, top, t.cur_index,
-            t.gen, StopMode::kTask});
+    cpu_until = now + t.remaining;
   }
 
   void preempt_running_job() {
@@ -408,7 +392,6 @@ struct Engine::Impl {
       TaskRec& t = tasks[running_task];
       record(now, trace::EventKind::kJobPreempted, trace_id(running_task),
              t.cur_index, 0);
-      t.gen++;  // invalidate its scheduled completion
       cpu = CpuState::kIdle;
     }
     // Overhead is never preempted (it is the highest priority); a running
@@ -419,12 +402,7 @@ struct Engine::Impl {
     RTFT_EXPECTS(!amount.is_negative(), "overhead must be non-negative");
     if (amount.is_zero()) return;
     overhead_backlog += amount;
-    if (cpu == CpuState::kOverhead) {
-      // Extend the running overhead interval.
-      overhead_gen++;
-      push(Ev{now + overhead_backlog, EvKind::kOverheadDone, 0, 0, -1,
-              overhead_gen, StopMode::kTask});
-    }
+    if (cpu == CpuState::kOverhead) cpu_until = now + overhead_backlog;
   }
 
   // -- event handlers -----------------------------------------------------
@@ -441,39 +419,37 @@ struct Engine::Impl {
     dl_push(ev.index, index, now + t.params.deadline);
     // Schedule the following release (one outstanding per task).
     push(Ev{now + t.params.period, EvKind::kRelease, 0, ev.index, index + 1,
-            0, StopMode::kTask});
+            StopMode::kTask});
     if (!t.has_current) start_next_job(ev.index);
   }
 
-  void on_completion(const Ev& ev) {
-    TaskRec& t = tasks[ev.index];
-    if (ev.gen != t.gen) return;  // stale: the job was preempted/aborted
-    RTFT_ASSERT(cpu == CpuState::kTask && running_task == ev.index,
-                "completion of a job that is not running");
+  /// Ends the CPU slot at cpu_until: the overhead interval drains or the
+  /// running job completes.
+  void end_cpu_slot() {
+    if (cpu == CpuState::kOverhead) {
+      RTFT_ASSERT(overhead_backlog.is_zero(), "overhead has work left");
+      cpu = CpuState::kIdle;
+      return;
+    }
+    const std::size_t task = running_task;
+    TaskRec& t = tasks[task];
     RTFT_ASSERT(t.remaining.is_zero(), "completed job has work left");
     const std::int64_t index = t.cur_index;
     const Duration response = now - t.cur_release;
     t.stats.completed++;
     t.stats.last_response = response;
     if (response > t.stats.max_response) t.stats.max_response = response;
-    retire_current_job(ev.index, JobOutcome::kCompleted,
+    retire_current_job(task, JobOutcome::kCompleted,
                        trace::EventKind::kJobEnd);
     // A job completing by its deadline can never miss: retire its
     // pending lazy check on the spot (it is the task's earliest — any
-    // earlier deadline was flushed before this event dispatched).
+    // earlier deadline was flushed before the slot ended).
     if (t.dl_head < t.dl_pending.size()) {
       const DlPend& head = t.dl_pending[t.dl_head];
-      if (head.job == index && now <= head.due) dl_advance(ev.index);
+      if (head.job == index && now <= head.due) dl_advance(task);
     }
     if (t.callbacks.on_job_end) t.callbacks.on_job_end(*owner, index);
-    if (t.next_start_index < t.next_release_index) start_next_job(ev.index);
-  }
-
-  void on_overhead_done(const Ev& ev) {
-    if (ev.gen != overhead_gen) return;  // extended meanwhile
-    RTFT_ASSERT(cpu == CpuState::kOverhead, "overhead-done while not running");
-    RTFT_ASSERT(overhead_backlog.is_zero(), "overhead has work left");
-    cpu = CpuState::kIdle;
+    if (t.next_start_index < t.next_release_index) start_next_job(task);
   }
 
   void on_timer(const Ev& ev) {
@@ -482,7 +458,7 @@ struct Engine::Impl {
     record(now, trace::EventKind::kTimerFire, trace::kNoTask, trace::kNoJob,
            static_cast<std::int64_t>(ev.index));
     if (timer.periodic) {
-      push(Ev{now + timer.period, EvKind::kTimer, 0, ev.index, -1, 0,
+      push(Ev{now + timer.period, EvKind::kTimer, 0, ev.index, -1,
               StopMode::kTask});
     }
     if (timer.handler) timer.handler(*owner);
@@ -522,8 +498,6 @@ struct Engine::Impl {
 
   void dispatch(const Ev& ev) {
     switch (ev.kind) {
-      case EvKind::kCompletion: on_completion(ev); break;
-      case EvKind::kOverheadDone: on_overhead_done(ev); break;
       case EvKind::kStopEffect: on_stop_effect(ev); break;
       case EvKind::kTimer: on_timer(ev); break;
       case EvKind::kRelease: on_release(ev); break;
@@ -533,16 +507,26 @@ struct Engine::Impl {
   void run_until(Instant stop_at) {
     RTFT_EXPECTS(stop_at <= options.horizon, "cannot run past the horizon");
     RTFT_EXPECTS(stop_at >= now, "cannot run backwards");
-    while (!wheel.empty()) {
-      const Ev ev = wheel.top();
-      if (ev.time > stop_at) break;
-      // Deadline checks order after every other kind at their date, so
-      // flush those dated strictly before this event (and the rest
-      // through stop_at once the queue drains).
-      flush_deadlines(ev.time, /*inclusive=*/false);
-      wheel.pop();
-      advance_to(ev.time);
-      dispatch(ev);
+    // Deadline checks order after every other kind at their date, so
+    // flush those dated strictly before each step (and the rest through
+    // stop_at once nothing is left to run).
+    while (true) {
+      const Ev* next = wheel.empty() ? nullptr : &wheel.top();
+      if (cpu != CpuState::kIdle && cpu_until <= stop_at &&
+          (next == nullptr || cpu_until <= next->time)) {
+        // The CPU slot ends before every queued kind at its date.
+        flush_deadlines(cpu_until, /*inclusive=*/false);
+        advance_to(cpu_until);
+        end_cpu_slot();
+      } else if (next != nullptr && next->time <= stop_at) {
+        const Ev ev = *next;
+        flush_deadlines(ev.time, /*inclusive=*/false);
+        wheel.pop();
+        advance_to(ev.time);
+        dispatch(ev);
+      } else {
+        break;
+      }
       reschedule();
     }
     flush_deadlines(stop_at, /*inclusive=*/true);
@@ -620,8 +604,7 @@ TaskHandle Engine::add_task(const sched::TaskParams& params, CostSpec cost,
         static_cast<std::size_t>(std::min(expected, kReserveCap)));
   }
   const TaskHandle handle = im.n_tasks++;
-  im.push(Ev{first_release, EvKind::kRelease, 0, handle, 0, 0,
-             StopMode::kTask});
+  im.push(Ev{first_release, EvKind::kRelease, 0, handle, 0, StopMode::kTask});
   return handle;
 }
 
@@ -632,7 +615,7 @@ TimerHandle Engine::add_one_shot_timer(Instant when, TimerHandler handler) {
   im.timers[im.n_timers] =
       TimerRec{std::move(handler), Duration::zero(), false, false};
   const TimerHandle handle = im.n_timers++;
-  im.push(Ev{when, EvKind::kTimer, 0, handle, -1, 0, StopMode::kTask});
+  im.push(Ev{when, EvKind::kTimer, 0, handle, -1, StopMode::kTask});
   return handle;
 }
 
@@ -644,7 +627,7 @@ TimerHandle Engine::add_periodic_timer(Instant first, Duration period,
   if (im.n_timers == im.timers.size()) im.timers.emplace_back();
   im.timers[im.n_timers] = TimerRec{std::move(handler), period, true, false};
   const TimerHandle handle = im.n_timers++;
-  im.push(Ev{first, EvKind::kTimer, 0, handle, -1, 0, StopMode::kTask});
+  im.push(Ev{first, EvKind::kTimer, 0, handle, -1, StopMode::kTask});
   return handle;
 }
 
@@ -664,7 +647,7 @@ void Engine::request_stop(TaskHandle task, StopMode mode,
                 t.has_current ? t.cur_index : trace::kNoJob, 0);
   t.stop_in_flight = true;
   impl_->push(Ev{impl_->now + impl_->options.stop_poll_latency + extra_latency,
-                 EvKind::kStopEffect, 0, task, -1, 0, mode});
+                 EvKind::kStopEffect, 0, task, -1, mode});
 }
 
 void Engine::inject_overhead(Duration amount) {

@@ -25,14 +25,15 @@
 // are then dropped on one null test each, and TaskStats still carries
 // every verdict-relevant count.
 //
-// Determinism: simultaneous events are ordered Completion < OverheadDone <
-// StopEffect < Timer < Release < deadline checks, then by creation
-// sequence. A job completing exactly when a detector fires is therefore
-// observed as finished (the paper's Figure 5: τ2 ends at its detector's
-// date and is not stopped), and a job completing exactly at its deadline
-// meets it. Deadline checks are not queued: a small per-task index
-// validates each deadline at the first moment that decides it, with the
-// same dates and order the event queue would have given them.
+// Determinism: at one date, the end of the running job or overhead
+// interval comes first, then StopEffect < Timer < Release < deadline
+// checks, each kind in creation order. A job completing exactly when a
+// detector fires is therefore observed as finished (the paper's Figure 5:
+// τ2 ends at its detector's date and is not stopped), and a job completing
+// exactly at its deadline meets it. Neither that end nor deadline checks
+// are queued events: only one job or overhead interval holds the CPU, so
+// its end is a single date, and a small per-task index validates each
+// deadline at the first moment that decides it.
 #pragma once
 
 #include <cstdint>

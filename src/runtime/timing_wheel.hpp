@@ -3,8 +3,8 @@
 // A binary heap pays O(log n) sifts per push and per pop over the whole
 // outstanding-event set. The engine's
 // workload is overwhelmingly *short-horizon and near-monotone*: strictly
-// periodic releases, completions a job-length ahead of now, stop effects
-// a poll-latency ahead. A calendar queue exploits that structure: time is
+// periodic releases, detector timers a threshold ahead, stop effects a
+// poll-latency ahead. A calendar queue exploits that structure: time is
 // divided into fixed-width ticks, ticks hash into 64-slot wheels, and
 // each wheel level covers 64x the span of the one below (the classic
 // hashed hierarchical wheel of Varghese & Lauer, as in kernel timer

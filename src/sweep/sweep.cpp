@@ -228,9 +228,9 @@ ScenarioRunner::ScenarioRunner(const SweepOptions& opts)
   // produce releases tasks x ceil(horizon / min period) jobs — that
   // bound sizes the per-task outcome logs (Engine::add_task reserves
   // them from the actual horizon and period). The event queue only ever
-  // holds *outstanding* events — one release and at most one completion
-  // per task, plus detector timers and stop/overhead slack — so its hint
-  // is a small multiple of the largest swept task count.
+  // holds *outstanding* events — one release per task, plus detector
+  // timers and stop effects (the running job's end is never queued) — so
+  // its hint is a small multiple of the largest swept task count.
   std::size_t max_tasks = 0;
   for (const std::size_t n : opts.grid.task_counts) {
     max_tasks = std::max(max_tasks, n);

@@ -363,15 +363,14 @@ TEST(Engine, InjectedOverheadDelaysTasks) {
 }
 
 TEST(Engine, OverheadDrainingAtAnotherEventsInstant) {
-  // Regression: a stale completion event landing at the exact instant the
-  // overhead interval drains used to dispatch a task while the queued
-  // OverheadDone event was still valid, tripping an engine invariant.
+  // The overhead interval drains at t=5, the preempted job's original
+  // completion date: the job must resume as the overhead ends, not
+  // complete there or resume while the overhead still runs.
   trace::Recorder rec;
   Engine eng(with_sink(options_with_horizon(20_ms), rec));
   const TaskHandle t = eng.add_task(simple_task("t", 5, 5_ms, 20_ms));
   eng.add_one_shot_timer(Instant::epoch() + 2_ms, [](Engine& e) {
-    e.inject_overhead(3_ms);  // drains at t=5, where the (now stale)
-                              // completion event also lands
+    e.inject_overhead(3_ms);  // drains at t=5
   });
   eng.run();
   const auto end = first_event(rec, EventKind::kJobEnd,

@@ -91,6 +91,10 @@ class ReferenceEngine {
   }
 
   [[nodiscard]] std::size_t task_count() const { return tasks_.size(); }
+  /// Dates at which an overhead interval drained, in run order.
+  [[nodiscard]] const std::vector<Instant>& overhead_ends() const {
+    return overhead_ends_;
+  }
   [[nodiscard]] const TaskStats& stats(TaskHandle task) const {
     return tasks_[task].stats;
   }
@@ -226,6 +230,7 @@ class ReferenceEngine {
     if (cpu_ == kCpuOverhead && overhead_.is_zero()) {
       ++overhead_gen_;
       cpu_ = kCpuIdle;
+      overhead_ends_.push_back(now_);
     }
     std::size_t top = 0;
     const bool overhead_pending = overhead_.is_positive();
@@ -293,7 +298,10 @@ class ReferenceEngine {
         return;
       }
       case kOverheadDone:
-        if (ev.gen == overhead_gen_) cpu_ = kCpuIdle;
+        if (ev.gen == overhead_gen_) {
+          cpu_ = kCpuIdle;
+          overhead_ends_.push_back(now_);
+        }
         return;
       case kStopEffect: {
         Task& t = tasks_[ev.index];
@@ -367,6 +375,7 @@ class ReferenceEngine {
   std::size_t running_ = 0;
   Duration overhead_;
   std::uint64_t overhead_gen_ = 0;
+  std::vector<Instant> overhead_ends_;
   bool have_last_ = false;  ///< last job to hold the CPU.
   std::size_t last_task_ = 0;
   std::int64_t last_job_ = -1;

@@ -8,7 +8,9 @@
 // the frozen corpus hashes on its own.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "golden/engine_corpus.hpp"
@@ -42,18 +44,34 @@ struct RunResult {
   std::uint64_t stats_hash = 0;
 };
 
+/// The calls both engines get after cut `k` of a perturbed split run:
+/// even cuts inject overhead, odd ones request a stop in either mode.
+template <typename E>
+void perturb(E& engine, const Scenario& s, std::size_t k) {
+  if (k % 2 == 0) {
+    engine.inject_overhead(1_ms);
+  } else {
+    engine.request_stop(k % s.tasks.size(),
+                        k % 4 == 1 ? StopMode::kJob : StopMode::kTask);
+  }
+}
+
 /// Runs `s` on `engine` (an rt::Engine already reset onto `rec`, or a
-/// fresh reference), through `cuts` first when given.
+/// fresh reference), through `cuts` first when given, perturbing the
+/// run after each cut when asked.
 template <typename E>
 RunResult run(E& engine, const Scenario& s, bool flat_overrun,
               const trace::Recorder& rec,
-              const std::vector<Instant>& cuts = {}) {
+              const std::vector<Instant>& cuts = {}, bool perturbed = false) {
   std::int64_t fires = 0;
   fuzz::apply_scenario(
       engine, s,
       [&](std::size_t i) { return fuzz::corpus_cost(s, i, flat_overrun); },
       fires);
-  for (const Instant cut : cuts) engine.run_until(cut);
+  for (std::size_t k = 0; k < cuts.size(); ++k) {
+    engine.run_until(cuts[k]);
+    if (perturbed) perturb(engine, s, k);
+  }
   engine.run();
   RunResult r;
   r.events = fuzz::flatten(rec);
@@ -135,6 +153,76 @@ TEST(ReferenceModel, SplitEngineRunsMatchTheReference) {
       ASSERT_EQ(got.stats_hash, want.stats_hash) << "seed " << seed;
     }
   }
+}
+
+/// Three cuts for `s` on the reference's own CPU-slot ends. Cut k is the
+/// first overhead end (even k) or kJobEnd date (odd k, and the fallback
+/// either way) past k+1 quarters of the horizon and past cut k-1, in a
+/// reference run already cut and perturbed at cuts 0..k-1, so every cut
+/// lands where the perturbed run's slot really ends.
+std::vector<Instant> slot_cuts(const Scenario& s, std::size_t& overhead_cuts,
+                               std::size_t& job_cuts) {
+  std::vector<Instant> cuts;
+  for (std::int64_t k = 0; k < 3; ++k) {
+    trace::Recorder rec;
+    ref::ReferenceEngine reference(scenario_options(s, &rec));
+    (void)run(reference, s, true, rec, cuts, /*perturbed=*/true);
+    std::vector<Instant> job_ends;
+    for (const trace::TraceEvent& e : rec.events()) {
+      if (e.kind == trace::EventKind::kJobEnd) job_ends.push_back(e.time);
+    }
+    const Instant floor =
+        std::max(cuts.empty() ? Instant::epoch() : cuts.back(),
+                 Instant::epoch() + (s.horizon * (k + 1)) / 4);
+    const auto first_past = [&](const std::vector<Instant>& dates) {
+      const auto it = std::upper_bound(dates.begin(), dates.end(), floor);
+      return it == dates.end() ? std::optional<Instant>() : *it;
+    };
+    const std::optional<Instant> overhead_end =
+        k % 2 == 0 ? first_past(reference.overhead_ends()) : std::nullopt;
+    const std::optional<Instant> job_end = first_past(job_ends);
+    if (overhead_end) {
+      cuts.push_back(*overhead_end);
+      ++overhead_cuts;
+    } else if (job_end) {
+      cuts.push_back(*job_end);
+      ++job_cuts;
+    } else {
+      break;
+    }
+  }
+  return cuts;
+}
+
+TEST(ReferenceModel, SlotBoundaryRunsMatchTheReference) {
+  // A run_until() whose inclusive stop point is exactly where the running
+  // job or overhead interval ends must end that slot inside the segment,
+  // as the reference dispatches its queued completion there; overhead
+  // injected and stops requested at the cut then see the same state.
+  EngineOptions bootstrap;
+  bootstrap.horizon = Instant::epoch() + 1_ms;
+  Engine engine(bootstrap);
+  trace::Recorder rec;
+  std::size_t overhead_cuts = 0;
+  std::size_t job_cuts = 0;
+  for (const bool quantized : {false, true}) {
+    for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+      const Scenario s = fuzz::random_scenario(seed, quantized);
+      const std::vector<Instant> cuts = slot_cuts(s, overhead_cuts, job_cuts);
+      rec.clear();
+      engine.reset(scenario_options(s, &rec));
+      const RunResult got = run(engine, s, true, rec, cuts, true);
+      trace::Recorder ref_rec;
+      ref::ReferenceEngine reference(scenario_options(s, &ref_rec));
+      const RunResult want = run(reference, s, true, ref_rec, cuts, true);
+      ASSERT_EQ(got.events, want.events)
+          << "seed " << seed << (quantized ? " (quantized)" : " (free)");
+      ASSERT_EQ(got.stats_hash, want.stats_hash) << "seed " << seed;
+    }
+  }
+  // Both kinds of slot end were cut at, many times over.
+  EXPECT_GT(overhead_cuts, 100u);
+  EXPECT_GT(job_cuts, 100u);
 }
 
 TEST(ReferenceModel, PartialRunsSeeDeadlinesThroughTheirStopPoint) {
