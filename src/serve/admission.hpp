@@ -138,7 +138,8 @@ struct ServiceMetrics {
   /// kExact requests answered at kRtaOnly because the engine window
   /// would release more jobs than max_cross_check_jobs allows — the
   /// service's defense against a single pathological request (a 1 ns
-  /// period next to a 1000 s one) starving every other client.
+  /// period next to a 1000 s one) starving every other client — or
+  /// reach dates past int64 nanoseconds.
   std::uint64_t oversize_cross_check_skips = 0;
   std::size_t max_queue_depth = 0;   ///< high-water mark (<= capacity).
   AnalysisTier current_tier = AnalysisTier::kExact;

@@ -1,11 +1,14 @@
 #include "serve/service.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <exception>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/math.hpp"
 #include "sched/canonical.hpp"
 #include "sched/feasibility.hpp"
 #include "sched/utilization.hpp"
@@ -352,19 +355,28 @@ CachedVerdict AdmissionService::compute(WorkerContext& ctx,
   if (tier == AnalysisTier::kRtaOnly) return out;
 
   // kExact: replay the set through the virtual-time engine and compare.
-  Duration max_period = Duration::zero();
+  // Every date the engine forms must fit in int64 nanoseconds: the window
+  // plus the farthest a release reaches past it (its next release one
+  // period on, its deadline check).
+  std::int64_t max_period = 0;
+  std::int64_t reach = 0;
   for (const sched::TaskParams& t : ts.tasks()) {
-    if (t.period > max_period) max_period = t.period;
+    max_period = std::max(max_period, t.period.count());
+    reach = std::max({reach, t.period.count(), t.deadline.count()});
   }
-  const Duration horizon = max_period * opts_.horizon_periods;
-  std::int64_t jobs = 0;
+  const std::optional<std::int64_t> horizon =
+      checked_mul(max_period, opts_.horizon_periods);
+  std::optional<std::int64_t> jobs;
+  if (horizon && checked_add(*horizon, reach)) jobs = 0;
   for (const sched::TaskParams& t : ts.tasks()) {
-    jobs += (horizon.count() + t.period.count() - 1) / t.period.count();
-    if (jobs > opts_.max_cross_check_jobs) break;
+    if (!jobs || *jobs > opts_.max_cross_check_jobs) break;
+    const std::int64_t period = t.period.count();
+    jobs = checked_add(*jobs, (*horizon + period - 1) / period);
   }
-  if (jobs > opts_.max_cross_check_jobs) {
-    // A 1 ns period next to a 1000 s one must not monopolize a worker:
-    // keep the analytic answer and tag it honestly as not cross-checked.
+  if (!jobs || *jobs > opts_.max_cross_check_jobs) {
+    // A 1 ns period next to a 1000 s one must not monopolize a worker,
+    // and a window past int64 cannot run at all: keep the analytic
+    // answer and tag it honestly as not cross-checked.
     // Mark the tier as this key's ceiling so exact-tier lookups still
     // hit the cache — recomputing would skip the cross-check again.
     out.tier = AnalysisTier::kRtaOnly;
@@ -374,7 +386,7 @@ CachedVerdict AdmissionService::compute(WorkerContext& ctx,
   }
 
   rt::EngineOptions eopts;
-  eopts.horizon = Instant::epoch() + horizon;
+  eopts.horizon = Instant::from_ns(*horizon);
   ctx.engine.reset(eopts);
   std::vector<rt::TaskHandle> handles;
   handles.reserve(ts.size());

@@ -77,7 +77,7 @@ struct ServiceOptions {
   std::int64_t horizon_periods = 8;
   /// Refuse the engine cross-check (answer at kRtaOnly) when the window
   /// would release more jobs than this — one pathological request must
-  /// not monopolize a worker.
+  /// not monopolize a worker — or reach past int64 nanoseconds.
   std::int64_t max_cross_check_jobs = 200'000;
   DegradationPolicy degradation;
   ServiceFaultPlan faults;

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <future>
+#include <limits>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "sched/feasibility.hpp"
@@ -261,6 +264,29 @@ TEST(AdmissionService, OversizeCrossChecksFallBackToRtaOnly) {
   EXPECT_EQ(again.tier, AnalysisTier::kRtaOnly);
   EXPECT_EQ(again.verdict, AdmissionVerdict::kAdmit);
   EXPECT_EQ(service.metrics().oversize_cross_check_skips, 1u);  // no rerun.
+
+  // Sets that pass validation but whose engine dates overflow int64
+  // nanoseconds: an 8 x 2^61 ns window; an 8 x 1.085e18 ns window whose
+  // next release lies a period past int64; a deadline reaching past
+  // int64 from the first release on. All are oversize, never simulated.
+  const std::pair<std::int64_t, std::int64_t> vast_shapes[] = {
+      {std::int64_t{1} << 61, std::int64_t{1} << 61},
+      {1'085'000'000'000'000'000, 1'085'000'000'000'000'000},
+      {1'000'000, std::numeric_limits<std::int64_t>::max()}};
+  std::uint64_t id = 3;
+  for (const auto& [period, deadline] : vast_shapes) {
+    const sched::TaskParams params{"vast", 1, Duration::us(100),
+                                   Duration::ns(period), Duration::ns(deadline),
+                                   Duration::zero()};
+    sched::TaskSet vast;
+    vast.add(params);
+    const AdmissionResponse big = service.admit(request_for(vast, id++));
+    EXPECT_EQ(big.status, ResponseStatus::kAnswered) << big.detail;
+    EXPECT_EQ(big.tier, AnalysisTier::kRtaOnly);
+    EXPECT_FALSE(big.cross_checked);
+    EXPECT_EQ(big.verdict, AdmissionVerdict::kAdmit);
+  }
+  EXPECT_EQ(service.metrics().oversize_cross_check_skips, 4u);
 }
 
 TEST(AdmissionService, SubmitAfterStopAnswersShutdownImmediately) {
