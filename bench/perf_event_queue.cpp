@@ -1,12 +1,14 @@
-// Event-queue cost (L0): the hierarchical timing wheel with lazy deadline
-// validation, at n = 8 / 32 / 128 tasks on a periodic-heavy workload and
-// at 16 / 64 tasks under a swarm of periodic timers. One seeded scenario
-// replays on a reused engine (the sweep's usage pattern); the
-// denominator is workload-defined — jobs released + completed, plus
-// timer fires — so ns/event tracks queue cost. The wheel pays O(1)
-// amortized placement and queues no deadline checks. The sorted-vector
-// queue with eager checks it replaced lives on as the test reference
-// (tests/runtime/reference_engine.hpp).
+// Event-queue cost (L0): the engine's binary event heap with lazy
+// deadline validation, at n = 8 / 32 / 128 tasks on a periodic-heavy
+// workload (BM_EventQueue_Releases) and at 16 / 64 tasks under a swarm
+// of periodic timers (BM_EventQueue_Timers). One seeded scenario replays
+// on a reused engine (the sweep's usage pattern); the denominator is
+// workload-defined — jobs released + completed, plus timer fires — so
+// ns/event tracks queue and dispatch cost. The heap holds one release
+// per task and one fire per timer: a dispatched release or periodic
+// timer hands its slot to its successor with one sift-down, and no
+// deadline check is queued. The sorted-vector queue with eager checks
+// lives on as the test reference (tests/runtime/reference_engine.hpp).
 #include <benchmark/benchmark.h>
 
 #include "runtime/engine.hpp"
@@ -17,7 +19,7 @@ namespace {
 
 using namespace rtft;
 
-void BM_EventQueue_TimingWheel(benchmark::State& state) {
+void BM_EventQueue_Releases(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const sched::TaskSet ts = rtft::bench::random_set(2027, n, 0.85);
 
@@ -46,12 +48,12 @@ void BM_EventQueue_TimingWheel(benchmark::State& state) {
       static_cast<double>(events), benchmark::Counter::kAvgIterations);
 }
 
-BENCHMARK(BM_EventQueue_TimingWheel)->Arg(8)->Arg(32)->Arg(128);
+BENCHMARK(BM_EventQueue_Releases)->Arg(8)->Arg(32)->Arg(128);
 
 // Timer-heavy variant: a detector-bank-like swarm of periodic timers on
-// top of the tasks, so the wheel also proves itself on non-release
-// traffic (timers are where a calendar queue classically shines).
-void BM_EventQueueTimers_TimingWheel(benchmark::State& state) {
+// top of the tasks, so the heap is measured at tasks + timers entries
+// and on non-release traffic.
+void BM_EventQueue_Timers(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const sched::TaskSet ts = rtft::bench::random_set(2028, n, 0.6);
 
@@ -87,6 +89,6 @@ void BM_EventQueueTimers_TimingWheel(benchmark::State& state) {
       static_cast<double>(events), benchmark::Counter::kAvgIterations);
 }
 
-BENCHMARK(BM_EventQueueTimers_TimingWheel)->Arg(16)->Arg(64);
+BENCHMARK(BM_EventQueue_Timers)->Arg(16)->Arg(64);
 
 }  // namespace

@@ -52,15 +52,20 @@ void DetectorBank::on_fire(rt::Engine& engine, std::size_t watch_index) {
     return;
   }
   const std::int64_t job = w.next_job++;
-  engine.sink().record(engine.now(), trace::EventKind::kDetectorFire,
-                       static_cast<std::uint32_t>(w.task), job, 0);
+  trace::Sink* sink = engine.sink();
+  if (sink != nullptr) {
+    sink->record(engine.now(), trace::EventKind::kDetectorFire,
+                 static_cast<std::uint32_t>(w.task), job, 0);
+  }
   if (config_.fire_cost.is_positive()) {
     engine.inject_overhead(config_.fire_cost);
   }
   if (!engine.job_completed(w.task, job)) {
     w.faults++;
-    engine.sink().record(engine.now(), trace::EventKind::kFaultDetected,
-                         static_cast<std::uint32_t>(w.task), job, 0);
+    if (sink != nullptr) {
+      sink->record(engine.now(), trace::EventKind::kFaultDetected,
+                   static_cast<std::uint32_t>(w.task), job, 0);
+    }
     if (handler_) handler_(engine, w.task, job);
   }
 }

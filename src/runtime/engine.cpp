@@ -6,7 +6,6 @@
 #include "common/assert.hpp"
 #include "runtime/indexed_heap.hpp"
 #include "runtime/ready_queue.hpp"
-#include "runtime/timing_wheel.hpp"
 
 namespace rtft::rt {
 namespace {
@@ -17,27 +16,26 @@ namespace {
 /// of them and live in DeadlineHeap.
 enum class EvKind : std::uint8_t { kStopEffect, kTimer, kRelease };
 
+/// One queued event. A release's job index is its task's
+/// next_release_index, so the owner's slot is all an event carries.
 struct Ev {
   Instant time;
-  EvKind kind{};
   std::uint64_t seq = 0;    ///< creation order; final tie-breaker.
-  std::size_t index = 0;    ///< task or timer index.
-  std::int64_t job = -1;    ///< job index (release).
+  std::uint32_t index = 0;  ///< task or timer index.
+  EvKind kind{};
   StopMode stop_mode = StopMode::kTask;
 };
+static_assert(sizeof(Ev) == 24, "Ev is the queue's unit of sift traffic");
 
-/// Dispatch order: (time, kind, seq) — total, since seq is unique.
-struct EvEarlier {
+/// Heap order: true when `a` dispatches after `b`, so the std heap
+/// algorithms keep the earliest event in front. Dispatch order is
+/// (time, kind, seq) — total, since seq is unique.
+struct EvLater {
   bool operator()(const Ev& a, const Ev& b) const {
-    if (a.time != b.time) return a.time < b.time;
-    if (a.kind != b.kind) return a.kind < b.kind;
-    return a.seq < b.seq;
+    if (a.time != b.time) return a.time > b.time;
+    if (a.kind != b.kind) return a.kind > b.kind;
+    return a.seq > b.seq;
   }
-};
-
-/// Time key of an event for the timing wheel.
-struct EvTimeNs {
-  std::int64_t operator()(const Ev& e) const { return e.time.count(); }
 };
 
 /// One lazily validated deadline: job `job` of its task is checked at
@@ -78,7 +76,6 @@ struct TaskRec {
   Instant start;  ///< base instant; releases at start + offset + k*T.
 
   bool stopped = false;
-  bool stop_in_flight = false;  ///< a stop-effect event is pending.
   std::int64_t next_release_index = 0;  ///< next release event to dispatch.
   std::int64_t next_start_index = 0;    ///< next job to begin execution.
 
@@ -108,7 +105,10 @@ struct TimerRec {
 struct Engine::Impl {
   EngineOptions options;
   trace::Sink* sink = nullptr;  ///< options.sink; null records nothing.
-  TimingWheel<Ev, EvEarlier, EvTimeNs> wheel;  ///< future events.
+  /// Future events: a binary heap, earliest in front. It holds one
+  /// release per live task, one fire per armed timer and the stop
+  /// effects in flight.
+  std::vector<Ev> events;
   DeadlineHeap deadlines;  ///< lazy deadline index.
   ReadyQueue ready;  ///< tasks with a current job, in dispatch order.
   std::vector<TaskRec> tasks;   ///< slots; [0, n_tasks) are live.
@@ -138,7 +138,7 @@ struct Engine::Impl {
   void rearm(EngineOptions opts) {
     options = opts;
     sink = opts.sink;
-    wheel.clear();
+    events.clear();
     deadlines.clear();
     ready.clear();
     // Drop the closures of the previous run now: a shrinking follow-up
@@ -181,7 +181,31 @@ struct Engine::Impl {
 
   void push(Ev ev) {
     ev.seq = next_seq++;
-    wheel.push(ev);
+    events.push_back(ev);
+    std::push_heap(events.begin(), events.end(), EvLater{});
+  }
+
+  /// Drops the front: the event being dispatched.
+  void pop_front() {
+    std::pop_heap(events.begin(), events.end(), EvLater{});
+    events.pop_back();
+  }
+
+  /// Hands the front (the event being dispatched) to its owner's next
+  /// event: one sift-down from the root, no pop and push.
+  void replace_front(Ev ev) {
+    ev.seq = next_seq++;
+    const std::size_t n = events.size();
+    std::size_t hole = 0;
+    for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+      if (child + 1 < n && EvLater{}(events[child], events[child + 1])) {
+        ++child;
+      }
+      if (!EvLater{}(ev, events[child])) break;
+      events[hole] = events[child];
+      hole = child;
+    }
+    events[hole] = ev;
   }
 
   // -- lazy deadline validation -----------------------------------------
@@ -407,19 +431,22 @@ struct Engine::Impl {
 
   // -- event handlers -----------------------------------------------------
 
+  // Each handler retires the front (its own event) before anything it
+  // runs can queue more.
+
   void on_release(const Ev& ev) {
     TaskRec& t = tasks[ev.index];
-    if (t.stopped) return;
-    const std::int64_t index = ev.job;
-    RTFT_ASSERT(index == t.next_release_index, "releases must be in order");
-    t.next_release_index++;
+    if (t.stopped) {
+      pop_front();
+      return;
+    }
+    const std::int64_t index = t.next_release_index++;
     t.outcomes.push_back(JobOutcome::kPending);
     t.stats.released++;
     record(now, trace::EventKind::kJobRelease, trace_id(ev.index), index, 0);
     dl_push(ev.index, index, now + t.params.deadline);
-    // Schedule the following release (one outstanding per task).
-    push(Ev{now + t.params.period, EvKind::kRelease, 0, ev.index, index + 1,
-            StopMode::kTask});
+    // The following release takes this one's place (one per task).
+    replace_front(Ev{now + t.params.period, 0, ev.index, EvKind::kRelease});
     if (!t.has_current) start_next_job(ev.index);
   }
 
@@ -454,19 +481,20 @@ struct Engine::Impl {
 
   void on_timer(const Ev& ev) {
     TimerRec& timer = timers[ev.index];
+    if (timer.periodic && !timer.cancelled) {
+      replace_front(Ev{now + timer.period, 0, ev.index, EvKind::kTimer});
+    } else {
+      pop_front();
+    }
     if (timer.cancelled) return;
     record(now, trace::EventKind::kTimerFire, trace::kNoTask, trace::kNoJob,
            static_cast<std::int64_t>(ev.index));
-    if (timer.periodic) {
-      push(Ev{now + timer.period, EvKind::kTimer, 0, ev.index, -1,
-              StopMode::kTask});
-    }
     if (timer.handler) timer.handler(*owner);
   }
 
   void on_stop_effect(const Ev& ev) {
+    pop_front();
     TaskRec& t = tasks[ev.index];
-    t.stop_in_flight = false;
     if (t.stopped) return;
     if (ev.stop_mode == StopMode::kTask) {
       t.stopped = true;
@@ -511,7 +539,7 @@ struct Engine::Impl {
     // flush those dated strictly before each step (and the rest through
     // stop_at once nothing is left to run).
     while (true) {
-      const Ev* next = wheel.empty() ? nullptr : &wheel.top();
+      const Ev* next = events.empty() ? nullptr : &events.front();
       if (cpu != CpuState::kIdle && cpu_until <= stop_at &&
           (next == nullptr || cpu_until <= next->time)) {
         // The CPU slot ends before every queued kind at its date.
@@ -521,7 +549,6 @@ struct Engine::Impl {
       } else if (next != nullptr && next->time <= stop_at) {
         const Ev ev = *next;
         flush_deadlines(ev.time, /*inclusive=*/false);
-        wheel.pop();
         advance_to(ev.time);
         dispatch(ev);
       } else {
@@ -568,7 +595,7 @@ void Engine::reserve(std::size_t tasks, std::size_t events) {
   im.timers.reserve(tasks);
   im.ready.reserve(tasks);
   im.deadlines.reserve(tasks);
-  im.wheel.reserve(events);
+  im.events.reserve(events);
 }
 
 TaskHandle Engine::add_task(const sched::TaskParams& params, CostSpec cost,
@@ -604,7 +631,8 @@ TaskHandle Engine::add_task(const sched::TaskParams& params, CostSpec cost,
         static_cast<std::size_t>(std::min(expected, kReserveCap)));
   }
   const TaskHandle handle = im.n_tasks++;
-  im.push(Ev{first_release, EvKind::kRelease, 0, handle, 0, StopMode::kTask});
+  im.push(Ev{first_release, 0, static_cast<std::uint32_t>(handle),
+             EvKind::kRelease});
   return handle;
 }
 
@@ -615,7 +643,7 @@ TimerHandle Engine::add_one_shot_timer(Instant when, TimerHandler handler) {
   im.timers[im.n_timers] =
       TimerRec{std::move(handler), Duration::zero(), false, false};
   const TimerHandle handle = im.n_timers++;
-  im.push(Ev{when, EvKind::kTimer, 0, handle, -1, StopMode::kTask});
+  im.push(Ev{when, 0, static_cast<std::uint32_t>(handle), EvKind::kTimer});
   return handle;
 }
 
@@ -627,7 +655,7 @@ TimerHandle Engine::add_periodic_timer(Instant first, Duration period,
   if (im.n_timers == im.timers.size()) im.timers.emplace_back();
   im.timers[im.n_timers] = TimerRec{std::move(handler), period, true, false};
   const TimerHandle handle = im.n_timers++;
-  im.push(Ev{first, EvKind::kTimer, 0, handle, -1, StopMode::kTask});
+  im.push(Ev{first, 0, static_cast<std::uint32_t>(handle), EvKind::kTimer});
   return handle;
 }
 
@@ -645,9 +673,9 @@ void Engine::request_stop(TaskHandle task, StopMode mode,
   impl_->record(impl_->now, trace::EventKind::kStopRequested,
                 impl_->trace_id(task),
                 t.has_current ? t.cur_index : trace::kNoJob, 0);
-  t.stop_in_flight = true;
   impl_->push(Ev{impl_->now + impl_->options.stop_poll_latency + extra_latency,
-                 EvKind::kStopEffect, 0, task, -1, mode});
+                 0, static_cast<std::uint32_t>(task), EvKind::kStopEffect,
+                 mode});
 }
 
 void Engine::inject_overhead(Duration amount) {
@@ -704,8 +732,6 @@ std::int64_t Engine::jobs_released(TaskHandle task) const {
   return impl_->tasks[task].stats.released;
 }
 
-trace::Sink& Engine::sink() const {
-  return impl_->sink != nullptr ? *impl_->sink : trace::NullSink::instance();
-}
+trace::Sink* Engine::sink() const { return impl_->sink; }
 
 }  // namespace rtft::rt

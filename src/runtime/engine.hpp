@@ -57,7 +57,7 @@ using TaskHandle = std::size_t;
 using TimerHandle = std::size_t;
 
 /// What a stop request terminates (§4.1).
-enum class StopMode {
+enum class StopMode : std::uint8_t {
   kTask,  ///< the paper's behaviour: the thread ends; no future releases.
   kJob,   ///< only the current job is abandoned; the task keeps running.
 };
@@ -176,9 +176,9 @@ class Engine {
   /// Number of jobs released so far.
   [[nodiscard]] std::int64_t jobs_released(TaskHandle task) const;
 
-  /// The sink this engine records through (the shared NullSink when none
-  /// was configured). Detectors and treatments record through this too.
-  [[nodiscard]] trace::Sink& sink() const;
+  /// The sink this engine records through; null records nothing.
+  /// Detectors and treatments record through it too, after a null test.
+  [[nodiscard]] trace::Sink* sink() const;
 
  private:
   struct Impl;

@@ -6,9 +6,9 @@
 // table, so membership tests and removal of an arbitrary task are O(1)
 // lookup + O(log n) restore. At most one entry per task may be queued.
 //
-// Reuse discipline matches timing_wheel.hpp: clear() empties the heap in
-// O(size) while every buffer keeps its capacity, so one heap serves
-// thousands of scenario runs without reallocation.
+// Reuse discipline: clear() empties the heap in O(size) while every
+// buffer keeps its capacity, so one heap serves thousands of scenario
+// runs without reallocation.
 #pragma once
 
 #include <cstdint>

@@ -9,8 +9,8 @@
 // assigned once per job and preemption does not re-queue), so the
 // update operation is never used here.
 //
-// Reuse discipline matches timing_wheel.hpp: clear() empties the queue in
-// O(size) while every buffer keeps its capacity, so one queue serves
+// Reuse discipline matches indexed_heap.hpp: clear() empties the queue
+// in O(size) while every buffer keeps its capacity, so one queue serves
 // thousands of scenario runs without reallocation.
 #pragma once
 

@@ -15,6 +15,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <mutex>
 #include <optional>
@@ -27,6 +28,14 @@ namespace rtft::serve {
 template <typename T>
 class BoundedQueue {
  public:
+  /// One popped item plus the queue reading taken under the same lock.
+  struct Popped {
+    T item;
+    std::size_t depth = 0;  ///< depth including the item, at pop time.
+    std::uint64_t seq = 0;  ///< pop ordinal (from 1): orders the readings
+                            ///< of consumers that race after the pop.
+  };
+
   explicit BoundedQueue(std::size_t capacity) : capacity_(capacity) {
     RTFT_EXPECTS(capacity > 0, "a bounded queue needs capacity >= 1");
   }
@@ -48,14 +57,13 @@ class BoundedQueue {
   /// Blocks until an item is available or the queue is closed and empty.
   /// Returns the item plus the depth *including* it at pop time (what the
   /// degradation controller keys on), or std::nullopt at end of stream.
-  [[nodiscard]] std::optional<std::pair<T, std::size_t>> pop() {
+  [[nodiscard]] std::optional<Popped> pop() {
     std::unique_lock<std::mutex> lock(mu_);
     ready_.wait(lock, [&] { return closed_ || !items_.empty(); });
     if (items_.empty()) return std::nullopt;  // closed and drained.
-    const std::size_t depth = items_.size();
-    T item = std::move(items_.front());
+    Popped out{std::move(items_.front()), items_.size(), ++pops_};
     items_.pop_front();
-    return std::make_pair(std::move(item), depth);
+    return out;
   }
 
   /// Refuses future pushes and wakes every blocked consumer. Items
@@ -90,6 +98,7 @@ class BoundedQueue {
   std::condition_variable ready_;
   std::deque<T> items_;
   std::size_t max_depth_ = 0;
+  std::uint64_t pops_ = 0;
   bool closed_ = false;
 };
 

@@ -101,11 +101,11 @@ void AdmissionService::stop() {
   // Never-started services still owe answers on whatever was preloaded.
   while (auto popped = queue_.pop()) {
     AdmissionResponse resp;
-    resp.id = popped->first.request.id;
+    resp.id = popped->item.request.id;
     resp.status = ResponseStatus::kShutdown;
     resp.detail = "service stopped before a worker picked this up";
     rejected_shutdown_.fetch_add(1);
-    popped->first.promise.set_value(std::move(resp));
+    popped->item.promise.set_value(std::move(resp));
   }
 }
 
@@ -177,11 +177,17 @@ Duration AdmissionService::estimate_retry_after() const {
 // The degradation ladder.
 // ---------------------------------------------------------------------------
 
-AnalysisTier AdmissionService::update_tier(std::size_t depth_at_pop) {
+AnalysisTier AdmissionService::update_tier(std::size_t depth_at_pop,
+                                           std::uint64_t pop_seq) {
   const DegradationPolicy& p = opts_.degradation;
   const double fill = static_cast<double>(depth_at_pop) /
                       static_cast<double>(queue_.capacity());
   const std::lock_guard<std::mutex> lock(ctrl_mu_);
+  // A worker descheduled between its pop and this lock carries a reading
+  // older than one already applied: applying it would put a drained
+  // queue's ladder back where an earlier, fuller queue had it.
+  if (pop_seq < last_pop_seq_) return tier_;
+  last_pop_seq_ = pop_seq;
   // Each pressure flag latches at its threshold and releases only below
   // threshold * recover_factor — the hysteresis that keeps a fill
   // hovering at a boundary from flapping the tier on every request.
@@ -229,8 +235,8 @@ void AdmissionService::note_latency(Duration elapsed) {
 void AdmissionService::worker_loop() {
   WorkerContext ctx;
   while (auto popped = queue_.pop()) {
-    Pending& item = popped->first;
-    const AnalysisTier tier = update_tier(popped->second);
+    Pending& item = popped->item;
+    const AnalysisTier tier = update_tier(popped->depth, popped->seq);
     const std::int64_t t0 = steady_ns();
     AdmissionResponse resp;
     try {
@@ -348,10 +354,12 @@ CachedVerdict AdmissionService::compute(WorkerContext& ctx,
     return out;
   }
 
-  const sched::FeasibilityReport report = sched::analyze(ts);
-  out.utilization = report.utilization;
-  out.verdict = report.feasible ? AdmissionVerdict::kAdmit
-                                : AdmissionVerdict::kReject;
+  // The deadline-capped kernel: an infeasible task stops at its first
+  // certain miss, so a set at U = 1.00 cannot hold the worker for a
+  // busy period that runs toward the hyperperiod.
+  const bool feasible = sched::is_feasible(ts);
+  out.verdict =
+      feasible ? AdmissionVerdict::kAdmit : AdmissionVerdict::kReject;
   if (tier == AnalysisTier::kRtaOnly) return out;
 
   // kExact: replay the set through the virtual-time engine and compare.
@@ -403,7 +411,7 @@ CachedVerdict AdmissionService::compute(WorkerContext& ctx,
   for (const rt::TaskHandle h : handles) missed += ctx.engine.stats(h).missed;
   cross_checked = true;
   const bool engine_clean = missed == 0;
-  if (engine_clean != report.feasible) {
+  if (engine_clean != feasible) {
     // RTA is a sound worst case, so this is a library bug surfaced by
     // traffic; count it loudly, answer from the analysis.
     cross_check_disagreements_.fetch_add(1);

@@ -138,8 +138,10 @@ class AdmissionService {
   [[nodiscard]] CachedVerdict compute(WorkerContext& ctx,
                                       const sched::TaskSet& ts,
                                       AnalysisTier tier, bool& cross_checked);
-  /// Re-evaluates the ladder from the queue fill seen at pop time.
-  [[nodiscard]] AnalysisTier update_tier(std::size_t depth_at_pop);
+  /// Re-evaluates the ladder from the queue fill seen at pop `pop_seq`;
+  /// a reading older than one already applied only reads the tier.
+  [[nodiscard]] AnalysisTier update_tier(std::size_t depth_at_pop,
+                                         std::uint64_t pop_seq);
   void note_latency(Duration elapsed);
   [[nodiscard]] Duration estimate_retry_after() const;
 
@@ -161,6 +163,7 @@ class AdmissionService {
   bool bound_degraded_ = false;
   bool latency_degraded_ = false;
   AnalysisTier tier_ = AnalysisTier::kExact;
+  std::uint64_t last_pop_seq_ = 0;  ///< the newest reading applied.
   double ema_latency_ns_ = 0.0;
 
   // Monotonic counters (ServiceMetrics snapshot sources).

@@ -2,11 +2,6 @@
 
 namespace rtft::trace {
 
-NullSink& NullSink::instance() {
-  static NullSink sink;
-  return sink;
-}
-
 void CountingSink::reset() {
   tasks_.clear();
   for (std::int64_t& n : kind_totals_) n = 0;

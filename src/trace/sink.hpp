@@ -45,15 +45,12 @@ class Sink {
   }
 };
 
-/// Discards every event. What Engine::sink() hands detectors and
-/// treatments when no sink is supplied.
+/// Discards every event: the virtual-call baseline of a sink that keeps
+/// nothing. A run that needs no observation passes no sink instead.
 class NullSink final : public Sink {
  public:
   using Sink::record;
   void record(const TraceEvent&) override {}
-
-  /// Shared stateless instance.
-  static NullSink& instance();
 };
 
 /// Per-task counters maintained by a CountingSink — the same facts an

@@ -156,11 +156,12 @@ TEST(EngineReuse, SinkCanBeSwappedOnReset) {
   eng.add_task(sched::TaskParams{"t", 5, 1_ms, 10_ms, 10_ms, 0_ms});
   eng.run();
   EXPECT_EQ(flatten(a), flatten(b));
-  EXPECT_EQ(&eng.sink(), &b);
+  EXPECT_EQ(eng.sink(), &b);
 }
 
 TEST(EngineReuse, DefaultSinkDiscardsButStatsSurvive) {
   Engine eng(traced_options(100_ms, nullptr));
+  EXPECT_EQ(eng.sink(), nullptr);
   const TaskHandle t =
       eng.add_task(sched::TaskParams{"t", 5, 7_ms, 50_ms, 50_ms, 0_ms});
   eng.run();

@@ -1,7 +1,7 @@
 // Timer behaviour under engine reuse: a reset() engine must reproduce a
 // fresh engine's timer traces exactly — one-shot, periodic and cancelled
-// timers (the timing wheel keeps timer events in pooled slot lists and
-// the cursor survives nothing across clear()).
+// timers (the event heap keeps its capacity across reset(), but no entry
+// and no sequence number survive it).
 #include <gtest/gtest.h>
 
 #include <cstdint>

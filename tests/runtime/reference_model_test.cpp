@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "golden/engine_corpus.hpp"
@@ -223,6 +224,95 @@ TEST(ReferenceModel, SlotBoundaryRunsMatchTheReference) {
   // Both kinds of slot end were cut at, many times over.
   EXPECT_GT(overhead_cuts, 100u);
   EXPECT_GT(job_cuts, 100u);
+}
+
+/// A hand-built scenario that keeps the event queue deep, on a 1 ms grid
+/// so that many events share a date: 40 tasks and 80 timers (60
+/// periodic, 20 one-shot, 16 cancelled mid-run), four stop requests for
+/// one task and two for others at one date, all in flight together
+/// through the 2 ms poll latency, and overhead injected at that date.
+Scenario deep_queue_scenario() {
+  Scenario s;
+  s.horizon = 400_ms;
+  s.stop_poll_latency = 2_ms;
+  for (std::int64_t i = 0; i < 40; ++i) {
+    sched::TaskParams p;
+    p.name = "t" + std::to_string(i);
+    p.priority = static_cast<int>(1 + i % 5);
+    p.period = Duration::ms(20 + 5 * (i % 21));
+    p.cost = Duration::ms(1 + i % 2);
+    p.deadline = i % 7 == 0 ? p.cost * 2 : p.period;  // some must miss.
+    p.offset = Duration::ms(5 * (i % 3));
+    s.tasks.push_back(p);
+    s.cost_seeds.push_back(0x5eed + static_cast<std::uint64_t>(i));
+  }
+  for (std::int64_t k = 0; k < 80; ++k) {
+    fuzz::TimerPlan t;
+    const bool one_shot = k % 4 == 3;
+    t.first = one_shot ? Duration::ms((k * 37) % 390) : Duration::ms(k % 10);
+    t.period = one_shot ? Duration::zero() : Duration::ms(1 + k % 25);
+    t.cancel_at =
+        k % 5 == 1 ? Duration::ms(100 + 10 * (k % 20)) : Duration::zero();
+    s.timers.push_back(t);
+  }
+  for (const StopMode mode :
+       {StopMode::kJob, StopMode::kJob, StopMode::kJob, StopMode::kTask}) {
+    s.stops.push_back(fuzz::StopPlan{120_ms, 7, mode, Duration::zero()});
+  }
+  s.stops.push_back(fuzz::StopPlan{120_ms, 8, StopMode::kJob, 0_ms});
+  s.stops.push_back(fuzz::StopPlan{120_ms, 9, StopMode::kTask, 0_ms});
+  s.overheads.push_back(fuzz::OverheadPlan{120_ms, 1_ms});
+  s.overrun = fuzz::OverrunPlan{5, 1, 3_ms};
+  return s;
+}
+
+TEST(ReferenceModel, DeepQueueMatchesTheReference) {
+  // The fuzz scenarios queue about two dozen events at most, but
+  // FtSystem and the RTSJ facade accept any number of timers. Every
+  // task, timer, stop, overhead and cancellation queues one event when
+  // registered, so the heap starts more than 100 deep.
+  const Scenario s = deep_queue_scenario();
+  std::size_t cancels = 0;
+  for (const fuzz::TimerPlan& t : s.timers) {
+    cancels += t.cancel_at.is_positive() ? 1 : 0;
+  }
+  ASSERT_GE(s.tasks.size() + s.timers.size() + s.stops.size() +
+                s.overheads.size() + cancels,
+            100u);
+
+  EngineOptions bootstrap;
+  bootstrap.horizon = Instant::epoch() + 1_ms;
+  Engine engine(bootstrap);
+  trace::Recorder rec;
+  // Straight runs, and runs cut where the stops are requested and where
+  // they take effect, in both overrun forms.
+  const std::vector<Instant> cuts = {Instant::epoch() + 120_ms,
+                                     Instant::epoch() + 122_ms,
+                                     Instant::epoch() + 250_ms};
+  for (const bool flat : {true, false}) {
+    for (const bool cut : {false, true}) {
+      rec.clear();
+      engine.reset(scenario_options(s, &rec));
+      const RunResult got =
+          run(engine, s, flat, rec, cut ? cuts : std::vector<Instant>{});
+      const RunResult want = run_reference(s, flat);
+      ASSERT_EQ(got.events, want.events) << "flat " << flat << " cut " << cut;
+      ASSERT_EQ(got.stats_hash, want.stats_hash) << "flat " << flat;
+      const trace::ValidationResult v =
+          trace::validate_trace(fuzz::task_set(s), rec);
+      EXPECT_TRUE(v.ok()) << v.summary();
+      // The stops really were in flight together: six requests, two of
+      // them ending their task.
+      std::int64_t requested = 0;
+      std::int64_t stopped = 0;
+      for (const trace::TraceEvent& e : rec.events()) {
+        requested += e.kind == trace::EventKind::kStopRequested ? 1 : 0;
+        stopped += e.kind == trace::EventKind::kTaskStopped ? 1 : 0;
+      }
+      EXPECT_EQ(requested, 6);
+      EXPECT_EQ(stopped, 2);
+    }
+  }
 }
 
 TEST(ReferenceModel, PartialRunsSeeDeadlinesThroughTheirStopPoint) {

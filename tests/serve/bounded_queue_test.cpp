@@ -26,12 +26,14 @@ TEST(BoundedQueue, PopReportsDepthIncludingTheItem) {
   ASSERT_TRUE(q.try_push(20));
   auto first = q.pop();
   ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->first, 10);
-  EXPECT_EQ(first->second, 2u);  // both items were queued at pop time.
+  EXPECT_EQ(first->item, 10);
+  EXPECT_EQ(first->depth, 2u);  // both items were queued at pop time.
+  EXPECT_EQ(first->seq, 1u);
   auto second = q.pop();
   ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->first, 20);
-  EXPECT_EQ(second->second, 1u);
+  EXPECT_EQ(second->item, 20);
+  EXPECT_EQ(second->depth, 1u);
+  EXPECT_EQ(second->seq, 2u);  // pop order, whatever the consumer.
 }
 
 TEST(BoundedQueue, RefusedPushLeavesTheItemWithTheCaller) {
@@ -52,10 +54,10 @@ TEST(BoundedQueue, CloseDrainsAcceptedItemsThenEndsTheStream) {
   EXPECT_FALSE(q.try_push(3));  // closed: producers refused...
   auto a = q.pop();             // ...but consumers still drain.
   ASSERT_TRUE(a.has_value());
-  EXPECT_EQ(a->first, 1);
+  EXPECT_EQ(a->item, 1);
   auto b = q.pop();
   ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(b->first, 2);
+  EXPECT_EQ(b->item, 2);
   EXPECT_FALSE(q.pop().has_value());  // end of stream.
   q.close();                          // idempotent.
   EXPECT_FALSE(q.pop().has_value());
@@ -83,9 +85,9 @@ TEST(BoundedQueue, ManyProducersManyConsumersLoseNothing) {
   for (std::size_t c = 0; c < kConsumers; ++c) {
     threads.emplace_back([&] {
       while (auto item = q.pop()) {
-        popped_sum.fetch_add(item->first);
+        popped_sum.fetch_add(item->item);
         popped_count.fetch_add(1);
-        EXPECT_LE(item->second, q.capacity());
+        EXPECT_LE(item->depth, q.capacity());
       }
     });
   }
