@@ -7,17 +7,14 @@
 #include <string>
 #include <vector>
 
-#include "sweep/export.hpp"
+#include "common/strings.hpp"
 
 namespace rtft::bench {
 namespace {
 
-using sweep::detail::append_double;
-using sweep::detail::appendf;
-
 /// Counter names may contain '/' but nothing that needs more escaping;
 /// escape the JSON specials anyway so the document is always valid.
-void append_json_string(std::string& out, const std::string& s) {
+void append_quoted(std::string& out, const std::string& s) {
   out += '"';
   for (const char c : s) {
     switch (c) {
@@ -26,7 +23,9 @@ void append_json_string(std::string& out, const std::string& s) {
       case '\n': out += "\\n"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          appendf(out, "\\u%04x", static_cast<unsigned>(c));
+          out += "\\u00";
+          out += "0123456789abcdef"[c >> 4];
+          out += "0123456789abcdef"[c & 15];
         } else {
           out += c;
         }
@@ -81,18 +80,18 @@ std::string basename_of(const char* path) {
 std::string render_bench_json(const std::string& bench_name,
                               const std::vector<JsonRun>& runs) {
   std::string out = "{\n  \"bench\": ";
-  append_json_string(out, bench_name);
+  append_quoted(out, bench_name);
   out += ",\n  \"config\": {\"build\": ";
-  append_json_string(out, build_type());
-  appendf(out, ", \"pointer_bits\": %zu},\n  \"results\": [",
-          sizeof(void*) * 8);
+  append_quoted(out, build_type());
+  out += ", \"pointer_bits\": " + std::to_string(sizeof(void*) * 8) +
+         "},\n  \"results\": [";
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const JsonRun& r = runs[i];
     if (i > 0) out += ',';
     out += "\n    {\"name\": ";
-    append_json_string(out, r.name);
-    appendf(out, ", \"iterations\": %lld, \"real_ns_per_iter\": ",
-            static_cast<long long>(r.iterations));
+    append_quoted(out, r.name);
+    out += ", \"iterations\": " + std::to_string(r.iterations) +
+           ", \"real_ns_per_iter\": ";
     append_double(out, r.real_ns_per_iter);
     out += ", \"cpu_ns_per_iter\": ";
     append_double(out, r.cpu_ns_per_iter);
@@ -101,7 +100,7 @@ std::string render_bench_json(const std::string& bench_name,
     out += ", \"counters\": {";
     for (std::size_t c = 0; c < r.counters.size(); ++c) {
       if (c > 0) out += ", ";
-      append_json_string(out, r.counters[c].first);
+      append_quoted(out, r.counters[c].first);
       out += ": ";
       append_double(out, r.counters[c].second);
       if (r.counters[c].first == "events/iter") {
@@ -133,11 +132,11 @@ std::string render_bench_json(const std::string& bench_name,
 int main(int argc, char** argv) {
   // Peel off --json [PATH] before Google Benchmark sees the arguments.
   std::string json_path;
-  bool write_json = false;
+  bool emit_json = false;
   int out = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) {
-      write_json = true;
+      emit_json = true;
       if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
         json_path = argv[++i];
       }
@@ -154,7 +153,7 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   if (ran == 0) return 1;
 
-  if (write_json) {
+  if (emit_json) {
     const std::string bench = rtft::bench::basename_of(argv[0]);
     if (json_path.empty()) json_path = "BENCH_" + bench + ".json";
     const std::string doc =

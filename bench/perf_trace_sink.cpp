@@ -179,7 +179,7 @@ void BM_DetectorRun_FreshRecorder(benchmark::State& state) {
 BENCHMARK(BM_DetectorRun_FreshRecorder);
 
 void BM_DetectorRun_ReusedRecorder(benchmark::State& state) {
-  // full_traces sweeps: engine reused, recorder cleared between runs.
+  // A full trace per run: engine reused, recorder cleared between runs.
   const DetectorScenario s = make_scenario();
   trace::Recorder rec;
   rt::EngineOptions eopts;

@@ -8,7 +8,7 @@
 //                [--cores m1,m2,...] [--quantum-us q1,q2,...]
 //                [--partitioner both|first-fit|fault-aware]
 //                [--core-fault F] [--policy NAME] [--horizon-periods K]
-//                [--verdicts] [--full-traces] [--progress]
+//                [--verdicts] [--progress]
 //                [--csv FILE] [--cells-csv FILE] [--json FILE]
 //                [--shard I/N [--emit-shard FILE]]
 //   sweep_runner --merge FILE...
@@ -83,7 +83,7 @@ using namespace rtft;
       "          [--cores m1,m2,...] [--quantum-us q1,q2,...]\n"
       "          [--partitioner both|first-fit|fault-aware]\n"
       "          [--core-fault F] [--policy NAME] [--horizon-periods K]\n"
-      "          [--verdicts] [--full-traces] [--progress]\n"
+      "          [--verdicts] [--progress]\n"
       "          [--csv FILE] [--cells-csv FILE] [--json FILE]\n"
       "          [--shard I/N [--emit-shard FILE]]\n"
       "       %s --merge FILE...\n",

@@ -2,9 +2,25 @@
 
 #include <cctype>
 #include <charconv>
+#include <clocale>
 #include <cstdio>
 
+#include "common/assert.hpp"
+
 namespace rtft {
+namespace {
+
+/// Appends C-library output with its locale decimal point made '.'.
+void append_dot_decimal(std::string& out, std::string_view formatted) {
+  const char* dp = std::localeconv()->decimal_point;
+  if (dp == nullptr || (dp[0] == '.' && dp[1] == '\0')) {
+    out += formatted;
+  } else {
+    out += normalize_decimal_point(formatted, dp);
+  }
+}
+
+}  // namespace
 
 std::string_view trim(std::string_view s) {
   std::size_t b = 0;
@@ -29,7 +45,31 @@ std::vector<std::string_view> split(std::string_view s, char sep) {
 std::string format_fixed(double value, int digits) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", digits, value);
-  return buf;
+  std::string out;
+  append_dot_decimal(out, buf);
+  return out;
+}
+
+void append_double(std::string& out, double value) {
+  char buf[64];
+  const int n = std::snprintf(buf, sizeof(buf), "%.17g", value);
+  RTFT_ASSERT(n > 0 && static_cast<std::size_t>(n) < sizeof(buf),
+              "%.17g exceeds the number buffer");
+  append_dot_decimal(out, std::string_view(buf, static_cast<std::size_t>(n)));
+}
+
+std::string normalize_decimal_point(std::string_view formatted,
+                                    std::string_view decimal_point) {
+  const std::size_t pos = decimal_point.empty() || decimal_point == "."
+                              ? std::string_view::npos
+                              : formatted.find(decimal_point);
+  if (pos == std::string_view::npos) return std::string(formatted);
+  std::string out;
+  out.reserve(formatted.size());
+  out.append(formatted.substr(0, pos));
+  out += '.';
+  out.append(formatted.substr(pos + decimal_point.size()));
+  return out;
 }
 
 std::string pad_left(std::string_view s, std::size_t width) {

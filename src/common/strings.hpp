@@ -15,8 +15,23 @@ namespace rtft {
 [[nodiscard]] std::vector<std::string_view> split(std::string_view s,
                                                   char sep);
 
-/// Fixed-point decimal rendering with `digits` places (no locale).
+// Number rendering. The C library formats floats with the global
+// LC_NUMERIC locale; both writers below force the decimal separator to
+// '.', so a comma locale cannot corrupt a CSV row, a JSON document, an
+// SVG coordinate or a report line.
+
+/// Fixed-point decimal rendering with `digits` places.
 [[nodiscard]] std::string format_fixed(double value, int digits);
+
+/// Appends `value` as %.17g, the shortest form that round-trips
+/// bit-exactly through parse_double.
+void append_double(std::string& out, double value);
+
+/// The locale fix-up both writers apply: replaces the first occurrence
+/// of `decimal_point` (as written by the C library, possibly
+/// multi-byte) in `formatted` with '.'.
+[[nodiscard]] std::string normalize_decimal_point(
+    std::string_view formatted, std::string_view decimal_point);
 
 /// Left/right padding to a column width (spaces; no truncation).
 [[nodiscard]] std::string pad_left(std::string_view s, std::size_t width);

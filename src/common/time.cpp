@@ -1,28 +1,19 @@
 #include "common/time.hpp"
 
-#include <cinttypes>
-#include <cstdio>
+#include "common/strings.hpp"
 
 namespace rtft {
 namespace {
 
 std::string format_scaled(std::int64_t ns, std::int64_t scale,
                           const char* unit) {
-  const std::int64_t whole = ns / scale;
-  const std::int64_t frac = ns % scale < 0 ? -(ns % scale) : ns % scale;
-  char buf[64];
-  if (frac == 0) {
-    std::snprintf(buf, sizeof buf, "%" PRId64 "%s", whole, unit);
-  } else {
-    // Print the fraction with just enough digits, trimming zeros.
-    double value = static_cast<double>(ns) / static_cast<double>(scale);
-    std::snprintf(buf, sizeof buf, "%.6f", value);
-    std::string s(buf);
-    while (!s.empty() && s.back() == '0') s.pop_back();
-    if (!s.empty() && s.back() == '.') s.pop_back();
-    return s + unit;
-  }
-  return buf;
+  if (ns % scale == 0) return std::to_string(ns / scale) + unit;
+  // Print the fraction with just enough digits, trimming zeros.
+  std::string s =
+      format_fixed(static_cast<double>(ns) / static_cast<double>(scale), 6);
+  while (!s.empty() && s.back() == '0') s.pop_back();
+  if (!s.empty() && s.back() == '.') s.pop_back();
+  return s + unit;
 }
 
 }  // namespace

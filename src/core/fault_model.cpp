@@ -45,17 +45,6 @@ rt::CostSpec FaultPlan::cost_spec_for(const sched::TaskSet& ts,
   if (deltas.size() == 1) {
     return rt::CostSpec::fixed_overrun(deltas[0].first, deltas[0].second);
   }
-  return rt::CostSpec(cost_model_for(ts, id));  // multi-job: general path.
-}
-
-rt::CostModel FaultPlan::cost_model_for(const sched::TaskSet& ts,
-                                        sched::TaskId id) const {
-  const sched::TaskParams& params = ts[id];
-  std::vector<std::pair<std::int64_t, Duration>> deltas;
-  for (const FaultSpec& f : faults_) {
-    if (f.task == params.name) deltas.emplace_back(f.job_index, f.extra_cost);
-  }
-  if (deltas.empty()) return {};
   const Duration nominal = params.cost;
   return [nominal, deltas = std::move(deltas)](std::int64_t job) {
     Duration cost = nominal;

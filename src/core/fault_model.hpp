@@ -5,7 +5,7 @@
 // (§3). The evaluation injects such overruns deliberately ("a cost overrun
 // was voluntarily added for the priority task", §6). FaultPlan captures
 // those injections declaratively and converts them into per-task
-// CostModels for the engine. Negative deltas (cost under-runs, the §7
+// CostSpecs for the engine. Negative deltas (cost under-runs, the §7
 // future-work case) are also supported.
 #pragma once
 
@@ -44,20 +44,14 @@ class FaultPlan {
   /// Validates that every referenced task exists in `ts`.
   void validate_against(const sched::TaskSet& ts) const;
 
-  /// Flat CostSpec for task `id`: kNominal when no fault touches the
-  /// task, kFixedOverrunAtJob when all matching deltas hit one job (the
-  /// paper's single-injection case — and everything the sweep emits),
-  /// kCustom wrapping cost_model_for otherwise. Resolves to the same
-  /// per-job costs as cost_model_for in every case.
+  /// CostSpec for task `id`: each job costs the task's nominal cost
+  /// plus the deltas that hit it, floored at 1 ns (a job always does
+  /// some work). kNominal when no fault touches the task,
+  /// kFixedOverrunAtJob when every matching delta hits one job (the
+  /// paper's single-injection case), kCustom over the coalesced
+  /// per-job deltas otherwise.
   [[nodiscard]] rt::CostSpec cost_spec_for(const sched::TaskSet& ts,
                                            sched::TaskId id) const;
-
-  /// CostModel for task `id`: nominal cost plus any matching deltas,
-  /// floored at 1 ns (a job always does some work). Returns an empty
-  /// model when no fault touches the task. Retained as the
-  /// randomized-equivalence oracle for cost_spec_for.
-  [[nodiscard]] rt::CostModel cost_model_for(const sched::TaskSet& ts,
-                                             sched::TaskId id) const;
 
  private:
   std::vector<FaultSpec> faults_;

@@ -2,21 +2,9 @@
 
 #include <algorithm>
 
+#include "common/fnv.hpp"
+
 namespace rtft::sched {
-
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffULL;
-    h *= kFnvPrime;
-  }
-}
-
-}  // namespace
 
 CanonicalTaskSet canonicalize(const TaskSet& ts) {
   CanonicalTaskSet canon;
@@ -35,7 +23,7 @@ CanonicalTaskSet canonicalize(const TaskSet& ts) {
               return std::lexicographical_compare(a.begin() + 1, a.end(),
                                                   b.begin() + 1, b.end());
             });
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = kFnvOffsetBasis;
   fnv_mix(h, canon.rows.size());
   for (const CanonicalRow& row : canon.rows) {
     for (const std::int64_t field : row) {

@@ -17,6 +17,14 @@ namespace rtft::serve {
 
 namespace {
 
+// The degradation ladder's queue-fill thresholds. A tier degrades when
+// the fill seen at a pop reaches its threshold and recovers when the
+// fill drops to threshold * kRecoverFactor: the hysteresis keeps a fill
+// hovering at a threshold from flapping the tier on every request.
+constexpr double kDegradeRtaAt = 0.50;    ///< fill >= this: no cross-check.
+constexpr double kDegradeBoundAt = 0.80;  ///< fill >= this: bounds only.
+constexpr double kRecoverFactor = 0.5;
+
 rt::EngineOptions placeholder_engine_options() {
   rt::EngineOptions eopts;
   eopts.horizon = Instant::from_ns(1);  // re-armed before every cross-check.
@@ -72,10 +80,6 @@ AdmissionService::AdmissionService(ServiceOptions options)
   RTFT_EXPECTS(opts_.workers > 0, "admission service needs >= 1 worker");
   RTFT_EXPECTS(opts_.horizon_periods > 0,
                "cross-check horizon must cover >= 1 period");
-  RTFT_EXPECTS(opts_.degradation.degrade_rta_at > 0.0 &&
-                   opts_.degradation.degrade_bound_at >=
-                       opts_.degradation.degrade_rta_at,
-               "degradation thresholds must be ordered and positive");
   if (opts_.autostart) start();
 }
 
@@ -179,7 +183,6 @@ Duration AdmissionService::estimate_retry_after() const {
 
 AnalysisTier AdmissionService::update_tier(std::size_t depth_at_pop,
                                            std::uint64_t pop_seq) {
-  const DegradationPolicy& p = opts_.degradation;
   const double fill = static_cast<double>(depth_at_pop) /
                       static_cast<double>(queue_.capacity());
   const std::lock_guard<std::mutex> lock(ctrl_mu_);
@@ -188,31 +191,20 @@ AnalysisTier AdmissionService::update_tier(std::size_t depth_at_pop,
   // queue's ladder back where an earlier, fuller queue had it.
   if (pop_seq < last_pop_seq_) return tier_;
   last_pop_seq_ = pop_seq;
-  // Each pressure flag latches at its threshold and releases only below
-  // threshold * recover_factor — the hysteresis that keeps a fill
-  // hovering at a boundary from flapping the tier on every request.
-  if (fill >= p.degrade_rta_at) {
+  if (fill >= kDegradeRtaAt) {
     rta_degraded_ = true;
-  } else if (fill <= p.degrade_rta_at * p.recover_factor) {
+  } else if (fill <= kDegradeRtaAt * kRecoverFactor) {
     rta_degraded_ = false;
   }
-  if (fill >= p.degrade_bound_at) {
+  if (fill >= kDegradeBoundAt) {
     bound_degraded_ = true;
-  } else if (fill <= p.degrade_bound_at * p.recover_factor) {
+  } else if (fill <= kDegradeBoundAt * kRecoverFactor) {
     bound_degraded_ = false;
-  }
-  if (p.latency_degrade_at.is_positive()) {
-    const double threshold = static_cast<double>(p.latency_degrade_at.count());
-    if (ema_latency_ns_ >= threshold) {
-      latency_degraded_ = true;
-    } else if (ema_latency_ns_ <= threshold * p.recover_factor) {
-      latency_degraded_ = false;
-    }
   }
   AnalysisTier next = AnalysisTier::kExact;
   if (bound_degraded_) {
     next = AnalysisTier::kBound;
-  } else if (rta_degraded_ || latency_degraded_) {
+  } else if (rta_degraded_) {
     next = AnalysisTier::kRtaOnly;
   }
   if (next > tier_) degrade_steps_.fetch_add(1);

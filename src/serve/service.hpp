@@ -21,12 +21,13 @@
 //     answered — including during shutdown.
 //   * Shed before work: a request whose deadline passed while queued is
 //     answered kShedDeadline without spending analysis on it.
-//   * The degradation ladder: under queue-depth (or observed-latency)
-//     pressure workers step down from exact RTA + engine cross-check to
-//     RTA only to constant-time utilization bounds, every response
-//     tagged with the tier that produced it, and step back up (with
-//     hysteresis) when pressure clears. Degraded answers are weaker but
-//     bounded — kInconclusive at worst — never wrong.
+//   * The degradation ladder: under queue-depth pressure workers step
+//     down from exact RTA + engine cross-check (queue half full) to RTA
+//     only, then (four fifths full) to constant-time utilization
+//     bounds, every response tagged with the tier that produced it, and
+//     step back up (with hysteresis, at half those fills) when pressure
+//     clears. Degraded answers are weaker but bounded — kInconclusive
+//     at worst — never wrong.
 //   * Pooled engines: each worker reuses one rt::Engine through the
 //     reset() path, so steady-state serving allocates nothing per
 //     request on the engine side.
@@ -53,21 +54,6 @@
 
 namespace rtft::serve {
 
-/// When the ladder steps. Thresholds are queue-fill fractions in (0, 1];
-/// a tier degrades when fill reaches its threshold and recovers when
-/// fill drops to threshold * recover_factor (hysteresis, so a fill
-/// hovering at a threshold cannot make the tier flap every request).
-struct DegradationPolicy {
-  double degrade_rta_at = 0.50;    ///< fill >= this: shed the cross-check.
-  double degrade_bound_at = 0.80;  ///< fill >= this: bounds only.
-  double recover_factor = 0.5;     ///< recover below threshold * this.
-  /// Secondary signal: EMA of per-request service time. Above this the
-  /// service holds at least kRtaOnly even with a shallow queue (a few
-  /// slow requests can starve the queue without ever filling it).
-  /// Zero disables.
-  Duration latency_degrade_at = Duration::zero();
-};
-
 struct ServiceOptions {
   std::size_t workers = 2;
   std::size_t queue_capacity = 64;
@@ -79,7 +65,6 @@ struct ServiceOptions {
   /// would release more jobs than this — one pathological request must
   /// not monopolize a worker — or reach past int64 nanoseconds.
   std::int64_t max_cross_check_jobs = 200'000;
-  DegradationPolicy degradation;
   ServiceFaultPlan faults;
   /// Start the worker pool in the constructor. Tests pass false, preload
   /// the queue, then call start() — making queue-depth-driven ladder
@@ -156,12 +141,11 @@ class AdmissionService {
   std::atomic<std::int64_t> clock_skew_ns_{0};
   std::atomic<std::uint64_t> processed_{0};  ///< fault-plan ordinal.
 
-  /// Ladder state + latency EMA, under one small lock (touched once per
-  /// request, never inside analysis).
+  /// Ladder state + the latency EMA behind retry_after, under one small
+  /// lock (touched once per request, never inside analysis).
   mutable std::mutex ctrl_mu_;
   bool rta_degraded_ = false;
   bool bound_degraded_ = false;
-  bool latency_degraded_ = false;
   AnalysisTier tier_ = AnalysisTier::kExact;
   std::uint64_t last_pop_seq_ = 0;  ///< the newest reading applied.
   double ema_latency_ns_ = 0.0;

@@ -1,32 +1,11 @@
 #include "serve/verdict_cache.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/assert.hpp"
+#include "common/fnv.hpp"
 
 namespace rtft::serve {
-
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffULL;
-    h *= kFnvPrime;
-  }
-}
-
-std::uint64_t bits_of(double d) {
-  std::uint64_t u = 0;
-  static_assert(sizeof(u) == sizeof(d));
-  std::memcpy(&u, &d, sizeof(u));
-  return u;
-}
-
-}  // namespace
 
 VerdictCache::VerdictCache(std::size_t capacity) : capacity_(capacity) {
   RTFT_EXPECTS(capacity > 0, "verdict cache needs capacity >= 1");
@@ -34,7 +13,7 @@ VerdictCache::VerdictCache(std::size_t capacity) : capacity_(capacity) {
 
 std::uint64_t VerdictCache::checksum_of(const sched::CanonicalTaskSet& key,
                                         const CachedVerdict& value) {
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = kFnvOffsetBasis;
   fnv_mix(h, key.hash);
   fnv_mix(h, static_cast<std::uint64_t>(value.verdict));
   fnv_mix(h, static_cast<std::uint64_t>(value.tier));

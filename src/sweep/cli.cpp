@@ -11,7 +11,6 @@
 #include "common/strings.hpp"
 #include "core/treatment.hpp"
 #include "sched/priority.hpp"
-#include "sweep/export.hpp"
 #include "sweep/progress.hpp"
 
 namespace rtft::sweep::cli {
@@ -179,8 +178,6 @@ bool apply_sweep_flag(std::string_view arg,
   } else if (arg == "--horizon-periods") {
     opts.horizon_periods = static_cast<std::int64_t>(
         parse_u64("--horizon-periods", value(), 1, kMaxHorizonPeriods));
-  } else if (arg == "--full-traces") {
-    opts.full_traces = true;
   } else {
     return false;
   }
@@ -208,7 +205,7 @@ std::vector<std::string> worker_argv(const std::string& runner,
   push_list_flag(argv, "--util", opts.grid.utilizations,
                  [](std::string& out, double u) {
                    // %.17g: bit-exact through the worker's parse_double.
-                   detail::append_double(out, u);
+                   append_double(out, u);
                  });
   push_list_flag(argv, "--detector-cost-us", opts.grid.detector_costs,
                  [](std::string& out, Duration c) {
@@ -231,14 +228,13 @@ std::vector<std::string> worker_argv(const std::string& runner,
   argv.emplace_back("--core-fault");
   {
     std::string fraction;
-    detail::append_double(fraction, opts.core_fault_fraction);
+    append_double(fraction, opts.core_fault_fraction);
     argv.push_back(std::move(fraction));
   }
   argv.emplace_back("--policy");
   argv.emplace_back(core::to_string(opts.detector_policy));
   argv.emplace_back("--horizon-periods");
   argv.push_back(std::to_string(opts.horizon_periods));
-  if (opts.full_traces) argv.emplace_back("--full-traces");
 
   // Everything that defines the scenario population must survive the
   // trip through the runner's flags, or the worker computes a different

@@ -393,12 +393,7 @@ CoordinatorResult Coordinator::run() {
   // trailing empty ranges; no worker needed for zero scenarios).
   for (ShardTask& task : tasks_) {
     if (task.spec.count() == 0) {
-      ShardResult empty = run_shard(task.spec, plan_.options());
-      // Match what every loaded file carries (load_shard_json forces
-      // keep_verdicts on), so the merged report's options cannot depend
-      // on whether an empty shard happened to fold first.
-      empty.options.keep_verdicts = true;
-      merger_.add(std::move(empty));
+      merger_.add(run_shard(task.spec, plan_.options()));
       task.state = State::kDone;
       continue;
     }

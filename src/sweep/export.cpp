@@ -1,81 +1,19 @@
 #include "sweep/export.hpp"
 
 #include <charconv>
-#include <clocale>
 #include <concepts>
-#include <cstdarg>
-#include <cstdio>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/strings.hpp"
 #include "core/treatment.hpp"
 #include "sweep/generators.hpp"
 
 namespace rtft::sweep {
 
-namespace detail {
-
-void appendf(std::string& out, const char* fmt, ...) {
-  // Large enough for the widest verdict row; wider rows grow below.
-  char buf[1024];
-  std::va_list args;
-  va_start(args, fmt);
-  std::va_list retry;
-  va_copy(retry, args);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  RTFT_ASSERT(n >= 0, "invalid export format string");
-  if (n >= 0) {
-    if (static_cast<std::size_t>(n) < sizeof(buf)) {
-      out.append(buf, static_cast<std::size_t>(n));
-    } else {
-      // Truncated: format again straight into the grown destination
-      // (vsnprintf needs room for its terminating NUL, trimmed after).
-      const std::size_t old = out.size();
-      out.resize(old + static_cast<std::size_t>(n) + 1);
-      std::vsnprintf(&out[old], static_cast<std::size_t>(n) + 1, fmt, retry);
-      out.resize(old + static_cast<std::size_t>(n));
-    }
-  }
-  va_end(retry);
-}
-
-std::string normalize_decimal_point(std::string_view formatted,
-                                    std::string_view decimal_point) {
-  const std::size_t pos = decimal_point.empty() || decimal_point == "."
-                              ? std::string_view::npos
-                              : formatted.find(decimal_point);
-  if (pos == std::string_view::npos) return std::string(formatted);
-  std::string out;
-  out.reserve(formatted.size());
-  out.append(formatted.substr(0, pos));
-  out += '.';
-  out.append(formatted.substr(pos + decimal_point.size()));
-  return out;
-}
-
-void append_double(std::string& out, double value) {
-  char buf[64];
-  const int n = std::snprintf(buf, sizeof(buf), "%.17g", value);
-  RTFT_ASSERT(n > 0 && static_cast<std::size_t>(n) < sizeof(buf),
-              "%.17g exceeds the number buffer");
-  const char* dp = std::localeconv()->decimal_point;
-  if (dp == nullptr || (dp[0] == '.' && dp[1] == '\0')) {
-    out.append(buf, static_cast<std::size_t>(n));
-    return;
-  }
-  out += normalize_decimal_point(std::string_view(buf,
-                                                  static_cast<std::size_t>(n)),
-                                 dp);
-}
-
-}  // namespace detail
-
 namespace {
-
-using detail::append_double;
 
 // ---------------------------------------------------------------------------
 // The field lists: one per record, in document and CSV column order. Each
@@ -366,8 +304,6 @@ std::string report_json(const SweepReport& report) {
   m("base_seed", Hex{o.base_seed});
   m("horizon_periods", o.horizon_periods);
   m("allowance_granularity_ns", o.allowance_granularity);
-  m("keep_verdicts", o.keep_verdicts);
-  m("full_traces", o.full_traces);
   m("partitioner", o.partitioner);
   m("core_fault_fraction", o.core_fault_fraction);
   out += "},\n";
@@ -721,9 +657,6 @@ ShardResult load_shard_json(std::string_view json) {
   ShardResult result;
   SweepOptions& o = result.options;
   shard_option_fields(o, JsonReader{member(root, "options")});
-  // A merged report of loaded shards always carries its verdicts: they
-  // are what the file transported.
-  o.keep_verdicts = true;
 
   // The plan constructor is the one source of truth for option
   // validity; a file that fails it is not a usable shard.

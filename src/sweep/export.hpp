@@ -3,10 +3,10 @@
 //
 // Two CSV granularities plus one self-describing JSON document:
 //
-//   verdicts_csv — one row per kept scenario verdict (the plotting data:
+//   verdicts_csv — one row per scenario verdict (the plotting data:
 //                  schedulability and allowance outcomes per scenario);
 //   cells_csv    — one row per grid cell with aggregate counters;
-//   report_json  — options, totals, cells, kept verdicts, fingerprint.
+//   report_json  — options, totals, cells, verdicts, fingerprint.
 //
 // Plus the shard interchange format that lets the partition/run/merge
 // triad cross process and host boundaries:
@@ -31,8 +31,10 @@
 // loader all walk, so a field's name, position and encoding are defined
 // once for every document. 64-bit seeds and fingerprints are emitted as
 // hex strings: JSON numbers lose integer precision beyond 2^53. Doubles
-// are %.17g, which round-trips bit-exactly — a loaded shard merges to
-// the same fingerprint the in-process ShardResult would have.
+// are %.17g with a '.' decimal point whatever the locale
+// (common/strings.hpp: append_double), which round-trips bit-exactly — a
+// loaded shard merges to the same fingerprint the in-process
+// ShardResult would have.
 #pragma once
 
 #include <string>
@@ -42,8 +44,7 @@
 
 namespace rtft::sweep {
 
-/// One row per kept verdict, in index order. Header-only when the sweep
-/// ran with keep_verdicts=false.
+/// One row per verdict, in index order.
 [[nodiscard]] std::string verdicts_csv(const SweepReport& report);
 
 /// One row per grid cell with its aggregate counters, in grid order.
@@ -74,30 +75,5 @@ inline constexpr std::int64_t kShardFormatVersion = 2;
 /// holds that many entries. Throws ShardError (with the defect named) on
 /// any violation.
 [[nodiscard]] ShardResult load_shard_json(std::string_view json);
-
-namespace detail {
-
-/// printf-style append. Output that exceeds the internal stack buffer
-/// is formatted again into the grown destination — never truncated, so
-/// a document built with it stays parseable whatever the row width.
-void appendf(std::string& out, const char* fmt, ...)
-#if defined(__GNUC__) || defined(__clang__)
-    __attribute__((format(printf, 2, 3)))
-#endif
-    ;
-
-/// Appends `value` as %.17g (shortest round-trippable form) with the
-/// decimal separator forced to '.': the C library formats floats with
-/// the global LC_NUMERIC locale, and a comma separator would corrupt
-/// CSV rows and JSON documents.
-void append_double(std::string& out, double value);
-
-/// The locale fix-up of append_double on an already formatted number:
-/// replaces the first occurrence of `decimal_point` (as written by the C
-/// library, possibly multi-byte) with '.'.
-[[nodiscard]] std::string normalize_decimal_point(
-    std::string_view formatted, std::string_view decimal_point);
-
-}  // namespace detail
 
 }  // namespace rtft::sweep

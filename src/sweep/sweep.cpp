@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <limits>
 #include <mutex>
@@ -22,30 +21,6 @@
 
 namespace rtft::sweep {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Deterministic fingerprinting (FNV-1a 64).
-// ---------------------------------------------------------------------------
-
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffULL;
-    h *= kFnvPrime;
-  }
-}
-
-std::uint64_t bits_of(double d) {
-  std::uint64_t u = 0;
-  static_assert(sizeof(u) == sizeof(d));
-  std::memcpy(&u, &d, sizeof(u));
-  return u;
-}
-
-// ---------------------------------------------------------------------------
-// Per-scenario execution.
-// ---------------------------------------------------------------------------
 
 Duration max_period(const sched::TaskSet& ts) {
   Duration m = Duration::zero();
@@ -220,9 +195,7 @@ rt::EngineOptions placeholder_engine_options() {
 }  // namespace
 
 ScenarioRunner::ScenarioRunner(const SweepOptions& opts)
-    : opts_(opts),
-      engine_(placeholder_engine_options()),
-      full_(opts.full_traces ? (std::size_t{1} << 16) : 0) {
+    : opts_(opts), engine_(placeholder_engine_options()) {
   // Pre-size the engine from the grid so even the worker's first run
   // allocates nothing mid-simulation. The busiest draw the grid can
   // produce releases tasks x ceil(horizon / min period) jobs — that
@@ -254,10 +227,6 @@ void ScenarioRunner::arm(const sched::TaskSet& ts, Duration horizon,
   rt::EngineOptions eopts;
   eopts.horizon = Instant::epoch() + horizon;
   eopts.stop_poll_latency = stop_poll_latency_;
-  if (opts_.full_traces) {
-    full_.clear();
-    eopts.sink = &full_;
-  }
   engine_.reset(eopts);
   handles_.clear();
   for (sched::TaskId id = 0; id < ts.size(); ++id) {
@@ -367,7 +336,7 @@ void ScenarioRunner::run_multicore(const ScenarioSpec& spec,
                                    const sched::TaskSet& ts,
                                    Duration horizon, ScenarioVerdict& v) {
   // Engine statistics are the only verdict source here, so the stage
-  // runs with no sink, even under full_traces.
+  // runs with no sink, like every other stage.
   rt::EngineOptions eopts;
   eopts.horizon = Instant::epoch() + horizon;
 
@@ -534,8 +503,8 @@ ShardResult run_shard(const ShardSpec& shard, const SweepOptions& opts) {
   std::exception_ptr failure;
   std::mutex failure_mutex;
   auto worker = [&] {
-    // One reusable engine + sink per worker: scenarios share event-pool,
-    // task-slot and counter storage instead of reallocating per run.
+    // One reusable engine per worker: scenarios share event-heap and
+    // task-slot storage instead of reallocating per run.
     ScenarioRunner runner(resolved);
     for (;;) {
       const std::uint64_t i = next.fetch_add(1, std::memory_order_relaxed);
@@ -622,16 +591,14 @@ void ShardMerger::fold(ShardResult&& shard) {
     report_.cells[c].agg.merge(shard.cells[c].agg);
   }
   for (const ScenarioVerdict& v : shard.verdicts) fp_.add(v);
-  if (report_.options.keep_verdicts) {
-    if (report_.verdicts.empty()) {
-      // The first shard's vector is adopted whole: a whole-sweep shard
-      // (run_sweep) never has its verdicts held twice.
-      report_.verdicts = std::move(shard.verdicts);
-    } else {
-      report_.verdicts.insert(report_.verdicts.end(),
-                              std::make_move_iterator(shard.verdicts.begin()),
-                              std::make_move_iterator(shard.verdicts.end()));
-    }
+  if (report_.verdicts.empty()) {
+    // The first shard's vector is adopted whole: a whole-sweep shard
+    // (run_sweep) never has its verdicts held twice.
+    report_.verdicts = std::move(shard.verdicts);
+  } else {
+    report_.verdicts.insert(report_.verdicts.end(),
+                            std::make_move_iterator(shard.verdicts.begin()),
+                            std::make_move_iterator(shard.verdicts.end()));
   }
   report_.elapsed_seconds += shard.elapsed_seconds;
   // Only non-empty shards advance the frontier: an empty shard is a

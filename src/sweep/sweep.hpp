@@ -46,14 +46,13 @@
 #include <string_view>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "common/random.hpp"
 #include "common/time.hpp"
 #include "core/treatment.hpp"
 #include "multicore/multi_engine.hpp"
 #include "runtime/engine.hpp"
 #include "sweep/generators.hpp"
-#include "trace/recorder.hpp"
-#include "trace/sink.hpp"
 
 namespace rtft::sweep {
 
@@ -147,18 +146,6 @@ struct SweepOptions {
   /// index). 0 disables the fault (placement verdicts only); 1 dates
   /// it at the horizon, which also never fires.
   double core_fault_fraction = 0.5;
-  /// Keep the per-scenario verdicts in the report (aggregates are always
-  /// computed). Off saves memory on very large sweeps.
-  bool keep_verdicts = true;
-  /// Observation for the engine runs. By default the engines run with
-  /// no sink at all — verdicts read the engine's TaskStats and the
-  /// detector bank, the paper's keep-the-substrate-undisturbed
-  /// discipline at sweep scale. Setting this routes every event into a
-  /// per-worker full-fidelity trace::Recorder (cleared between runs).
-  /// Verdicts and the fingerprint are identical either way; the knob
-  /// exists for debugging and for measuring what full-trace observation
-  /// costs.
-  bool full_traces = false;
   /// Progress hook: invoked once per completed scenario with
   /// (scenarios completed so far, scenarios in this run) — for a shard
   /// run, "this run" is the shard. Invocations are serialized (the
@@ -265,14 +252,13 @@ struct SweepReport {
   SweepOptions options;  ///< as resolved (workers filled in).
   SweepAggregate totals;
   std::vector<CellSummary> cells;        ///< grid order.
-  std::vector<ScenarioVerdict> verdicts; ///< index order; empty unless kept.
+  std::vector<ScenarioVerdict> verdicts; ///< index order.
   /// Wall-clock of the sweep, for the CLI's scenarios/s line. Not part of
   /// the deterministic state.
   double elapsed_seconds = 0.0;
   /// FNV-1a hash over every verdict's deterministic fields, in index
-  /// order (computed even when verdicts are not kept). Two runs with
-  /// equal (seed, grid, count) produce equal fingerprints whatever the
-  /// worker count.
+  /// order. Two runs with equal (seed, grid, count) produce equal
+  /// fingerprints whatever the worker count.
   std::uint64_t fingerprint = 0;
 
   /// Aligned per-cell summary table plus a totals line.
@@ -344,21 +330,19 @@ class Fingerprint {
   [[nodiscard]] std::uint64_t value() const { return h_; }
 
  private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;  // FNV-1a 64 offset basis.
+  std::uint64_t h_ = kFnvOffsetBasis;
 };
 
 /// Outcome of one shard: the shard's slice of every SweepReport field.
-/// Verdicts are always kept — they are the shard's fingerprint
-/// contribution (FNV-1a state is sequential, so the merge re-folds the
-/// verdict fields in index order; a lone hash could not be chained) —
-/// and SweepOptions::keep_verdicts decides only whether the *merged*
-/// report retains them.
+/// The verdicts are the shard's fingerprint contribution (FNV-1a state
+/// is sequential, so the merge re-folds the verdict fields in index
+/// order; a lone hash could not be chained).
 struct ShardResult {
   SweepOptions options;  ///< as resolved by the plan (workers filled in).
   ShardSpec shard;
   SweepAggregate totals;           ///< this shard's scenarios only.
   std::vector<CellSummary> cells;  ///< grid order; partial counts.
-  std::vector<ScenarioVerdict> verdicts;  ///< index order, always kept.
+  std::vector<ScenarioVerdict> verdicts;  ///< index order.
   /// FNV-1a fold over this shard's verdicts from the offset basis: a
   /// pure function of (seed, grid, range) for cross-process spot checks
   /// and loader validation. Equals the sweep fingerprint only for a
@@ -383,12 +367,11 @@ namespace detail {
 void summarize(ShardResult& r);
 
 /// True when two option sets define the same scenario population —
-/// every field a verdict depends on. Workers and full_traces are
+/// every field a verdict depends on. Workers and on_progress are
 /// excluded on purpose: they do not affect verdicts, so shards run with
-/// different worker counts (or with and without full traces) merge
-/// fine. Shared by ShardMerger, the sweep coordinator's checkpoint
-/// validation and worker_argv's round-trip check, so "same sweep"
-/// cannot mean different things in those places.
+/// different worker counts merge fine. Shared by ShardMerger, the sweep
+/// coordinator's checkpoint validation and worker_argv's round-trip
+/// check, so "same sweep" cannot mean different things in those places.
 [[nodiscard]] bool same_scenario_identity(const SweepOptions& a,
                                           const SweepOptions& b);
 }  // namespace detail
@@ -447,14 +430,15 @@ class ShardMerger {
 /// hands their verdicts over instead of copying them.
 [[nodiscard]] SweepReport merge(std::vector<ShardResult> shards);
 
-/// Per-worker reusable execution context: one engine (plus a recorder
-/// under full_traces), re-armed between scenarios, so a sweep pays no
-/// per-scenario engine or trace-buffer allocation (the seed design
-/// heap-allocated a fresh engine plus a 64K-event recorder for every one
-/// of the four runs of every scenario). `opts` is borrowed and must
-/// outlive the runner. Verdicts remain pure functions of the spec: run()
-/// fully resets the engine, so reuse is observationally identical to a
-/// fresh engine.
+/// Per-worker reusable execution context: one sink-free engine, re-armed
+/// between scenarios, so a sweep pays no per-scenario engine allocation
+/// (the seed design heap-allocated a fresh engine plus a 64K-event
+/// recorder for every one of the four runs of every scenario). Verdicts
+/// read the engine's TaskStats and the detector bank, never a trace —
+/// the paper's keep-the-substrate-undisturbed discipline at sweep
+/// scale. `opts` is borrowed and must outlive the runner. Verdicts
+/// remain pure functions of the spec: run() fully resets the engine, so
+/// reuse is observationally identical to a fresh engine.
 class ScenarioRunner {
  public:
   explicit ScenarioRunner(const SweepOptions& opts);
@@ -478,7 +462,6 @@ class ScenarioRunner {
 
   const SweepOptions& opts_;
   rt::Engine engine_;
-  trace::Recorder full_;  ///< used only when opts.full_traces.
   std::vector<rt::TaskHandle> handles_;
   Duration stop_poll_latency_;  ///< current scenario's §4.1 poll delay.
   multicore::MultiEngine fleet_;  ///< pooled; armed in multicore cells only.

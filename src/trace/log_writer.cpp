@@ -39,20 +39,6 @@ void write_csv(const Recorder& recorder, const sched::TaskSet& ts,
   }
 }
 
-void write_json(const Recorder& recorder, const sched::TaskSet& ts,
-                std::ostream& out) {
-  out << "[\n";
-  bool first = true;
-  for (const TraceEvent& e : recorder.events()) {
-    if (!first) out << ",\n";
-    first = false;
-    out << "  {\"time_ns\": " << e.time.count() << ", \"kind\": \""
-        << to_string(e.kind) << "\", \"task\": \"" << task_name(ts, e.task)
-        << "\", \"job\": " << e.job << ", \"detail\": " << e.detail << '}';
-  }
-  out << "\n]\n";
-}
-
 std::string text_log_string(const Recorder& recorder,
                             const sched::TaskSet& ts) {
   std::ostringstream out;
@@ -63,12 +49,6 @@ std::string text_log_string(const Recorder& recorder,
 std::string csv_string(const Recorder& recorder, const sched::TaskSet& ts) {
   std::ostringstream out;
   write_csv(recorder, ts, out);
-  return out.str();
-}
-
-std::string json_string(const Recorder& recorder, const sched::TaskSet& ts) {
-  std::ostringstream out;
-  write_json(recorder, ts, out);
   return out.str();
 }
 

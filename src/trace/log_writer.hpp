@@ -1,4 +1,4 @@
-// Log/CSV/JSON serialization of a recorded run (paper §5: the buffered
+// Log/CSV serialization of a recorded run (paper §5: the buffered
 // measurements are "written in a log file which can then be interpreted
 // by our tool of time series chart").
 #pragma once
@@ -19,17 +19,11 @@ void write_text_log(const Recorder& recorder, const sched::TaskSet& ts,
 void write_csv(const Recorder& recorder, const sched::TaskSet& ts,
                std::ostream& out);
 
-/// JSON array of event objects.
-void write_json(const Recorder& recorder, const sched::TaskSet& ts,
-                std::ostream& out);
-
 /// Convenience wrappers returning strings (used by tests and examples).
 [[nodiscard]] std::string text_log_string(const Recorder& recorder,
                                           const sched::TaskSet& ts);
 [[nodiscard]] std::string csv_string(const Recorder& recorder,
                                      const sched::TaskSet& ts);
-[[nodiscard]] std::string json_string(const Recorder& recorder,
-                                      const sched::TaskSet& ts);
 
 /// Writes `content` to `path`, throwing ContractViolation on I/O failure.
 void write_file(const std::string& path, const std::string& content);

@@ -2,8 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <string_view>
+
+#include "support/numeric_locale.hpp"
+
 namespace rtft {
 namespace {
+
+using testsupport::ScopedNumericLocale;
+
+/// Asserts the C library really formats with ',' right now, so a test's
+/// assertions prove the normalization and not the environment.
+void expect_raw_comma() {
+  char raw[64];
+  std::snprintf(raw, sizeof(raw), "%.2f", 0.5);
+  ASSERT_NE(std::string_view(raw).find(','), std::string_view::npos);
+}
 
 TEST(Trim, StripsBothEnds) {
   EXPECT_EQ(trim("  abc  "), "abc");
@@ -37,6 +53,46 @@ TEST(FormatFixed, RendersRequestedDigits) {
   EXPECT_EQ(format_fixed(1.0, 2), "1.00");
   EXPECT_EQ(format_fixed(0.285, 3), "0.285");
   EXPECT_EQ(format_fixed(-2.5, 1), "-2.5");
+}
+
+TEST(FormatFixed, KeepsADotUnderACommaDecimalLocale) {
+  ScopedNumericLocale locale;
+  if (!locale.force_comma_decimal()) {
+    GTEST_SKIP() << "no comma-decimal locale installed on this host";
+  }
+  expect_raw_comma();
+  EXPECT_EQ(format_fixed(12.5, 2), "12.50");
+  EXPECT_EQ(format_fixed(-0.285, 3), "-0.285");
+  EXPECT_EQ(format_fixed(7.0, 0), "7");
+}
+
+TEST(AppendDouble, RoundTripsUnderACommaDecimalLocale) {
+  ScopedNumericLocale locale;
+  if (!locale.force_comma_decimal()) {
+    GTEST_SKIP() << "no comma-decimal locale installed on this host";
+  }
+  expect_raw_comma();
+  for (const double v : {0.5, -3.25, 1e-7, 123456.789, 2.2250738585072014e-308,
+                         9007199254740993.0}) {
+    std::string s;
+    append_double(s, v);
+    EXPECT_EQ(s.find(','), std::string::npos) << s;
+    double back = 0.0;
+    EXPECT_TRUE(parse_double(s, back)) << s;
+    EXPECT_EQ(back, v) << s;  // %.17g round-trips exactly
+  }
+}
+
+TEST(NormalizeDecimalPoint, HandlesMultiByteSeparators) {
+  EXPECT_EQ(normalize_decimal_point("3,14", ","), "3.14");
+  EXPECT_EQ(normalize_decimal_point("3.14", "."), "3.14");
+  EXPECT_EQ(normalize_decimal_point("-1,5e-07", ","), "-1.5e-07");
+  EXPECT_EQ(normalize_decimal_point("42", ","), "42");
+  EXPECT_EQ(normalize_decimal_point("3\xC2\xB7"
+                                    "14",
+                                    "\xC2\xB7"),
+            "3.14");  // U+00B7 middle dot (e.g. some ca_ES variants)
+  EXPECT_EQ(normalize_decimal_point("", ","), "");
 }
 
 TEST(Pad, LeftAndRight) {

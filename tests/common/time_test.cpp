@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/assert.hpp"
+#include "support/numeric_locale.hpp"
 
 namespace rtft {
 namespace {
@@ -97,6 +98,17 @@ TEST(TimeToString, MillisecondCentricRendering) {
   EXPECT_EQ(to_string(Duration::zero()), "0ns");
   EXPECT_EQ(to_string(Duration::ms(-5)), "-5ms");
   EXPECT_EQ(to_string(Instant::epoch() + 1020_ms), "1020ms");
+}
+
+TEST(TimeToString, KeepsADotUnderACommaDecimalLocale) {
+  testsupport::ScopedNumericLocale locale;
+  if (!locale.force_comma_decimal()) {
+    GTEST_SKIP() << "no comma-decimal locale installed on this host";
+  }
+  EXPECT_EQ(to_string(1500_us), "1.5ms");
+  EXPECT_EQ(to_string(Duration::ns(-2250)), "-2.25us");
+  EXPECT_EQ(to_string(Instant::epoch() + Duration::ns(1'000'001)),
+            "1.000001ms");
 }
 
 }  // namespace

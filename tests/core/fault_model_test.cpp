@@ -9,27 +9,31 @@ namespace {
 
 using namespace rtft::literals;
 
-TEST(FaultPlan, EmptyPlanYieldsNoCostModel) {
+/// Job `job`'s cost for task `id` under `plan`, as the engine resolves it.
+Duration job_cost(const FaultPlan& plan, sched::TaskId id, std::int64_t job) {
+  const sched::TaskSet& ts = paper::table2_system();
+  return plan.cost_spec_for(ts, id).resolve(ts[id].cost, job);
+}
+
+TEST(FaultPlan, EmptyPlanYieldsANominalSpec) {
   const FaultPlan plan;
   EXPECT_TRUE(plan.empty());
-  EXPECT_FALSE(plan.cost_model_for(paper::table2_system(), 0));
+  EXPECT_TRUE(plan.cost_spec_for(paper::table2_system(), 0).is_nominal());
 }
 
 TEST(FaultPlan, OverrunAppliesOnlyToTargetJob) {
   FaultPlan plan;
   plan.add_overrun("tau1", 5, 40_ms);
-  const auto model = plan.cost_model_for(paper::table2_system(), 0);
-  ASSERT_TRUE(model);
-  EXPECT_EQ(model(4), 29_ms);
-  EXPECT_EQ(model(5), 69_ms);
-  EXPECT_EQ(model(6), 29_ms);
+  EXPECT_EQ(job_cost(plan, 0, 4), 29_ms);
+  EXPECT_EQ(job_cost(plan, 0, 5), 69_ms);
+  EXPECT_EQ(job_cost(plan, 0, 6), 29_ms);
 }
 
 TEST(FaultPlan, OtherTasksUnaffected) {
   FaultPlan plan;
   plan.add_overrun("tau1", 5, 40_ms);
-  EXPECT_FALSE(plan.cost_model_for(paper::table2_system(), 1));
-  EXPECT_FALSE(plan.cost_model_for(paper::table2_system(), 2));
+  EXPECT_TRUE(plan.cost_spec_for(paper::table2_system(), 1).is_nominal());
+  EXPECT_TRUE(plan.cost_spec_for(paper::table2_system(), 2).is_nominal());
 }
 
 TEST(FaultPlan, MultipleFaultsAccumulate) {
@@ -37,18 +41,17 @@ TEST(FaultPlan, MultipleFaultsAccumulate) {
   plan.add_overrun("tau1", 2, 10_ms);
   plan.add_overrun("tau1", 2, 5_ms);
   plan.add_overrun("tau1", 3, 1_ms);
-  const auto model = plan.cost_model_for(paper::table2_system(), 0);
-  EXPECT_EQ(model(2), 44_ms);
-  EXPECT_EQ(model(3), 30_ms);
+  EXPECT_EQ(job_cost(plan, 0, 2), 44_ms);
+  EXPECT_EQ(job_cost(plan, 0, 3), 30_ms);
+  EXPECT_EQ(job_cost(plan, 0, 4), 29_ms);
 }
 
 TEST(FaultPlan, UnderrunSupportedAndFlooredAtOneNanosecond) {
   FaultPlan plan;
   plan.add_overrun("tau1", 0, Duration::ms(-10));  // cost 19 ms
   plan.add_overrun("tau1", 1, Duration::ms(-100)); // would go negative
-  const auto model = plan.cost_model_for(paper::table2_system(), 0);
-  EXPECT_EQ(model(0), 19_ms);
-  EXPECT_EQ(model(1), 1_ns);
+  EXPECT_EQ(job_cost(plan, 0, 0), 19_ms);
+  EXPECT_EQ(job_cost(plan, 0, 1), 1_ns);
 }
 
 TEST(FaultPlan, CostSpecForIsNominalWithoutMatchingFaults) {
@@ -60,23 +63,34 @@ TEST(FaultPlan, CostSpecForIsNominalWithoutMatchingFaults) {
 }
 
 TEST(FaultPlan, CostSpecForMatchesTheClosureOracle) {
-  // Single-job faults flatten to kFixedOverrunAtJob; multi-job plans
-  // fall back to kCustom wrapping cost_model_for. Either way the
-  // resolved per-job costs must equal the oracle closure's.
+  // The oracle is the fault model's original closure: nominal cost plus
+  // every delta naming the job, in plan order, floored at 1 ns.
+  // Single-job plans flatten to kFixedOverrunAtJob; multi-job plans
+  // resolve through a kCustom closure over the coalesced deltas. Either
+  // way the resolved per-job costs must equal the oracle's.
   const sched::TaskSet& ts = paper::table2_system();
   const Duration nominal = ts[0].cost;
+  const auto oracle = [&](const FaultPlan& plan, std::int64_t job) {
+    Duration cost = nominal;
+    for (const FaultSpec& f : plan.faults()) {
+      if (f.task == ts[0].name && f.job_index == job) cost += f.extra_cost;
+    }
+    return cost < Duration::ns(1) ? Duration::ns(1) : cost;
+  };
   FaultPlan single;
   single.add_overrun("tau1", 5, 40_ms);
   single.add_overrun("tau1", 5, 2_ms);  // accumulates on the same job
   FaultPlan multi;
   multi.add_overrun("tau1", 1, 10_ms);
   multi.add_overrun("tau1", 4, Duration::ms(-100));  // floors at 1 ns
+  multi.add_overrun("tau2", 1, 5_ms);                // another task
+  multi.add_overrun("tau1", 1, Duration::ms(-3));    // coalesces on job 1
+  multi.add_overrun("tau1", 4, 200_ms);  // summed before the floor: 129 ms
   for (const FaultPlan* plan : {&single, &multi}) {
     const rt::CostSpec spec = plan->cost_spec_for(ts, 0);
-    const rt::CostModel oracle = plan->cost_model_for(ts, 0);
-    ASSERT_TRUE(oracle);
     for (std::int64_t job = 0; job <= 8; ++job) {
-      EXPECT_EQ(spec.resolve(nominal, job), oracle(job)) << "job " << job;
+      EXPECT_EQ(spec.resolve(nominal, job), oracle(*plan, job))
+          << "job " << job;
     }
   }
   EXPECT_EQ(single.cost_spec_for(ts, 0).kind, rt::CostKind::kFixedOverrunAtJob);

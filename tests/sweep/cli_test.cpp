@@ -139,10 +139,11 @@ TEST(ApplySweepFlag, ClaimsOnlySweepFlagsAndRejectsBadValues) {
 }
 
 TEST(ApplySweepFlag, RetiredEngineModeFlagsAreNotSweepFlags) {
-  // The engine has one implementation; the flags that once selected its
-  // oracle modes fall through to the caller's unknown-flag error
-  // without consuming a value.
-  for (const char* retired : {"--event-queue", "--sink-mode", "--cost-spec"}) {
+  // The engine has one implementation and the sweep one observation
+  // mode; the flags that once selected the others fall through to the
+  // caller's unknown-flag error without consuming a value.
+  for (const char* retired :
+       {"--event-queue", "--sink-mode", "--cost-spec", "--full-traces"}) {
     SweepOptions opts;
     bool consumed = false;
     EXPECT_FALSE(apply_sweep_flag(
@@ -154,6 +155,26 @@ TEST(ApplySweepFlag, RetiredEngineModeFlagsAreNotSweepFlags) {
         opts))
         << retired;
     EXPECT_FALSE(consumed) << retired;
+  }
+}
+
+TEST(ApplySweepFlag, ExplicitDefaultsParseToTheDefaultScenarioIdentity) {
+  // Spelling out a default axis value must not define another sweep:
+  // the default stop-poll latency, and every multicore default (one
+  // core, both partitioners, the fault at half the horizon, the 1 ms
+  // quantizer). Both then reproduce the pinned default fingerprint.
+  const std::vector<std::vector<std::string>> flag_sets = {
+      {"--stop-latency-us", "0"},
+      {"--cores", "1", "--partitioner", "both", "--core-fault", "0.5",
+       "--quantum-us", "1000"},
+  };
+  for (const std::vector<std::string>& flags : flag_sets) {
+    std::vector<std::string> argv = {"sweep_runner"};
+    argv.insert(argv.end(), flags.begin(), flags.end());
+    SweepOptions opts;
+    EXPECT_TRUE(reparse(argv, opts).empty()) << flags.front();
+    EXPECT_TRUE(detail::same_scenario_identity(opts, SweepOptions{}))
+        << flags.front();
   }
 }
 
@@ -256,7 +277,6 @@ TEST(WorkerArgv, RoundTripsTheScenarioIdentityBitForBit) {
   opts.grid.stop_poll_latencies = {Duration::us(50)};
   opts.detector_policy = core::TreatmentPolicy::kInstantStop;
   opts.horizon_periods = 6;
-  opts.full_traces = true;
 
   const SweepPlan plan(opts);
   const ShardSpec spec = plan.shard(1, 4);
@@ -269,9 +289,8 @@ TEST(WorkerArgv, RoundTripsTheScenarioIdentityBitForBit) {
   const std::vector<std::string> unclaimed = reparse(argv, reparsed);
   // The worker computes the same scenario population...
   EXPECT_TRUE(detail::same_scenario_identity(plan.options(), reparsed));
-  // ...with the same execution knobs...
+  // ...with the same execution knob...
   EXPECT_EQ(reparsed.workers, opts.workers);
-  EXPECT_TRUE(reparsed.full_traces);
   // ...and the runner-only flags are exactly the shard/emit/progress
   // triple the coordinator relies on.
   EXPECT_EQ(unclaimed, (std::vector<std::string>{"--shard", "--emit-shard",

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <charconv>
-#include <clocale>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -13,36 +11,12 @@
 #include <vector>
 
 #include "common/strings.hpp"
+#include "support/numeric_locale.hpp"
 
 namespace rtft::sweep {
 namespace {
 
-/// Restores the LC_NUMERIC locale the test found, whatever happens.
-class ScopedNumericLocale {
- public:
-  ScopedNumericLocale() : saved_(std::setlocale(LC_NUMERIC, nullptr)) {}
-  ~ScopedNumericLocale() { std::setlocale(LC_NUMERIC, saved_.c_str()); }
-
-  /// Tries to install a locale whose decimal separator is ','; returns
-  /// false when the platform ships none (the test then skips).
-  bool force_comma_decimal() {
-    for (const char* name :
-         {"de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8", "de_DE",
-          "fr_FR", "it_IT.UTF-8", "es_ES.UTF-8"}) {
-      if (std::setlocale(LC_NUMERIC, name) == nullptr) continue;
-      char buf[16];
-      std::snprintf(buf, sizeof(buf), "%.1f", 0.5);
-      if (std::string_view(buf).find(',') != std::string_view::npos) {
-        return true;
-      }
-    }
-    std::setlocale(LC_NUMERIC, saved_.c_str());
-    return false;
-  }
-
- private:
-  std::string saved_;
-};
+using testsupport::ScopedNumericLocale;
 
 SweepOptions tiny_options() {
   SweepOptions opts;
@@ -90,13 +64,6 @@ TEST(SweepExport, CarriesTheStopLatencyAxis) {
             std::string::npos);
 }
 
-TEST(SweepExport, VerdictsCsvIsHeaderOnlyWithoutKeptVerdicts) {
-  SweepOptions opts = tiny_options();
-  opts.keep_verdicts = false;
-  const SweepReport report = run_sweep(opts);
-  EXPECT_EQ(count_lines(verdicts_csv(report)), 1u);
-}
-
 TEST(SweepExport, CellsCsvHasOneRowPerCell) {
   const SweepReport report = run_sweep(tiny_options());
   const std::string csv = cells_csv(report);
@@ -124,61 +91,6 @@ TEST(SweepExport, JsonCarriesFingerprintSeedAndStructure) {
             std::count(json.begin(), json.end(), ']'));
   // Seeds are strings, never bare 64-bit numbers.
   EXPECT_NE(json.find("\"seed\":\""), std::string::npos);
-}
-
-TEST(SweepExport, AppendfGrowsInsteadOfTruncating) {
-  // Rows wider than the internal stack buffer (1 KiB) must come out
-  // whole — this is the NDEBUG-sensitive path: the old code asserted on
-  // overflow and emitted a truncated row when assertions compile out.
-  const std::string wide(5000, 'x');
-  std::string out = "head:";
-  detail::appendf(out, "[%s|%d]", wide.c_str(), 42);
-  EXPECT_EQ(out, "head:[" + wide + "|42]");
-
-  // Exactly at the boundary (content + NUL straddling 1024) too.
-  for (std::size_t len : {1022u, 1023u, 1024u, 1025u}) {
-    const std::string edge(len, 'y');
-    std::string o;
-    detail::appendf(o, "%s", edge.c_str());
-    EXPECT_EQ(o, edge);
-  }
-}
-
-TEST(SweepExport, NormalizeDecimalPointHandlesMultiByteSeparators) {
-  EXPECT_EQ(detail::normalize_decimal_point("3,14", ","), "3.14");
-  EXPECT_EQ(detail::normalize_decimal_point("3.14", "."), "3.14");
-  EXPECT_EQ(detail::normalize_decimal_point("-1,5e-07", ","), "-1.5e-07");
-  EXPECT_EQ(detail::normalize_decimal_point("42", ","), "42");
-  EXPECT_EQ(detail::normalize_decimal_point("3\xC2\xB7"
-                                            "14",
-                                            "\xC2\xB7"),
-            "3.14");  // U+00B7 middle dot (e.g. some ca_ES variants)
-  EXPECT_EQ(detail::normalize_decimal_point("", ","), "");
-}
-
-TEST(SweepExport, DoublesRoundTripUnderACommaDecimalLocale) {
-  ScopedNumericLocale locale;
-  if (!locale.force_comma_decimal()) {
-    GTEST_SKIP() << "no comma-decimal locale installed on this host";
-  }
-  // Sanity: the C library really formats with ',' right now, so the
-  // assertions below prove the normalization and not the environment.
-  {
-    char raw[64];
-    std::snprintf(raw, sizeof(raw), "%.17g", 0.5);
-    ASSERT_NE(std::string_view(raw).find(','), std::string_view::npos);
-  }
-  for (const double v : {0.5, -3.25, 1e-7, 123456.789, 2.2250738585072014e-308,
-                         9007199254740993.0}) {
-    std::string s;
-    detail::append_double(s, v);
-    EXPECT_EQ(s.find(','), std::string::npos) << s;
-    double back = 0.0;
-    const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), back);
-    ASSERT_EQ(ec, std::errc{}) << s;
-    EXPECT_EQ(ptr, s.data() + s.size()) << s;
-    EXPECT_EQ(back, v) << s;  // %.17g round-trips exactly
-  }
 }
 
 TEST(SweepExport, ReportsStayParseableUnderACommaDecimalLocale) {

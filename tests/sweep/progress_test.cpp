@@ -91,7 +91,6 @@ TEST(RunShardProgress, SerializedAndExactlySequentialUnderManyWorkers) {
   opts.base_seed = 2006;
   opts.grid.task_counts = {3};
   opts.grid.utilizations = {0.6};
-  opts.keep_verdicts = false;
 
   std::vector<std::uint64_t> seen;  // unguarded on purpose: the
                                     // serialization contract is the lock.

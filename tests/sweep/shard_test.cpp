@@ -220,17 +220,6 @@ TEST(ShardMerge, ReproducesTheSingleProcessReportBitForBit) {
   }
 }
 
-TEST(ShardMerge, DroppedVerdictsKeepAggregatesAndFingerprint) {
-  SweepOptions opts = small_options();
-  const SweepReport single = run_sweep(opts);
-  opts.keep_verdicts = false;
-  const SweepPlan plan(opts);
-  const SweepReport merged = merge(run_split(plan, 3));
-  EXPECT_TRUE(merged.verdicts.empty());
-  EXPECT_EQ(merged.fingerprint, single.fingerprint);
-  expect_same_aggregate(merged.totals, single.totals);
-}
-
 TEST(ShardMerge, EmptyShardsTyingWithNonEmptyOnesMergeInAnyOrder) {
   // An empty shard [b, b) tiles trivially but ties on begin with a
   // non-empty [b, e); it must merge as a no-op whatever the input order.

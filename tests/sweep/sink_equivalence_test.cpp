@@ -4,17 +4,26 @@
 //   * the same scenario run under a full Recorder and under a
 //     CountingSink yields identical engine TaskStats, and the counting
 //     sink's event-derived counters agree with both;
-//   * sweeps reproduce one fingerprint whatever the observation mode
-//     (no sink vs full traces) and whether verdicts are kept.
+//   * the sweep's detector-loaded stage (per-fire detector cost, an
+//     instant-stop handler, a non-default quantizer) reaches the same
+//     TaskStats and fault count traced as it does with no sink, and
+//     every trace it records validates.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <vector>
 
+#include "core/detector.hpp"
+#include "core/treatment.hpp"
 #include "runtime/engine.hpp"
+#include "runtime/quantize.hpp"
+#include "sched/feasibility.hpp"
 #include "sweep/generators.hpp"
 #include "sweep/sweep.hpp"
 #include "trace/recorder.hpp"
 #include "trace/sink.hpp"
+#include "trace/validator.hpp"
 
 namespace rtft::sweep {
 namespace {
@@ -105,24 +114,100 @@ TEST(SinkEquivalence, SameScenarioSameTaskStatsUnderEverySink) {
   }
 }
 
-TEST(SinkEquivalence, FullTracesReproduceTheDefaultFingerprint) {
-  SweepOptions opts = small_options();
-  const SweepReport unobserved = run_sweep(opts);
-  opts.full_traces = true;
-  const SweepReport full = run_sweep(opts);
-  EXPECT_EQ(unobserved.fingerprint, full.fingerprint);
-  EXPECT_EQ(unobserved.totals.engine_clean, full.totals.engine_clean);
-  EXPECT_EQ(unobserved.totals.detector_clean, full.totals.detector_clean);
+/// What one detector-loaded run leaves behind.
+struct DetectorRun {
+  std::vector<rt::TaskStats> stats;
+  std::int64_t faults = 0;
+};
+
+/// The sweep's detector-loaded stage under kInstantStop, as
+/// ScenarioRunner::run arms it: when the plan detects and stops, the
+/// top-priority task overruns job 0 by a whole max period, its
+/// detector fires (each fire costing spec.detector_cost of CPU) and the
+/// handler stops it after the spec's poll latency; thresholds round to
+/// the spec's quantum. Events go to `sink`, or nowhere when it is null.
+DetectorRun run_detector_stage(const ScenarioSpec& spec,
+                               const SweepOptions& opts, trace::Sink* sink) {
+  const sched::TaskSet ts = make_seeded_task_set(spec.seed, spec.tasks);
+  Duration max_period = Duration::zero();
+  for (const auto& t : ts) max_period = std::max(max_period, t.period);
+  rt::EngineOptions eopts;
+  eopts.horizon = Instant::epoch() + max_period * opts.horizon_periods;
+  eopts.stop_poll_latency = spec.stop_poll_latency;
+  eopts.sink = sink;
+  rt::Engine engine(eopts);
+
+  sched::AllowanceOptions aopts;
+  aopts.granularity = opts.allowance_granularity;
+  core::TreatmentPlan plan = core::make_treatment_plan_or_degrade(
+      ts, opts.detector_policy, sched::is_feasible(ts), aopts);
+  const sched::TaskId hog = ts.by_priority_desc().front();
+  std::vector<rt::TaskHandle> handles;
+  for (sched::TaskId id = 0; id < ts.size(); ++id) {
+    rt::CostSpec cost;
+    if (plan.detects && plan.stops && id == hog) {
+      cost = rt::CostSpec::fixed_overrun(0, max_period);
+    }
+    handles.push_back(engine.add_task(ts[id], std::move(cost)));
+  }
+  std::optional<core::DetectorBank> bank;
+  if (plan.detects) {
+    core::DetectorConfig dcfg;
+    dcfg.quantizer = rt::Quantizer{spec.quantum, rt::Rounding::kNearest};
+    dcfg.fire_cost = spec.detector_cost;
+    bank.emplace(engine, handles, std::move(plan.thresholds), dcfg,
+                 [](rt::Engine& e, rt::TaskHandle task, std::int64_t) {
+                   e.request_stop(task, rt::StopMode::kTask);
+                 });
+  }
+  engine.run();
+
+  DetectorRun out;
+  for (const rt::TaskHandle h : handles) out.stats.push_back(engine.stats(h));
+  out.faults = bank ? bank->total_faults() : 0;
+  return out;
 }
 
-TEST(SinkEquivalence, DroppingVerdictsReproducesTheFingerprint) {
+TEST(SinkEquivalence, DetectorLoadedStageIsTheSameTracedAndUntraced) {
   SweepOptions opts = small_options();
-  const SweepReport kept = run_sweep(opts);
-  opts.keep_verdicts = false;
-  const SweepReport dropped = run_sweep(opts);
-  EXPECT_EQ(kept.fingerprint, dropped.fingerprint);
-  EXPECT_TRUE(dropped.verdicts.empty());
-  EXPECT_FALSE(kept.verdicts.empty());
+  opts.detector_policy = core::TreatmentPolicy::kInstantStop;
+  opts.grid.stop_poll_latencies = {Duration::zero(), Duration::us(500)};
+  opts.grid.quantizer_resolutions = {Duration::us(500)};
+  std::int64_t faults = 0;
+  std::int64_t stopped = 0;
+  for (std::uint64_t i = 0; i < opts.scenario_count; ++i) {
+    const ScenarioSpec spec = scenario_spec(opts, i);
+    ASSERT_NE(spec.quantum, Duration::ms(1));
+    trace::Recorder recorder;
+    const DetectorRun traced = run_detector_stage(spec, opts, &recorder);
+    const DetectorRun untraced = run_detector_stage(spec, opts, nullptr);
+
+    EXPECT_EQ(traced.faults, untraced.faults) << "scenario " << i;
+    ASSERT_EQ(traced.stats.size(), untraced.stats.size());
+    for (std::size_t t = 0; t < traced.stats.size(); ++t) {
+      const rt::TaskStats& a = traced.stats[t];
+      const rt::TaskStats& b = untraced.stats[t];
+      EXPECT_EQ(a.released, b.released) << "scenario " << i << " task " << t;
+      EXPECT_EQ(a.completed, b.completed) << "scenario " << i << " task " << t;
+      EXPECT_EQ(a.missed, b.missed) << "scenario " << i << " task " << t;
+      EXPECT_EQ(a.aborted, b.aborted) << "scenario " << i << " task " << t;
+      EXPECT_EQ(a.stopped, b.stopped) << "scenario " << i << " task " << t;
+      EXPECT_EQ(a.max_response, b.max_response)
+          << "scenario " << i << " task " << t;
+      EXPECT_EQ(a.last_response, b.last_response)
+          << "scenario " << i << " task " << t;
+      if (a.stopped) ++stopped;
+    }
+    faults += traced.faults;
+
+    const sched::TaskSet ts = make_seeded_task_set(spec.seed, spec.tasks);
+    const trace::ValidationResult valid = trace::validate_trace(ts, recorder);
+    EXPECT_TRUE(valid.ok()) << "scenario " << i << ": " << valid.summary();
+  }
+  // The corpus exercises what it claims to: detectors fired and the
+  // handler stopped overrunning tasks.
+  EXPECT_GT(faults, 0);
+  EXPECT_GT(stopped, 0);
 }
 
 TEST(SinkEquivalence, ReusedRunnerMatchesOneShotRunScenario) {

@@ -343,17 +343,6 @@ TEST(Sweep, ProgressHookOnAShardReportsShardLocalTotals) {
   EXPECT_TRUE(total_consistent.load());
 }
 
-TEST(Sweep, VerdictsCanBeDropped) {
-  SweepOptions opts = small_options();
-  opts.scenario_count = 16;
-  opts.keep_verdicts = false;
-  const SweepReport report = run_sweep(opts);
-  EXPECT_TRUE(report.verdicts.empty());
-  EXPECT_EQ(report.totals.total, 16u);
-  opts.keep_verdicts = true;
-  EXPECT_EQ(report.fingerprint, run_sweep(opts).fingerprint);
-}
-
 // ---------------------------------------------------------------------------
 // Cross-checks: the analyses and the engine must not contradict each
 // other on any swept scenario.

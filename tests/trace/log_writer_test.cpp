@@ -58,21 +58,6 @@ TEST(Csv, HeaderAndRowShape) {
   }
 }
 
-TEST(Json, ParsesStructurally) {
-  const LoggedRun r = small_run();
-  const std::string json = json_string(r.sys->recorder(), r.tasks);
-  EXPECT_EQ(json.front(), '[');
-  EXPECT_NE(json.find("\"kind\": \"release\""), std::string::npos);
-  EXPECT_NE(json.find("\"task\": \"tau2\""), std::string::npos);
-  // Balanced braces: one '{' per event.
-  const auto opens =
-      std::count(json.begin(), json.end(), '{');
-  const auto closes =
-      std::count(json.begin(), json.end(), '}');
-  EXPECT_EQ(opens, closes);
-  EXPECT_EQ(static_cast<std::size_t>(opens), r.sys->recorder().size());
-}
-
 TEST(WriteFile, RoundTripsAndReportsErrors) {
   const std::string path = ::testing::TempDir() + "/rtft_log_test.txt";
   write_file(path, "hello\n");
