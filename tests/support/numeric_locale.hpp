@@ -17,8 +17,10 @@ class ScopedNumericLocale {
   ScopedNumericLocale(const ScopedNumericLocale&) = delete;
   ScopedNumericLocale& operator=(const ScopedNumericLocale&) = delete;
 
-  /// Tries to install a locale whose decimal separator is ','; returns
-  /// false when the platform ships none (the test then skips).
+  /// Tries to install a locale in which the C library really formats
+  /// 0.5 as "0,5", so a test proves the '.' fix-up and not its
+  /// environment; returns false when the platform ships none (the test
+  /// then skips).
   bool force_comma_decimal() {
     for (const char* name :
          {"de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8", "de_DE",

@@ -120,15 +120,15 @@ struct DetectorRun {
   std::int64_t faults = 0;
 };
 
-/// The sweep's detector-loaded stage under kInstantStop, as
+/// The sweep's detector-loaded stage for `ts` under kInstantStop, as
 /// ScenarioRunner::run arms it: when the plan detects and stops, the
 /// top-priority task overruns job 0 by a whole max period, its
 /// detector fires (each fire costing spec.detector_cost of CPU) and the
 /// handler stops it after the spec's poll latency; thresholds round to
 /// the spec's quantum. Events go to `sink`, or nowhere when it is null.
-DetectorRun run_detector_stage(const ScenarioSpec& spec,
+DetectorRun run_detector_stage(const sched::TaskSet& ts,
+                               const ScenarioSpec& spec,
                                const SweepOptions& opts, trace::Sink* sink) {
-  const sched::TaskSet ts = make_seeded_task_set(spec.seed, spec.tasks);
   Duration max_period = Duration::zero();
   for (const auto& t : ts) max_period = std::max(max_period, t.period);
   rt::EngineOptions eopts;
@@ -176,33 +176,33 @@ TEST(SinkEquivalence, DetectorLoadedStageIsTheSameTracedAndUntraced) {
   std::int64_t faults = 0;
   std::int64_t stopped = 0;
   for (std::uint64_t i = 0; i < opts.scenario_count; ++i) {
+    SCOPED_TRACE(::testing::Message() << "scenario " << i);
     const ScenarioSpec spec = scenario_spec(opts, i);
     ASSERT_NE(spec.quantum, Duration::ms(1));
+    const sched::TaskSet ts = make_seeded_task_set(spec.seed, spec.tasks);
     trace::Recorder recorder;
-    const DetectorRun traced = run_detector_stage(spec, opts, &recorder);
-    const DetectorRun untraced = run_detector_stage(spec, opts, nullptr);
+    const DetectorRun traced = run_detector_stage(ts, spec, opts, &recorder);
+    const DetectorRun untraced = run_detector_stage(ts, spec, opts, nullptr);
 
-    EXPECT_EQ(traced.faults, untraced.faults) << "scenario " << i;
+    EXPECT_EQ(traced.faults, untraced.faults);
     ASSERT_EQ(traced.stats.size(), untraced.stats.size());
     for (std::size_t t = 0; t < traced.stats.size(); ++t) {
+      SCOPED_TRACE(::testing::Message() << "task " << t);
       const rt::TaskStats& a = traced.stats[t];
       const rt::TaskStats& b = untraced.stats[t];
-      EXPECT_EQ(a.released, b.released) << "scenario " << i << " task " << t;
-      EXPECT_EQ(a.completed, b.completed) << "scenario " << i << " task " << t;
-      EXPECT_EQ(a.missed, b.missed) << "scenario " << i << " task " << t;
-      EXPECT_EQ(a.aborted, b.aborted) << "scenario " << i << " task " << t;
-      EXPECT_EQ(a.stopped, b.stopped) << "scenario " << i << " task " << t;
-      EXPECT_EQ(a.max_response, b.max_response)
-          << "scenario " << i << " task " << t;
-      EXPECT_EQ(a.last_response, b.last_response)
-          << "scenario " << i << " task " << t;
+      EXPECT_EQ(a.released, b.released);
+      EXPECT_EQ(a.completed, b.completed);
+      EXPECT_EQ(a.missed, b.missed);
+      EXPECT_EQ(a.aborted, b.aborted);
+      EXPECT_EQ(a.stopped, b.stopped);
+      EXPECT_EQ(a.max_response, b.max_response);
+      EXPECT_EQ(a.last_response, b.last_response);
       if (a.stopped) ++stopped;
     }
     faults += traced.faults;
 
-    const sched::TaskSet ts = make_seeded_task_set(spec.seed, spec.tasks);
     const trace::ValidationResult valid = trace::validate_trace(ts, recorder);
-    EXPECT_TRUE(valid.ok()) << "scenario " << i << ": " << valid.summary();
+    EXPECT_TRUE(valid.ok()) << valid.summary();
   }
   // The corpus exercises what it claims to: detectors fired and the
   // handler stopped overrunning tasks.
