@@ -106,8 +106,9 @@ int main(int argc, char** argv) {
       const std::string v = value();
       char* end = nullptr;
       util = std::strtod(v.c_str(), &end);
-      if (end == v.c_str() || *end != '\0' || !(util > 0.0)) {
-        bad_value("--util", v, "must be a total utilization > 0");
+      if (end == v.c_str() || *end != '\0' ||
+          !(util > 0.0 && util <= 64.0)) {
+        bad_value("--util", v, "must be a total utilization in (0, 64]");
       }
     } else if (arg == "--seed") {
       seed = static_cast<std::uint64_t>(

@@ -8,7 +8,6 @@
 //                     [--tasks ...] [--util ...] [--detector-cost-us ...]
 //                     [--stop-latency-us ...] [--cores ...]
 //                     [--quantum-us ...]
-//                     [--partitioner both|first-fit|fault-aware]
 //                     [--core-fault F] [--policy NAME]
 //                     [--horizon-periods K]
 //                     [--shards M] [--max-procs P] [--retry-budget R]
@@ -55,7 +54,6 @@ using namespace rtft;
       "          [--detector-cost-us c1,c2,...]\n"
       "          [--stop-latency-us l1,l2,...]\n"
       "          [--cores m1,m2,...] [--quantum-us q1,q2,...]\n"
-      "          [--partitioner both|first-fit|fault-aware]\n"
       "          [--core-fault F] [--policy NAME] [--horizon-periods K]\n"
       "          [--shards M] [--max-procs P] [--retry-budget R]\n"
       "          [--straggler-factor F] [--min-straggler-timeout-ms MS]\n"

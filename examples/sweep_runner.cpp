@@ -6,7 +6,6 @@
 //                [--detector-cost-us c1,c2,...]
 //                [--stop-latency-us l1,l2,...]
 //                [--cores m1,m2,...] [--quantum-us q1,q2,...]
-//                [--partitioner both|first-fit|fault-aware]
 //                [--core-fault F] [--policy NAME] [--horizon-periods K]
 //                [--verdicts] [--progress]
 //                [--csv FILE] [--cells-csv FILE] [--json FILE]
@@ -29,14 +28,17 @@
 // it with a stopping --policy (e.g. instant-stop) so detected faults
 // actually request stops.
 //
+// --util takes total utilizations in (0, 64], the widest fleet.
+//
 // --cores sweeps the partitioned-multiprocessor axis: for M > 1 each
-// scenario is additionally placed onto an M-core fleet (first-fit and
-// fault-aware partitioners, per --partitioner) and run through a
-// mid-horizon core failure at --core-fault x horizon (0 disables the
-// fault). --quantum-us sweeps the release-quantizer resolution; the
-// default 1000 keeps the historical exact-threshold behavior, any other
-// value arms nearest-rounding on the paper's jRate grid. Both axes
-// fingerprint only when off their defaults, so historical pins hold.
+// scenario is additionally placed onto an M-core fleet (by first-fit
+// and by fault-aware placement, paired on the same draw) and run
+// through a mid-horizon core failure at --core-fault x horizon (0
+// disables the fault). --quantum-us sweeps the release-quantizer
+// resolution; the default 1000 keeps the historical exact-threshold
+// behavior, any other value arms nearest-rounding on the paper's jRate
+// grid. Both axes fingerprint only when off their defaults, so
+// historical pins hold.
 //
 // --shard I/N runs only shard I (0-based) of an N-way contiguous
 // partition of the scenario index space and, with --emit-shard, writes
@@ -81,7 +83,6 @@ using namespace rtft;
       "          [--detector-cost-us c1,c2,...]\n"
       "          [--stop-latency-us l1,l2,...]\n"
       "          [--cores m1,m2,...] [--quantum-us q1,q2,...]\n"
-      "          [--partitioner both|first-fit|fault-aware]\n"
       "          [--core-fault F] [--policy NAME] [--horizon-periods K]\n"
       "          [--verdicts] [--progress]\n"
       "          [--csv FILE] [--cells-csv FILE] [--json FILE]\n"

@@ -22,7 +22,10 @@ RunReport FaultTolerantSystem::run() {
   RunReport report;
   report.feasibility = sched::analyze(config_.tasks, config_.allowance.rta);
   report.admitted = report.feasibility.feasible;
-  report.plan = make_treatment_plan_or_detect_only();
+  // Threshold-bearing policies need a feasible set; an infeasible one
+  // gets a detection-less plan so the report can still describe it.
+  report.plan = make_treatment_plan_or_degrade(
+      config_.tasks, config_.policy, report.admitted, config_.allowance);
 
   if (!report.admitted && !config_.run_infeasible) {
     // Admission control refuses the system (paper §2: never start a
@@ -39,12 +42,8 @@ RunReport FaultTolerantSystem::run() {
   engine_opts.horizon = Instant::epoch() + config_.horizon;
   engine_opts.stop_poll_latency = config_.stop_poll_latency;
   engine_opts.context_switch_cost = config_.context_switch_cost;
-  if (config_.sink != nullptr) {
-    engine_opts.sink = config_.sink;
-  } else {
-    owned_recorder_ = std::make_unique<trace::Recorder>();
-    engine_opts.sink = owned_recorder_.get();
-  }
+  recorder_ = std::make_unique<trace::Recorder>();
+  engine_opts.sink = recorder_.get();
   engine_ = std::make_unique<rt::Engine>(engine_opts);
 
   std::vector<rt::TaskHandle> handles;
@@ -84,29 +83,15 @@ RunReport FaultTolerantSystem::run() {
   return report;
 }
 
-TreatmentPlan FaultTolerantSystem::make_treatment_plan_or_detect_only() {
-  // Threshold-bearing policies require feasibility; when the system is
-  // infeasible the plan degrades to "no detection" so the report can
-  // still describe the refused run. (`||` keeps the kNoDetection path
-  // from paying the feasibility analysis.)
-  const bool feasible =
-      config_.policy == TreatmentPolicy::kNoDetection ||
-      sched::is_feasible(config_.tasks, config_.allowance.rta);
-  return make_treatment_plan_or_degrade(config_.tasks, config_.policy,
-                                        feasible, config_.allowance);
-}
-
 const rt::Engine& FaultTolerantSystem::engine() const {
   RTFT_EXPECTS(engine_ != nullptr, "run() has not executed the system");
   return *engine_;
 }
 
 const trace::Recorder& FaultTolerantSystem::recorder() const {
-  RTFT_EXPECTS(owned_recorder_ != nullptr,
-               config_.sink != nullptr
-                   ? "recorder(): events went to the configured sink"
-                   : "recorder(): run() has not executed the system");
-  return *owned_recorder_;
+  RTFT_EXPECTS(recorder_ != nullptr,
+               "recorder(): run() has not executed the system");
+  return *recorder_;
 }
 
 std::int64_t RunReport::total_misses() const {

@@ -43,12 +43,6 @@ struct FtSystemConfig {
   /// admission control as the paper prescribes. When true, the system
   /// runs anyway (useful to demonstrate failures).
   bool run_infeasible = false;
-  /// Observation seam: where the run's trace events go. Borrowed; must
-  /// outlive run(). Null (default) keeps the historical behaviour — the
-  /// system owns a full-fidelity Recorder, exposed through recorder().
-  /// Supplying a sink (e.g. a trace::CountingSink) makes the run record
-  /// through it instead, and recorder() then refuses.
-  trace::Sink* sink = nullptr;
 };
 
 /// Per-task outcome of a run.
@@ -91,19 +85,15 @@ class FaultTolerantSystem {
 
   /// Valid after run() when the report says executed.
   [[nodiscard]] const rt::Engine& engine() const;
-  /// The owned full-fidelity trace. Valid after run() when no external
-  /// sink was configured; throws otherwise (the events went elsewhere).
+  /// The run's full-fidelity trace. Valid after run() when the report
+  /// says executed; throws otherwise.
   [[nodiscard]] const trace::Recorder& recorder() const;
   [[nodiscard]] const FtSystemConfig& config() const { return config_; }
 
  private:
-  /// The plan for the configured policy; degrades to a detection-less
-  /// plan when the set is infeasible (thresholds would be meaningless).
-  TreatmentPlan make_treatment_plan_or_detect_only();
-
   FtSystemConfig config_;
   FaultPlan faults_;
-  std::unique_ptr<trace::Recorder> owned_recorder_;  ///< when no sink given.
+  std::unique_ptr<trace::Recorder> recorder_;
   std::unique_ptr<rt::Engine> engine_;
   std::unique_ptr<DetectorBank> detectors_;
   bool ran_ = false;

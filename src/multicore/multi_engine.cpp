@@ -10,11 +10,8 @@ void MultiEngine::reset(std::size_t cores, const rt::EngineOptions& base) {
   RTFT_EXPECTS(cores >= 1, "a fleet needs at least one core");
   if (engines_.size() < cores) engines_.resize(cores);
   for (std::size_t i = 0; i < cores; ++i) {
-    if (engines_[i]) {
-      engines_[i]->reset(base);
-    } else {
-      engines_[i] = std::make_unique<rt::Engine>(base);
-    }
+    if (!engines_[i]) engines_[i] = std::make_unique<rt::Engine>();
+    engines_[i]->reset(base);
   }
   alive_.assign(cores, true);
   bindings_.clear();
@@ -29,11 +26,7 @@ void MultiEngine::reserve(std::size_t cores, std::size_t tasks,
                           std::size_t events) {
   if (engines_.size() < cores) engines_.resize(cores);
   for (std::size_t i = 0; i < cores; ++i) {
-    if (!engines_[i]) {
-      rt::EngineOptions placeholder;
-      placeholder.horizon = Instant::from_ns(1);  // re-armed by reset().
-      engines_[i] = std::make_unique<rt::Engine>(placeholder);
-    }
+    if (!engines_[i]) engines_[i] = std::make_unique<rt::Engine>();
     engines_[i]->reserve(tasks, events);
   }
 }

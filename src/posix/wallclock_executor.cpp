@@ -15,6 +15,10 @@ namespace {
 
 using SteadyClock = std::chrono::steady_clock;
 
+/// Cooperative preemption granularity: a running job re-checks the
+/// priority gate this often.
+constexpr Duration kSlice = Duration::ms(1);
+
 std::chrono::nanoseconds to_chrono(Duration d) {
   return std::chrono::nanoseconds(d.count());
 }
@@ -22,12 +26,7 @@ std::chrono::nanoseconds to_chrono(Duration d) {
 }  // namespace
 
 struct WallclockExecutor::Impl {
-  explicit Impl(WallclockOptions opts)
-      : options(opts),
-        owned_recorder(opts.sink == nullptr
-                           ? std::make_unique<trace::Recorder>(1 << 14)
-                           : nullptr),
-        sink(opts.sink != nullptr ? opts.sink : owned_recorder.get()) {}
+  explicit Impl(WallclockOptions opts) : options(opts), recorder(1 << 14) {}
 
   struct TaskRec {
     sched::TaskParams params;
@@ -38,8 +37,9 @@ struct WallclockExecutor::Impl {
   WallclockOptions options;
   std::vector<TaskRec> tasks;
 
-  // Shared scheduling state. The mutex guards the ready set, the sink
-  // and all counters (CP.50: mutex lives with the data it guards).
+  // Shared scheduling state. The mutex guards the ready set, the
+  // recorder and all counters (CP.50: mutex lives with the data it
+  // guards).
   std::mutex mutex;
   std::condition_variable cv;
   /// ready[i] == true when task i has a released, unfinished job.
@@ -48,10 +48,7 @@ struct WallclockExecutor::Impl {
 
   TscClock clock;
   SteadyClock::time_point start_time;
-  /// Events go to a borrowed sink (the engine's observation seam); the
-  /// executor owns a Recorder only when the caller configured none.
-  std::unique_ptr<trace::Recorder> owned_recorder;
-  trace::Sink* sink;
+  trace::Recorder recorder;
   bool ran = false;
 
   /// True when task `self` outranks every other ready task (FIFO among
@@ -86,8 +83,8 @@ struct WallclockExecutor::Impl {
         std::lock_guard lock(mutex);
         task.stats.released++;
         ready[self] = true;
-        sink->record(trace_now(), trace::EventKind::kJobRelease,
-                     static_cast<std::uint32_t>(self), job);
+        recorder.record(trace_now(), trace::EventKind::kJobRelease,
+                        static_cast<std::uint32_t>(self), job);
       }
       cv.notify_all();
 
@@ -97,7 +94,7 @@ struct WallclockExecutor::Impl {
         {
           // Wait for the CPU token.
           std::unique_lock lock(mutex);
-          cv.wait_for(lock, to_chrono(options.slice), [&] {
+          cv.wait_for(lock, to_chrono(kSlice), [&] {
             return holds_cpu(self) ||
                    shutting_down.load(std::memory_order_relaxed);
           });
@@ -105,20 +102,13 @@ struct WallclockExecutor::Impl {
           if (!holds_cpu(self)) continue;
           if (!started) {
             started = true;
-            sink->record(trace_now(), trace::EventKind::kJobStart,
-                         static_cast<std::uint32_t>(self), job);
+            recorder.record(trace_now(), trace::EventKind::kJobStart,
+                            static_cast<std::uint32_t>(self), job);
           }
         }
         // Execute one slice outside the lock.
-        const Duration slice = std::min(remaining, options.slice);
-        if (options.busy_spin) {
-          const auto until = SteadyClock::now() + to_chrono(slice);
-          while (SteadyClock::now() < until) {
-            // burn
-          }
-        } else {
-          std::this_thread::sleep_for(to_chrono(slice));
-        }
+        const Duration slice = std::min(remaining, kSlice);
+        std::this_thread::sleep_for(to_chrono(slice));
         remaining -= slice;
       }
 
@@ -138,11 +128,11 @@ struct WallclockExecutor::Impl {
           if (r > task.stats.max_response) task.stats.max_response = r;
           if (r > task.params.deadline) {
             task.stats.missed++;
-            sink->record(trace_now(), trace::EventKind::kDeadlineMiss,
-                         static_cast<std::uint32_t>(self), job);
+            recorder.record(trace_now(), trace::EventKind::kDeadlineMiss,
+                            static_cast<std::uint32_t>(self), job);
           }
-          sink->record(trace_now(), trace::EventKind::kJobEnd,
-                       static_cast<std::uint32_t>(self), job, r.count());
+          recorder.record(trace_now(), trace::EventKind::kJobEnd,
+                          static_cast<std::uint32_t>(self), job, r.count());
         }
       }
       cv.notify_all();
@@ -154,7 +144,6 @@ struct WallclockExecutor::Impl {
 WallclockExecutor::WallclockExecutor(WallclockOptions options)
     : impl_(std::make_unique<Impl>(options)) {
   RTFT_EXPECTS(options.horizon.is_positive(), "horizon must be positive");
-  RTFT_EXPECTS(options.slice.is_positive(), "slice must be positive");
 }
 
 WallclockExecutor::~WallclockExecutor() = default;
@@ -195,9 +184,7 @@ const rt::TaskStats& WallclockExecutor::stats(rt::TaskHandle task) const {
 }
 
 const trace::Recorder& WallclockExecutor::recorder() const {
-  RTFT_EXPECTS(impl_->owned_recorder != nullptr,
-               "recorder(): events went to the configured sink");
-  return *impl_->owned_recorder;
+  return impl_->recorder;
 }
 
 }  // namespace rtft::posix

@@ -9,11 +9,11 @@
 //   * every task is a thread; a shared priority gate admits only the
 //     highest-priority released job to "execute";
 //   * execution is sliced — the running job re-checks the gate every
-//     `slice`, so preemption latency is one slice (this is precisely the
-//     cooperative polling the paper describes for stopping threads,
+//     1 ms slice, so preemption latency is one slice (this is precisely
+//     the cooperative polling the paper describes for stopping threads,
 //     §4.1, applied to scheduling);
-//   * "work" is either a busy spin (consumes real CPU, needs an idle
-//     core) or a timed sleep (default; robust on loaded CI machines).
+//   * "work" is a timed sleep, robust on loaded CI machines (a busy
+//     spin would need an idle core per task).
 //
 // Use the virtual-time engine for exact figures; use this to demonstrate
 // the API against a real clock and to sanity-check orderings. Timestamps
@@ -28,24 +28,12 @@
 #include "runtime/engine.hpp"  // CostModel, TaskStats
 #include "sched/task.hpp"
 #include "trace/recorder.hpp"
-#include "trace/sink.hpp"
 
 namespace rtft::posix {
 
 struct WallclockOptions {
   /// Real-time length of the run.
   Duration horizon = Duration::ms(500);
-  /// Cooperative preemption granularity (and stop-poll latency).
-  Duration slice = Duration::ms(1);
-  /// Burn CPU for "execution" instead of sleeping through it.
-  bool busy_spin = false;
-  /// Where trace events go (borrowed; must outlive the executor) — the
-  /// engine's Sink seam applied to the wall-clock substrate, so a caller
-  /// can observe wall-clock runs through the same sink (e.g. a
-  /// CountingSink) it uses for virtual-time runs. Null (the default)
-  /// keeps the historical behavior: the executor owns a full-fidelity
-  /// Recorder, exposed through recorder().
-  trace::Sink* sink = nullptr;
 };
 
 /// Runs periodic tasks against the wall clock. Threads are created by
@@ -67,9 +55,6 @@ class WallclockExecutor {
   /// Post-run statistics (same shape as the virtual engine's).
   [[nodiscard]] const rt::TaskStats& stats(rt::TaskHandle task) const;
   /// Post-run trace with TSC timestamps (release/start/end/miss events).
-  /// Only meaningful when no external sink was configured — events then
-  /// went to WallclockOptions::sink, and this throws ContractViolation
-  /// (mirroring FaultTolerantSystem::recorder()).
   [[nodiscard]] const trace::Recorder& recorder() const;
 
  private:

@@ -576,11 +576,9 @@ void validate_options(const EngineOptions& options) {
 
 }  // namespace
 
-Engine::Engine(EngineOptions options) : impl_(std::make_unique<Impl>()) {
-  validate_options(options);
-  impl_->rearm(options);
-  impl_->owner = this;
-}
+Engine::Engine() : impl_(std::make_unique<Impl>()) { impl_->owner = this; }
+
+Engine::Engine(EngineOptions options) : Engine() { reset(options); }
 
 Engine::~Engine() = default;
 
@@ -600,6 +598,8 @@ void Engine::reserve(std::size_t tasks, std::size_t events) {
 
 TaskHandle Engine::add_task(const sched::TaskParams& params, CostSpec cost,
                             TaskCallbacks callbacks, Instant start) {
+  RTFT_EXPECTS(impl_->options.horizon > Instant::epoch(),
+               "an unarmed engine takes no tasks: reset() arms it");
   sched::validate_params(params);
   const Instant first_release = start + params.offset;
   RTFT_EXPECTS(first_release >= impl_->now,

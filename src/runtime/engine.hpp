@@ -109,6 +109,9 @@ struct EngineOptions {
 /// The discrete-event engine. Single-threaded; not copyable.
 class Engine {
  public:
+  /// An unarmed engine: add_task() refuses and run() does nothing until
+  /// reset() arms it. Pools that re-arm one engine per run start here.
+  Engine();
   explicit Engine(EngineOptions options);
   ~Engine();
   Engine(const Engine&) = delete;

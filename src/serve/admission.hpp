@@ -136,7 +136,7 @@ struct ServiceMetrics {
   /// serving traffic.
   std::uint64_t cross_check_disagreements = 0;
   /// kExact requests answered at kRtaOnly because the engine window
-  /// would release more jobs than max_cross_check_jobs allows — the
+  /// would release more than the service's 200,000-job cap — the
   /// service's defense against a single pathological request (a 1 ns
   /// period next to a 1000 s one) starving every other client — or
   /// reach dates past int64 nanoseconds.

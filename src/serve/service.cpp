@@ -25,11 +25,10 @@ constexpr double kDegradeRtaAt = 0.50;    ///< fill >= this: no cross-check.
 constexpr double kDegradeBoundAt = 0.80;  ///< fill >= this: bounds only.
 constexpr double kRecoverFactor = 0.5;
 
-rt::EngineOptions placeholder_engine_options() {
-  rt::EngineOptions eopts;
-  eopts.horizon = Instant::from_ns(1);  // re-armed before every cross-check.
-  return eopts;
-}
+/// The exact tier answers at kRtaOnly instead when the cross-check
+/// window would release more jobs than this: one pathological request
+/// must not monopolize a worker.
+constexpr std::int64_t kMaxCrossCheckJobs = 200'000;
 
 std::int64_t steady_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -68,8 +67,7 @@ bool bounds_applicable(const sched::TaskSet& ts) {
 // Lifecycle.
 // ---------------------------------------------------------------------------
 
-AdmissionService::WorkerContext::WorkerContext()
-    : engine(placeholder_engine_options()) {
+AdmissionService::WorkerContext::WorkerContext() {
   engine.reserve(32, 4 * 32 + 16);
 }
 
@@ -369,11 +367,11 @@ CachedVerdict AdmissionService::compute(WorkerContext& ctx,
   std::optional<std::int64_t> jobs;
   if (horizon && checked_add(*horizon, reach)) jobs = 0;
   for (const sched::TaskParams& t : ts.tasks()) {
-    if (!jobs || *jobs > opts_.max_cross_check_jobs) break;
+    if (!jobs || *jobs > kMaxCrossCheckJobs) break;
     const std::int64_t period = t.period.count();
     jobs = checked_add(*jobs, (*horizon + period - 1) / period);
   }
-  if (!jobs || *jobs > opts_.max_cross_check_jobs) {
+  if (!jobs || *jobs > kMaxCrossCheckJobs) {
     // A 1 ns period next to a 1000 s one must not monopolize a worker,
     // and a window past int64 cannot run at all: keep the analytic
     // answer and tag it honestly as not cross-checked.

@@ -61,10 +61,6 @@ struct ServiceOptions {
   /// Engine cross-check window, as a multiple of the set's largest
   /// period (same meaning as SweepOptions::horizon_periods).
   std::int64_t horizon_periods = 8;
-  /// Refuse the engine cross-check (answer at kRtaOnly) when the window
-  /// would release more jobs than this — one pathological request must
-  /// not monopolize a worker — or reach past int64 nanoseconds.
-  std::int64_t max_cross_check_jobs = 200'000;
   ServiceFaultPlan faults;
   /// Start the worker pool in the constructor. Tests pass false, preload
   /// the queue, then call start() — making queue-depth-driven ladder

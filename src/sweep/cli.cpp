@@ -119,7 +119,11 @@ bool apply_sweep_flag(std::string_view arg,
     const std::string v = value();
     opts.grid.utilizations.clear();
     for (const std::string_view p : split(v, ',')) {
-      opts.grid.utilizations.push_back(parse_positive_double("--util", p));
+      const double u = parse_positive_double("--util", p);
+      if (u > static_cast<double>(kMaxCores)) {
+        bad_value("--util", p, "must be in (0, 64]");
+      }
+      opts.grid.utilizations.push_back(u);
     }
   } else if (arg == "--detector-cost-us") {
     const std::string v = value();
@@ -141,7 +145,7 @@ bool apply_sweep_flag(std::string_view arg,
     opts.grid.core_counts.clear();
     for (const std::string_view p : split(v, ',')) {
       opts.grid.core_counts.push_back(
-          static_cast<std::size_t>(parse_u64("--cores", p, 1, 64)));
+          static_cast<std::size_t>(parse_u64("--cores", p, 1, kMaxCores)));
     }
   } else if (arg == "--quantum-us") {
     const std::string v = value();
@@ -149,14 +153,6 @@ bool apply_sweep_flag(std::string_view arg,
     for (const std::string_view p : split(v, ',')) {
       opts.grid.quantizer_resolutions.push_back(Duration::us(
           static_cast<std::int64_t>(parse_u64("--quantum-us", p, 1, kMaxUs))));
-    }
-  } else if (arg == "--partitioner") {
-    const std::string v = value();
-    try {
-      opts.partitioner = partitioner_mode_from_string(v);
-    } catch (const std::exception&) {
-      bad_value("--partitioner", v,
-                "expects 'both', 'first-fit' or 'fault-aware'");
     }
   } else if (arg == "--core-fault") {
     const std::string v = value();
@@ -223,8 +219,6 @@ std::vector<std::string> worker_argv(const std::string& runner,
                  [](std::string& out, Duration q) {
                    out += std::to_string(q.count() / 1000);
                  });
-  argv.emplace_back("--partitioner");
-  argv.emplace_back(to_string(opts.partitioner));
   argv.emplace_back("--core-fault");
   {
     std::string fraction;

@@ -347,9 +347,12 @@ std::optional<Duration> Coordinator::straggler_timeout() const {
   std::nth_element(sorted.begin(), sorted.begin() + sorted.size() / 2,
                    sorted.end());
   const Duration median = sorted[sorted.size() / 2];
-  const Duration scaled = Duration::ns(static_cast<std::int64_t>(
-      static_cast<double>(median.count()) * opts_.straggler_factor));
-  return std::max(scaled, opts_.min_straggler_timeout);
+  const double scaled =
+      static_cast<double>(median.count()) * opts_.straggler_factor;
+  // Saturate: casting a product past int64 nanoseconds is undefined.
+  if (!(scaled < 0x1p63)) return Duration::max();
+  return std::max(Duration::ns(static_cast<std::int64_t>(scaled)),
+                  opts_.min_straggler_timeout);
 }
 
 void Coordinator::check_stragglers() {

@@ -98,10 +98,6 @@ void grid_fields(Grid& g, F&& f) {
   f("stop_poll_latency_ns", g.stop_poll_latencies);
   f("core_counts", g.core_counts);
   f("quantizer_resolution_ns", g.quantizer_resolutions);
-  f("deadline_min_factor", g.deadline_min_factor);
-  f("deadline_max_factor", g.deadline_max_factor);
-  f("min_period_ns", g.min_period);
-  f("max_period_ns", g.max_period);
 }
 
 /// The shard document's options (report_json keeps its own selection).
@@ -113,7 +109,6 @@ void shard_option_fields(Options& o, F&& f) {
   f("horizon_periods", o.horizon_periods);
   f("allowance_granularity_ns", o.allowance_granularity);
   f("detector_policy", o.detector_policy);
-  f("partitioner", o.partitioner);
   f("core_fault_fraction", o.core_fault_fraction);
   f("grid", o.grid);
 }
@@ -157,12 +152,10 @@ void put(std::string& out, Hex<T> h) {
   out += '"';
 }
 
-/// Enums travel by their to_string name.
-template <typename Enum>
-  requires std::is_enum_v<Enum>
-void put(std::string& out, Enum e) {
+/// The policy travels by its to_string name.
+void put(std::string& out, core::TreatmentPolicy p) {
   out += '"';
-  out += to_string(e);
+  out += core::to_string(p);
   out += '"';
 }
 
@@ -304,7 +297,6 @@ std::string report_json(const SweepReport& report) {
   m("base_seed", Hex{o.base_seed});
   m("horizon_periods", o.horizon_periods);
   m("allowance_granularity_ns", o.allowance_granularity);
-  m("partitioner", o.partitioner);
   m("core_fault_fraction", o.core_fault_fraction);
   out += "},\n";
   put_results(out, report.totals, report.cells, report.verdicts);
@@ -585,23 +577,13 @@ void get(const JsonValue& v, const char* what, Hex<std::uint64_t> h) {
   }
 }
 
-/// Enums arrive by name; an unknown name is a defect of the file.
-template <typename Enum>
-void get_named(const JsonValue& v, const char* what, Enum& out,
-               Enum (*from_name)(std::string_view)) {
+/// The policy arrives by name; an unknown name is a defect of the file.
+void get(const JsonValue& v, const char* what, core::TreatmentPolicy& out) {
   try {
-    out = from_name(as_string(v, what));
+    out = core::treatment_policy_from_string(as_string(v, what));
   } catch (const ContractViolation&) {
     field_error(what, "unknown name");
   }
-}
-
-void get(const JsonValue& v, const char* what, core::TreatmentPolicy& out) {
-  get_named(v, what, out, core::treatment_policy_from_string);
-}
-
-void get(const JsonValue& v, const char* what, PartitionerMode& out) {
-  get_named(v, what, out, partitioner_mode_from_string);
 }
 
 template <typename T>

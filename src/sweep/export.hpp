@@ -11,7 +11,7 @@
 // Plus the shard interchange format that lets the partition/run/merge
 // triad cross process and host boundaries:
 //
-//   shard_json      — one ShardResult as a versioned ("rtft-shard" v2)
+//   shard_json      — one ShardResult as a versioned ("rtft-shard" v3)
 //                     JSON document: the producing options and grid, the
 //                     index range, per-cell aggregates, every verdict
 //                     (the shard's fingerprint contribution — FNV-1a
@@ -59,8 +59,11 @@ namespace rtft::sweep {
 inline constexpr std::string_view kShardFormatName = "rtft-shard";
 /// v2 added the multicore axes (core_counts, quantizer_resolution_ns,
 /// partitioner, core_fault_fraction) and the ff_*/fa_* verdict and
-/// aggregate fields.
-inline constexpr std::int64_t kShardFormatVersion = 2;
+/// aggregate fields. v3 dropped the options' "partitioner" (the
+/// multicore stage always runs both placements) and the grid's
+/// deadline_min_factor, deadline_max_factor, min_period_ns and
+/// max_period_ns (every set uses the generator's fixed ranges).
+inline constexpr std::int64_t kShardFormatVersion = 3;
 
 /// One ShardResult as a self-contained, versioned JSON document.
 [[nodiscard]] std::string shard_json(const ShardResult& shard);

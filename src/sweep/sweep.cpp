@@ -73,24 +73,6 @@ void Fingerprint::add(const ScenarioVerdict& v) {
   }
 }
 
-std::string_view to_string(PartitionerMode mode) {
-  switch (mode) {
-    case PartitionerMode::kBoth: return "both";
-    case PartitionerMode::kFirstFit: return "first-fit";
-    case PartitionerMode::kFaultAware: return "fault-aware";
-  }
-  RTFT_ASSERT(false, "unknown partitioner mode");
-  return "both";
-}
-
-PartitionerMode partitioner_mode_from_string(std::string_view name) {
-  if (name == "both") return PartitionerMode::kBoth;
-  if (name == "first-fit") return PartitionerMode::kFirstFit;
-  if (name == "fault-aware") return PartitionerMode::kFaultAware;
-  RTFT_EXPECTS(false, "unknown partitioner mode name");
-  return PartitionerMode::kBoth;
-}
-
 // ---------------------------------------------------------------------------
 // Aggregates.
 // ---------------------------------------------------------------------------
@@ -169,10 +151,6 @@ ScenarioSpec scenario_spec(const SweepOptions& opts, std::uint64_t index) {
   spec.cell = cell;
   spec.tasks.tasks = g.task_counts[t_i];
   spec.tasks.total_utilization = g.utilizations[u_i];
-  spec.tasks.min_period = g.min_period;
-  spec.tasks.max_period = g.max_period;
-  spec.tasks.deadline_min_factor = g.deadline_min_factor;
-  spec.tasks.deadline_max_factor = g.deadline_max_factor;
   spec.detector_cost = g.detector_costs[d_i];
   spec.stop_poll_latency = g.stop_poll_latencies[s_i];
   spec.cores = g.core_counts[m_i];
@@ -184,18 +162,7 @@ ScenarioSpec scenario_spec(const SweepOptions& opts, std::uint64_t index) {
 // One scenario.
 // ---------------------------------------------------------------------------
 
-namespace {
-
-rt::EngineOptions placeholder_engine_options() {
-  rt::EngineOptions eopts;
-  eopts.horizon = Instant::from_ns(1);  // re-armed before every run.
-  return eopts;
-}
-
-}  // namespace
-
-ScenarioRunner::ScenarioRunner(const SweepOptions& opts)
-    : opts_(opts), engine_(placeholder_engine_options()) {
+ScenarioRunner::ScenarioRunner(const SweepOptions& opts) : opts_(opts) {
   // Pre-size the engine from the grid so even the worker's first run
   // allocates nothing mid-simulation. The busiest draw the grid can
   // produce releases tasks x ceil(horizon / min period) jobs — that
@@ -376,14 +343,10 @@ void ScenarioRunner::run_multicore(const ScenarioSpec& spec,
     lost_jobs = report.total_lost_jobs;
   };
 
-  if (opts_.partitioner != PartitionerMode::kFaultAware) {
-    run_one(first_fit_, v.ff_placement_feasible, v.ff_failover_clean,
-            v.ff_missed_tasks, v.ff_lost_jobs);
-  }
-  if (opts_.partitioner != PartitionerMode::kFirstFit) {
-    run_one(fault_aware_, v.fa_placement_feasible, v.fa_failover_clean,
-            v.fa_missed_tasks, v.fa_lost_jobs);
-  }
+  run_one(first_fit_, v.ff_placement_feasible, v.ff_failover_clean,
+          v.ff_missed_tasks, v.ff_lost_jobs);
+  run_one(fault_aware_, v.fa_placement_feasible, v.fa_failover_clean,
+          v.fa_missed_tasks, v.fa_lost_jobs);
 }
 
 ScenarioVerdict run_scenario(const ScenarioSpec& spec,
@@ -425,23 +388,22 @@ SweepPlan::SweepPlan(const SweepOptions& opts) : opts_(opts) {
     RTFT_EXPECTS(n > 0 && n <= kMaxTasks,
                  "every swept task count must be in [1, 28] (the RTSJ "
                  "priority range)");
+  // The cap also keeps every generated cost (u x period) within int64.
   for (const double u : opts.grid.utilizations)
-    RTFT_EXPECTS(u > 0.0, "every swept utilization must be positive");
+    RTFT_EXPECTS(u > 0.0 && u <= static_cast<double>(kMaxCores),
+                 "every swept utilization must be in (0, 64]");
   for (const Duration c : opts.grid.detector_costs)
     RTFT_EXPECTS(!c.is_negative(), "detector cost must be non-negative");
   for (const Duration l : opts.grid.stop_poll_latencies)
     RTFT_EXPECTS(!l.is_negative(), "stop-poll latency must be non-negative");
   for (const std::size_t m : opts.grid.core_counts)
-    RTFT_EXPECTS(m >= 1 && m <= 64,
+    RTFT_EXPECTS(m >= 1 && m <= kMaxCores,
                  "every swept core count must be in [1, 64]");
   for (const Duration q : opts.grid.quantizer_resolutions)
     RTFT_EXPECTS(q.is_positive(), "quantizer resolution must be positive");
   RTFT_EXPECTS(
       opts.core_fault_fraction >= 0.0 && opts.core_fault_fraction <= 1.0,
       "the core-fault fraction must lie in [0, 1]");
-  RTFT_EXPECTS(opts.grid.min_period.is_positive() &&
-                   opts.grid.max_period >= opts.grid.min_period,
-               "period range must be positive and ordered");
   if (opts_.workers == 0) {
     const unsigned hw = std::thread::hardware_concurrency();
     opts_.workers = hw == 0 ? 1 : hw;
@@ -575,7 +537,6 @@ bool same_scenario_identity(const SweepOptions& a, const SweepOptions& b) {
          a.horizon_periods == b.horizon_periods &&
          a.allowance_granularity == b.allowance_granularity &&
          a.detector_policy == b.detector_policy && a.grid == b.grid &&
-         a.partitioner == b.partitioner &&
          a.core_fault_fraction == b.core_fault_fraction;
 }
 

@@ -43,7 +43,6 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/fnv.hpp"
@@ -56,11 +55,18 @@
 
 namespace rtft::sweep {
 
+/// The widest swept fleet. Also caps swept utilizations: a set no
+/// fleet could hold is not worth generating.
+inline constexpr std::size_t kMaxCores = 64;
+
 /// The parameter grid a sweep covers. Scenarios are assigned to cells
 /// round-robin by index, so every cell receives an equal share (+/-1) of
-/// the scenario budget in a deterministic order.
+/// the scenario budget in a deterministic order. Periods and deadlines
+/// are not axes: every set draws them from RandomTaskSetSpec's defaults
+/// (T log-uniform in 10 ms..1 s, D = T x [0.8, 1.0]).
 struct SweepGrid {
   std::vector<std::size_t> task_counts = {3, 5, 8};
+  /// Target total utilizations, each in (0, kMaxCores].
   std::vector<double> utilizations = {0.5, 0.7, 0.9};
   std::vector<Duration> detector_costs = {Duration::zero()};
   /// Stop-poll latencies for the engine runs (§4.1's cooperative-stop
@@ -80,12 +86,6 @@ struct SweepGrid {
   /// exact-threshold behaviour (no rounding); any other resolution
   /// arms paper-style round-to-nearest on the detector thresholds.
   std::vector<Duration> quantizer_resolutions = {Duration::ms(1)};
-  /// Deadline = period * factor drawn uniformly from this range
-  /// (<= 1: constrained deadlines, the paper's setting).
-  double deadline_min_factor = 0.8;
-  double deadline_max_factor = 1.0;
-  Duration min_period = Duration::ms(10);
-  Duration max_period = Duration::ms(1000);
 
   [[nodiscard]] std::size_t cell_count() const {
     return task_counts.size() * utilizations.size() * detector_costs.size() *
@@ -107,22 +107,6 @@ struct ScenarioSpec {
   Duration quantum = Duration::ms(1);  ///< detector-quantizer resolution.
 };
 
-/// Which placement strategies the multicore stage runs. kBoth pairs
-/// the verdicts per scenario — the evidence the fault-aware placement
-/// is worth its admission cost is exactly a cell where it stays clean
-/// while first-fit misses on the same draw.
-enum class PartitionerMode : std::uint8_t {
-  kBoth,
-  kFirstFit,
-  kFaultAware,
-};
-
-/// "both", "first-fit" or "fault-aware" — the CLI/export spelling.
-[[nodiscard]] std::string_view to_string(PartitionerMode mode);
-/// Inverse of to_string; throws ContractViolation for unknown names.
-[[nodiscard]] PartitionerMode partitioner_mode_from_string(
-    std::string_view name);
-
 /// Sweep-wide options.
 struct SweepOptions {
   std::uint64_t scenario_count = 1000;
@@ -138,8 +122,6 @@ struct SweepOptions {
   std::int64_t horizon_periods = 8;
   /// Policy armed in the detector-loaded run.
   core::TreatmentPolicy detector_policy = core::TreatmentPolicy::kDetectOnly;
-  /// Placement strategies run in multicore cells (cores > 1).
-  PartitionerMode partitioner = PartitionerMode::kBoth;
   /// When the multicore stage kills a core: the fault instant as a
   /// fraction of the scenario horizon, in [0, 1]. The victim is the
   /// core with the highest primary utilization (ties to the lowest
@@ -454,9 +436,9 @@ class ScenarioRunner {
            Duration extra = Duration::zero());
   [[nodiscard]] std::int64_t total_misses() const;
   /// The multicore stage (cells with cores > 1): places the set with
-  /// each requested partitioner, kills the busiest core at the
-  /// configured horizon fraction, and fills the ff_*/fa_* verdict
-  /// fields. Verdicts come from engine statistics.
+  /// first-fit and with fault-aware placement, kills the busiest core
+  /// at the configured horizon fraction, and fills the ff_*/fa_*
+  /// verdict fields. Verdicts come from engine statistics.
   void run_multicore(const ScenarioSpec& spec, const sched::TaskSet& ts,
                      Duration horizon, ScenarioVerdict& v);
 

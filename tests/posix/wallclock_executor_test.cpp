@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "trace/sink.hpp"
 
 namespace rtft::posix {
 namespace {
@@ -108,39 +107,32 @@ TEST(WallclockExecutor, MissesDetectedWhenOverloaded) {
   EXPECT_EQ(s.missed, s.completed);
 }
 
-TEST(WallclockExecutor, RecordsThroughAConfiguredSink) {
-  // The executor is on the engine's Sink seam: a borrowed sink receives
-  // every event, no Recorder is owned, and recorder() refuses (the
-  // FtSystem contract). The CountingSink's per-task counters must
-  // mirror the executor's own statistics — both are maintained in the
-  // same critical sections.
+TEST(WallclockExecutor, TraceMirrorsTheStatistics) {
+  // Per task, the owned trace's release, end and miss events must
+  // mirror the executor's own statistics: both are written in the same
+  // critical sections.
   WallclockOptions opts;
   opts.horizon = 250_ms;
-  trace::CountingSink sink;
-  opts.sink = &sink;
   WallclockExecutor exec(opts);
   const rt::TaskHandle a = exec.add_task(task("a", 5, 5_ms, 40_ms));
   const rt::TaskHandle b = exec.add_task(task("b", 3, 5_ms, 70_ms));
   exec.run();
   for (const rt::TaskHandle t : {a, b}) {
+    std::int64_t released = 0, ended = 0, missed = 0;
+    std::vector<trace::TraceEvent> events;
+    exec.recorder().of_task(static_cast<std::uint32_t>(t),
+                            std::back_inserter(events));
+    for (const trace::TraceEvent& e : events) {
+      released += e.kind == trace::EventKind::kJobRelease ? 1 : 0;
+      ended += e.kind == trace::EventKind::kJobEnd ? 1 : 0;
+      missed += e.kind == trace::EventKind::kDeadlineMiss ? 1 : 0;
+    }
     const rt::TaskStats& s = exec.stats(t);
-    const trace::TaskCounters& c =
-        sink.counters(static_cast<std::size_t>(t));
-    EXPECT_EQ(c.released, s.released);
-    EXPECT_EQ(c.completed, s.completed);
-    EXPECT_EQ(c.missed, s.missed);
+    EXPECT_EQ(released, s.released);
+    EXPECT_EQ(ended, s.completed);
+    EXPECT_EQ(missed, s.missed);
     EXPECT_GE(s.released, 1);
   }
-  EXPECT_THROW((void)exec.recorder(), ContractViolation);
-}
-
-TEST(WallclockExecutor, OwnsARecorderOnlyWithoutASink) {
-  WallclockOptions opts;
-  opts.horizon = 100_ms;
-  WallclockExecutor exec(opts);
-  exec.add_task(task("t", 5, 5_ms, 40_ms));
-  exec.run();
-  EXPECT_GE(exec.recorder().size(), 1u);  // default path unchanged
 }
 
 TEST(WallclockExecutor, ApiMisuseRejected) {

@@ -6,6 +6,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "runtime/engine.hpp"
 #include "support/paper_systems.hpp"
 #include "trace/recorder.hpp"
@@ -61,6 +62,23 @@ TEST(EngineReuse, ResetReproducesAFreshEngineExactly) {
     EXPECT_EQ(fresh.stats(i).missed, reused.stats(i).missed);
     EXPECT_EQ(fresh.stats(i).max_response, reused.stats(i).max_response);
   }
+}
+
+TEST(EngineReuse, UnarmedEngineTakesNoTasksUntilReset) {
+  // Pools build their engines unarmed; reset() arms them, and the armed
+  // run is a fresh engine's exactly.
+  Engine pooled;
+  EXPECT_THROW(pooled.add_task(table1_system()[0]), ContractViolation);
+  pooled.run();  // nothing to run.
+  EXPECT_EQ(pooled.task_count(), 0u);
+
+  trace::Recorder fresh_rec;
+  Engine fresh(traced_options(2000_ms, &fresh_rec));
+  run_system(fresh, table2_system(1000_ms));
+  trace::Recorder pooled_rec;
+  pooled.reset(traced_options(2000_ms, &pooled_rec));
+  run_system(pooled, table2_system(1000_ms));
+  EXPECT_EQ(flatten(fresh_rec), flatten(pooled_rec));
 }
 
 TEST(EngineReuse, ResetPreservesFifoTieBreaksOnATieHeavyScenario) {

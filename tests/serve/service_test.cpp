@@ -239,15 +239,13 @@ TEST(AdmissionService, BoundTierRefusesEqualPriorityAcrossPeriods) {
 }
 
 TEST(AdmissionService, OversizeCrossChecksFallBackToRtaOnly) {
-  ServiceOptions opts = quiet_options();
-  opts.max_cross_check_jobs = 10;  // tiny allowance, easy to exceed.
-  AdmissionService service{opts};
+  AdmissionService service{quiet_options()};
 
-  // 1 ms next to 10 s: the engine window (8 x 10 s) would release ~80k
-  // jobs of the fast task — far past the allowance.
+  // 100 us next to 10 s: the engine window (8 x 10 s) would release 800k
+  // jobs of the fast task — past the 200k cap.
   sched::TaskSet mixed;
-  mixed.add(
-      sched::TaskParams{"fast", 2, Duration::us(10), 1_ms, 1_ms, Duration::zero()});
+  mixed.add(sched::TaskParams{"fast", 2, Duration::us(10), Duration::us(100),
+                              Duration::us(100), Duration::zero()});
   mixed.add(sched::TaskParams{"slow", 1, Duration::s(1), Duration::s(10),
                               Duration::s(10), Duration::zero()});
   const AdmissionResponse resp = service.admit(request_for(mixed, 1));

@@ -142,8 +142,8 @@ TEST(ApplySweepFlag, RetiredEngineModeFlagsAreNotSweepFlags) {
   // The engine has one implementation and the sweep one observation
   // mode; the flags that once selected the others fall through to the
   // caller's unknown-flag error without consuming a value.
-  for (const char* retired :
-       {"--event-queue", "--sink-mode", "--cost-spec", "--full-traces"}) {
+  for (const char* retired : {"--event-queue", "--sink-mode", "--cost-spec",
+                              "--full-traces", "--partitioner"}) {
     SweepOptions opts;
     bool consumed = false;
     EXPECT_FALSE(apply_sweep_flag(
@@ -161,12 +161,11 @@ TEST(ApplySweepFlag, RetiredEngineModeFlagsAreNotSweepFlags) {
 TEST(ApplySweepFlag, ExplicitDefaultsParseToTheDefaultScenarioIdentity) {
   // Spelling out a default axis value must not define another sweep:
   // the default stop-poll latency, and every multicore default (one
-  // core, both partitioners, the fault at half the horizon, the 1 ms
-  // quantizer). Both then reproduce the pinned default fingerprint.
+  // core, the fault at half the horizon, the 1 ms quantizer). Both then
+  // reproduce the pinned default fingerprint.
   const std::vector<std::vector<std::string>> flag_sets = {
       {"--stop-latency-us", "0"},
-      {"--cores", "1", "--partitioner", "both", "--core-fault", "0.5",
-       "--quantum-us", "1000"},
+      {"--cores", "1", "--core-fault", "0.5", "--quantum-us", "1000"},
   };
   for (const std::vector<std::string>& flags : flag_sets) {
     std::vector<std::string> argv = {"sweep_runner"};
@@ -188,15 +187,6 @@ TEST(ApplySweepFlag, ParsesTheMulticoreAxesStrictly) {
   EXPECT_EQ(opts.grid.quantizer_resolutions,
             (std::vector<Duration>{Duration::ms(1), Duration::us(250)}));
   EXPECT_TRUE(apply_sweep_flag(
-      "--partitioner", [] { return std::string("fault-aware"); }, opts));
-  EXPECT_EQ(opts.partitioner, PartitionerMode::kFaultAware);
-  EXPECT_TRUE(apply_sweep_flag(
-      "--partitioner", [] { return std::string("first-fit"); }, opts));
-  EXPECT_EQ(opts.partitioner, PartitionerMode::kFirstFit);
-  EXPECT_TRUE(apply_sweep_flag(
-      "--partitioner", [] { return std::string("both"); }, opts));
-  EXPECT_EQ(opts.partitioner, PartitionerMode::kBoth);
-  EXPECT_TRUE(apply_sweep_flag(
       "--core-fault", [] { return std::string("0"); }, opts));
   EXPECT_EQ(opts.core_fault_fraction, 0.0);
   EXPECT_TRUE(apply_sweep_flag(
@@ -212,16 +202,6 @@ TEST(ApplySweepFlag, ParsesTheMulticoreAxesStrictly) {
   EXPECT_THROW(apply_sweep_flag(
                    "--quantum-us", [] { return std::string("0"); }, opts),
                ArgError);
-  {
-    const std::string msg = arg_error_of([&] {
-      apply_sweep_flag(
-          "--partitioner", [] { return std::string("nonsense"); }, opts);
-    });
-    EXPECT_NE(msg.find("--partitioner"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("'both', 'first-fit' or 'fault-aware'"),
-              std::string::npos)
-        << msg;
-  }
   for (const char* bad : {"", "x", "-0.1", "1.5", "nan", "inf"}) {
     const std::string msg = arg_error_of([&] {
       apply_sweep_flag(
@@ -230,9 +210,24 @@ TEST(ApplySweepFlag, ParsesTheMulticoreAxesStrictly) {
     EXPECT_NE(msg.find("--core-fault"), std::string::npos) << msg;
     EXPECT_NE(msg.find("[0, 1]"), std::string::npos) << msg;
   }
-  // Bad values must not have clobbered the last good settings.
-  EXPECT_EQ(opts.partitioner, PartitionerMode::kBoth);
+  // Bad values must not have clobbered the last good setting.
   EXPECT_EQ(opts.core_fault_fraction, 0.75);
+}
+
+TEST(ApplySweepFlag, BoundsUtilizationsByTheCoreCap) {
+  // A generated cost is u_i x period in int64 nanoseconds; past about
+  // 9e9 the conversion overflows. (0, 64] is all the widest fleet holds.
+  SweepOptions opts;
+  EXPECT_TRUE(apply_sweep_flag(
+      "--util", [] { return std::string("0.5,64"); }, opts));
+  EXPECT_EQ(opts.grid.utilizations, (std::vector<double>{0.5, 64.0}));
+  for (const char* bad : {"64.000001", "65", "1e11", "1e300"}) {
+    const std::string msg = arg_error_of([&] {
+      apply_sweep_flag("--util", [&] { return std::string(bad); }, opts);
+    });
+    EXPECT_NE(msg.find("--util must be in (0, 64]"), std::string::npos)
+        << msg;
+  }
 }
 
 TEST(WorkerArgv, RoundTripsTheMulticoreAxesBitForBit) {
@@ -242,7 +237,6 @@ TEST(WorkerArgv, RoundTripsTheMulticoreAxesBitForBit) {
   opts.grid.utilizations = {2.0, 2.4};
   opts.grid.core_counts = {2, 4};
   opts.grid.quantizer_resolutions = {Duration::ms(1), Duration::us(250)};
-  opts.partitioner = PartitionerMode::kFaultAware;
   opts.core_fault_fraction = 0.25;
 
   const SweepPlan plan(opts);
@@ -254,7 +248,6 @@ TEST(WorkerArgv, RoundTripsTheMulticoreAxesBitForBit) {
   EXPECT_EQ(reparsed.grid.core_counts, opts.grid.core_counts);
   EXPECT_EQ(reparsed.grid.quantizer_resolutions,
             opts.grid.quantizer_resolutions);
-  EXPECT_EQ(reparsed.partitioner, opts.partitioner);
   EXPECT_EQ(reparsed.core_fault_fraction, opts.core_fault_fraction);
 
   // Sub-microsecond quantizer resolutions are inexpressible in the
@@ -312,7 +305,7 @@ TEST(WorkerArgv, RefusesOptionsTheRunnerCliCannotExpress) {
   }
   {
     SweepOptions opts;
-    opts.grid.deadline_max_factor = 1.2;
+    opts.base_seed = std::uint64_t{1} << 63;  // above --seed's int64 range.
     EXPECT_THROW((void)worker_argv("r", opts, spec, "p"), ContractViolation);
   }
   EXPECT_THROW((void)worker_argv("", SweepOptions{}, spec, "p"),

@@ -49,6 +49,7 @@ enum class Behavior {
   kCrash,     ///< die by signal without writing anything.
   kCorrupt,   ///< exit 0 but leave a truncated shard file behind.
   kStall,     ///< never produce output until kill_worker arrives.
+  kSlow,      ///< complete, but one fake-clock second after the spawn.
 };
 
 /// Deterministic in-process ExecTransport. Workers "run" synchronously
@@ -91,15 +92,21 @@ class FakeTransport final : public ExecTransport {
     EXPECT_TRUE(progress_flag);
     EXPECT_FALSE(emit_path.empty());
 
-    switch (behavior_for(request.index)) {
-      case Behavior::kComplete: {
+    const Behavior behavior = behavior_for(request.index);
+    switch (behavior) {
+      case Behavior::kComplete:
+      case Behavior::kSlow: {
         const SweepPlan plan(opts);
-        ShardResult result =
+        const ShardResult result =
             run_shard(plan.shard(request.index, request.count),
                       plan.options());
-        write_file(emit_path, shard_json(result));
-        push_progress(id, result.shard.count(), result.shard.count());
-        push_exit(id, 0);
+        Output done{now_ + Duration::s(1), emit_path, shard_json(result),
+                  result.shard.count()};
+        if (behavior == Behavior::kSlow) {
+          slow_.emplace(id, std::move(done));
+        } else {
+          finish(id, done);
+        }
         break;
       }
       case Behavior::kCrash:
@@ -119,23 +126,47 @@ class FakeTransport final : public ExecTransport {
   }
 
   std::optional<WorkerEvent> poll(Duration timeout) override {
+    for (auto it = slow_.begin(); it != slow_.end();) {
+      if (it->second.due > now_) {
+        ++it;
+        continue;
+      }
+      finish(it->first, it->second);
+      it = slow_.erase(it);
+    }
     if (!ready_.empty()) {
       now_ += Duration::ms(1);
       const WorkerEvent ev = ready_.front();
       ready_.pop_front();
       return ev;
     }
-    now_ += timeout;  // idle poll: only stalled workers remain.
+    now_ += timeout;  // idle poll: only stalled or slow workers remain.
     return std::nullopt;
   }
 
   void kill_worker(std::uint64_t worker) override {
-    if (stalled_.erase(worker) > 0) push_exit(worker, -9);
+    if (stalled_.erase(worker) > 0 || slow_.erase(worker) > 0) {
+      push_exit(worker, -9);
+    }
   }
 
   Duration now() override { return now_; }
 
  private:
+  /// What a completing attempt delivers, and when.
+  struct Output {
+    Duration due;  ///< fake-clock date a kSlow worker finishes.
+    std::string emit_path;
+    std::string shard_doc;
+    std::uint64_t scenarios = 0;
+  };
+
+  void finish(std::uint64_t id, const Output& done) {
+    write_file(done.emit_path, done.shard_doc);
+    push_progress(id, done.scenarios, done.scenarios);
+    push_exit(id, 0);
+  }
+
   Behavior behavior_for(std::uint64_t shard_index) {
     const std::size_t attempt = attempts_[shard_index]++;
     const auto it = script.find(shard_index);
@@ -170,6 +201,7 @@ class FakeTransport final : public ExecTransport {
 
   std::deque<WorkerEvent> ready_;
   std::set<std::uint64_t> stalled_;
+  std::map<std::uint64_t, Output> slow_;
   std::map<std::uint64_t, std::size_t> attempts_;
   std::uint64_t next_id_ = 1;
   Duration now_;
@@ -260,6 +292,25 @@ TEST(Coordinator, StalledWorkerIsKilledAsStragglerAndReissued) {
   EXPECT_EQ(result.report.fingerprint, run_sweep(opts).fingerprint);
   EXPECT_EQ(result.stats.straggler_kills, 1u);
   EXPECT_EQ(result.stats.reissued, 1u);
+}
+
+TEST(Coordinator, HugeStragglerFactorNeverKillsASlowWorker) {
+  // The median times 1e300 lies far past int64 nanoseconds. The timeout
+  // saturates instead of wrapping to the 50 ms floor, so an attempt that
+  // finishes a fake-clock second late is waited for, not killed.
+  const SweepOptions opts = small_options();
+  const auto dir = scratch_dir("huge_factor");
+  FakeTransport transport;
+  transport.script[0] = {Behavior::kSlow};
+  CoordinatorOptions copts = test_copts(dir);
+  copts.straggler_factor = 1e300;
+  Coordinator coordinator(opts, std::move(copts), transport);
+  const CoordinatorResult result = coordinator.run();
+
+  EXPECT_EQ(result.report.fingerprint, run_sweep(opts).fingerprint);
+  EXPECT_EQ(result.stats.straggler_kills, 0u);
+  EXPECT_EQ(result.stats.reissued, 0u);
+  EXPECT_EQ(transport.spawned, 6u);
 }
 
 TEST(Coordinator, RetryBudgetExhaustionAbortsNamingTheShard) {

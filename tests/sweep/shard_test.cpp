@@ -146,6 +146,35 @@ TEST(SweepPlan, RejectsBadShardRequestsAndBadOptions) {
   EXPECT_THROW(SweepPlan{bad}, ContractViolation);
 }
 
+TEST(SweepPlan, RejectsUtilizationsPastTheCoreCap) {
+  // A generated cost is u_i x period in int64 nanoseconds; U = 1e300
+  // would overflow it. The plan refuses any target past the 64-core
+  // cap, so a shard file whose grid carries one fails to load.
+  SweepOptions opts = small_options();
+  opts.grid.utilizations = {0.6, 64.0};
+  EXPECT_NO_THROW(SweepPlan{opts});
+  for (const double bad : {64.5, 1e11, 1e300}) {
+    opts.grid.utilizations = {0.6, bad};
+    EXPECT_THROW(SweepPlan{opts}, ContractViolation) << bad;
+  }
+
+  const SweepPlan plan(small_options());
+  std::string forged =
+      shard_json(run_shard(plan.shard(0, 6), plan.options()));
+  const std::string key = "\"utilizations\":[";
+  const std::size_t open = forged.find(key);
+  ASSERT_NE(open, std::string::npos);
+  const std::size_t first = open + key.size();
+  forged.replace(first, forged.find(',', first) - first, "1e300");
+  try {
+    (void)load_shard_json(forged);
+    ADD_FAILURE() << "a shard file sweeping U = 1e300 loaded";
+  } catch (const ShardError& e) {
+    EXPECT_NE(std::string(e.what()).find("(0, 64]"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(SweepPlan, ResolvesZeroWorkersToHardwareConcurrency) {
   SweepOptions opts = small_options();
   opts.workers = 0;
@@ -441,6 +470,19 @@ TEST(ShardJson, RejectsMalformedDocuments) {
       vpos, version_field.size(),
       "\"version\": " + std::to_string(kShardFormatVersion + 1));
   EXPECT_THROW((void)load_shard_json(wrong_version), ShardError);
+
+  // A v2 file still carries the retired partitioner and generator
+  // ranges: it is refused by its version, not misread.
+  std::string v2 = good;
+  v2.replace(vpos, version_field.size(), "\"version\": 2");
+  try {
+    (void)load_shard_json(v2);
+    ADD_FAILURE() << "a version-2 shard file loaded";
+  } catch (const ShardError& e) {
+    EXPECT_STREQ(e.what(),
+                 "unsupported rtft-shard version 2 (this build reads "
+                 "version 3)");
+  }
 }
 
 TEST(ShardJson, RejectsTamperedVerdictsAndFingerprints) {
