@@ -89,15 +89,6 @@ void BM_SinkAppend_Counting(benchmark::State& state) {
 }
 BENCHMARK(BM_SinkAppend_Counting);
 
-void BM_SinkAppend_Null(benchmark::State& state) {
-  trace::NullSink sink;
-  for (auto _ : state) {
-    append_batch(sink);
-  }
-  report_append_counters(state);
-}
-BENCHMARK(BM_SinkAppend_Null);
-
 // ---------------------------------------------------------------------------
 // The sweep's detector-loaded run.
 // ---------------------------------------------------------------------------

@@ -38,36 +38,36 @@ std::string demo_scenario_path() {
 
 int main(int argc, char** argv) {
   const std::string path = argc > 1 ? argv[1] : demo_scenario_path();
-
-  cfg::Scenario scenario;
+  // Everything past the path comes from the file: a value the parser
+  // accepts but the system refuses (a zero horizon, a negative latency)
+  // fails here with one line, like a parse error.
   try {
-    scenario = cfg::load_scenario(path);
+    cfg::Scenario scenario = cfg::load_scenario(path);
+    const sched::TaskSet tasks = scenario.config.tasks;
+    const Duration horizon = scenario.config.horizon;
+    core::FaultTolerantSystem system(std::move(scenario.config),
+                                     std::move(scenario.faults));
+    const core::RunReport report = system.run();
+    std::fputs(report.summary().c_str(), stdout);
+    if (!report.executed) {
+      std::puts("system refused by admission control; nothing executed");
+      return 2;
+    }
+
+    const trace::SystemTimeline timeline = trace::build_timeline(
+        tasks, system.recorder(), Instant::epoch() + horizon);
+    std::fputs(trace::compute_stats(timeline).table().c_str(), stdout);
+
+    const std::string base = path + ".out";
+    trace::write_file(base + ".log",
+                      trace::text_log_string(system.recorder(), tasks));
+    trace::write_file(base + ".csv",
+                      trace::csv_string(system.recorder(), tasks));
+    trace::write_file(base + ".svg", trace::render_svg_chart(timeline));
+    std::printf("wrote %s.{log,csv,svg}\n", base.c_str());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-
-  const sched::TaskSet tasks = scenario.config.tasks;
-  const Duration horizon = scenario.config.horizon;
-  core::FaultTolerantSystem system(std::move(scenario.config),
-                                   std::move(scenario.faults));
-  const core::RunReport report = system.run();
-  std::fputs(report.summary().c_str(), stdout);
-  if (!report.executed) {
-    std::puts("system refused by admission control; nothing executed");
-    return 2;
-  }
-
-  const trace::SystemTimeline timeline = trace::build_timeline(
-      tasks, system.recorder(), Instant::epoch() + horizon);
-  std::fputs(trace::compute_stats(timeline).table().c_str(), stdout);
-
-  const std::string base = path + ".out";
-  trace::write_file(base + ".log",
-                    trace::text_log_string(system.recorder(), tasks));
-  trace::write_file(base + ".csv",
-                    trace::csv_string(system.recorder(), tasks));
-  trace::write_file(base + ".svg", trace::render_svg_chart(timeline));
-  std::printf("wrote %s.{log,csv,svg}\n", base.c_str());
   return 0;
 }

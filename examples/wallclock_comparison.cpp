@@ -6,7 +6,6 @@
 // where preemption latency is one cooperative slice.
 #include <cstdio>
 
-#include "posix/tsc_clock.hpp"
 #include "posix/wallclock_executor.hpp"
 #include "runtime/engine.hpp"
 #include "sched/response_time.hpp"
@@ -22,10 +21,6 @@ int main() {
   tasks.add({"mid", 20, 10_ms, 80_ms, 80_ms, 0_ms});
   tasks.add({"lo", 10, 15_ms, 120_ms, 120_ms, 0_ms});
   const Duration horizon = 600_ms;
-
-  std::printf("TSC time source: %s (%.2f cycles/ns)\n\n",
-              posix::TscClock::uses_tsc() ? "rdtsc" : "steady_clock",
-              posix::TscClock().cycles_per_ns());
 
   // Virtual-time run (exact).
   rt::EngineOptions vopts;

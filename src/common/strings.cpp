@@ -1,5 +1,6 @@
 #include "common/strings.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <clocale>
@@ -82,6 +83,26 @@ std::string pad_left(std::string_view s, std::size_t width) {
 std::string pad_right(std::string_view s, std::size_t width) {
   std::string out(s);
   if (out.size() < width) out.append(width - out.size(), ' ');
+  return out;
+}
+
+std::string format_table(const std::vector<std::vector<std::string>>& rows) {
+  std::vector<std::size_t> widths;
+  for (const auto& row : rows) {
+    if (widths.size() < row.size()) widths.resize(row.size(), 0);
+    for (std::size_t c = 0; c < row.size(); ++c) {
+      widths[c] = std::max(widths[c], row[c].size());
+    }
+  }
+  std::string out;
+  for (const auto& row : rows) {
+    for (std::size_t c = 0; c < row.size(); ++c) {
+      if (c > 0) out += "  ";
+      out += c == 0 ? pad_right(row[c], widths[c])
+                    : pad_left(row[c], widths[c]);
+    }
+    out += '\n';
+  }
   return out;
 }
 

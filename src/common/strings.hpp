@@ -37,6 +37,12 @@ void append_double(std::string& out, double value);
 [[nodiscard]] std::string pad_left(std::string_view s, std::size_t width);
 [[nodiscard]] std::string pad_right(std::string_view s, std::size_t width);
 
+/// Renders rows as an aligned text table, one '\n'-terminated line per
+/// row: each column padded to its widest cell, the first left-aligned and
+/// the rest right-aligned, columns two spaces apart.
+[[nodiscard]] std::string format_table(
+    const std::vector<std::vector<std::string>>& rows);
+
 /// True if `s` parses completely as a signed decimal integer.
 [[nodiscard]] bool parse_int64(std::string_view s, std::int64_t& out);
 /// True if `s` parses completely as a floating-point number.

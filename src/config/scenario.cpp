@@ -24,7 +24,8 @@ Duration require_duration(const Cursor& cur, std::string_view key,
   Duration d;
   if (!parse_duration(value, d)) {
     fail(cur, std::string(key) + ": cannot parse duration '" +
-                  std::string(value) + "' (expected <number><ns|us|ms|s>)");
+                  std::string(value) +
+                  "' (expected <number><ns|us|ms|s> within ±9.2e9s)");
   }
   return d;
 }
@@ -115,7 +116,10 @@ bool parse_duration(std::string_view text, Duration& out) {
   } else {
     return false;
   }
-  out = Duration::ns(static_cast<std::int64_t>(std::llround(value * scale)));
+  // Past int64 nanoseconds (or NaN) there is no Duration to return.
+  const double ns = value * scale;
+  if (!(std::fabs(ns) < 0x1p63)) return false;
+  out = Duration::ns(static_cast<std::int64_t>(std::llround(ns)));
   return true;
 }
 

@@ -64,7 +64,8 @@ struct Scenario {
 [[nodiscard]] std::string write_scenario(const Scenario& scenario);
 
 /// Parses "<decimal><unit>" (unit in ns/us/ms/s; bare "0" accepted).
-/// Returns false on malformed input.
+/// Returns false on malformed input and on values outside the int64
+/// nanosecond range (about ±9.2e9 s).
 [[nodiscard]] bool parse_duration(std::string_view text, Duration& out);
 
 /// Canonical rendering used by write_scenario.

@@ -42,24 +42,19 @@ bool MultiEngine::core_alive(std::size_t i) const {
 }
 
 void MultiEngine::add_placed(const sched::TaskSet& ts,
-                             const Placement& placement,
-                             const std::vector<rt::CostSpec>& costs) {
+                             const Placement& placement) {
   RTFT_EXPECTS(placement.primary.size() == ts.size() &&
                    placement.backup.size() == ts.size(),
                "placement must cover the task set");
-  RTFT_EXPECTS(costs.empty() || costs.size() == ts.size(),
-               "costs must be empty or one per task");
   placement_feasible_ = placement.feasible;
   bindings_.reserve(bindings_.size() + ts.size());
   for (sched::TaskId id = 0; id < ts.size(); ++id) {
     Binding b;
     b.params = ts[id];
-    if (!costs.empty()) b.cost = costs[id];
     b.primary_core = placement.primary[id];
     b.backup_core = placement.backup[id];
     if (b.primary_core != kNoCore && b.primary_core < cores_) {
-      b.primary_handle =
-          engines_[b.primary_core]->add_task(b.params, b.cost);
+      b.primary_handle = engines_[b.primary_core]->add_task(b.params);
       b.placed = true;
     }
     bindings_.push_back(std::move(b));
@@ -111,7 +106,7 @@ void MultiEngine::fail_core(std::size_t core) {
     sched::TaskParams replica = b.params;
     replica.name += "#b";
     replica.offset = next.since_epoch();
-    b.backup_handle = engines_[bc]->add_task(replica, b.cost);
+    b.backup_handle = engines_[bc]->add_task(replica);
     b.failed_over = true;
   }
 }

@@ -98,12 +98,11 @@ class MultiEngine {
   [[nodiscard]] Instant now() const { return now_; }
   [[nodiscard]] Instant horizon() const { return horizon_; }
 
-  /// Registers every task of `ts` on its placement cores and remembers
-  /// the binding for fail-over. `costs` (when non-empty) supplies one
-  /// CostSpec per TaskId; tasks without a primary (infeasible
-  /// placement rows) are recorded but not run.
-  void add_placed(const sched::TaskSet& ts, const Placement& placement,
-                  const std::vector<rt::CostSpec>& costs = {});
+  /// Registers every task of `ts` on its placement cores, at its
+  /// nominal cost, and remembers the binding for fail-over; tasks
+  /// without a primary (infeasible placement rows) are recorded but not
+  /// run.
+  void add_placed(const sched::TaskSet& ts, const Placement& placement);
 
   /// Advances every live core to `stop_at` (inclusive, <= horizon).
   /// The engines are run_until-segmentation-invariant, so any sequence
@@ -128,7 +127,6 @@ class MultiEngine {
  private:
   struct Binding {
     sched::TaskParams params;
-    rt::CostSpec cost;
     std::size_t primary_core = kNoCore;
     std::size_t backup_core = kNoCore;
     rt::TaskHandle primary_handle = 0;

@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "common/assert.hpp"
-#include "posix/tsc_clock.hpp"
 
 namespace rtft::posix {
 namespace {
@@ -21,6 +20,12 @@ constexpr Duration kSlice = Duration::ms(1);
 
 std::chrono::nanoseconds to_chrono(Duration d) {
   return std::chrono::nanoseconds(d.count());
+}
+
+Duration since(SteadyClock::time_point t0) {
+  return Duration::ns(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                          SteadyClock::now() - t0)
+                          .count());
 }
 
 }  // namespace
@@ -46,7 +51,6 @@ struct WallclockExecutor::Impl {
   std::vector<bool> ready;
   std::atomic<bool> shutting_down{false};
 
-  TscClock clock;
   SteadyClock::time_point start_time;
   trace::Recorder recorder;
   bool ran = false;
@@ -63,7 +67,9 @@ struct WallclockExecutor::Impl {
     return true;
   }
 
-  Instant trace_now() { return clock.now(); }
+  /// Trace dates: steady-clock time since run() started, the time base
+  /// that also schedules releases and measures responses.
+  Instant trace_now() const { return Instant::epoch() + since(start_time); }
 
   void worker(std::size_t self) {
     TaskRec& task = tasks[self];
@@ -119,10 +125,7 @@ struct WallclockExecutor::Impl {
           // Shut down mid-job: count it aborted, not completed.
           task.stats.aborted++;
         } else {
-          const auto response =
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  SteadyClock::now() - release);
-          const Duration r = Duration::ns(response.count());
+          const Duration r = since(release);
           task.stats.completed++;
           task.stats.last_response = r;
           if (r > task.stats.max_response) task.stats.max_response = r;

@@ -16,8 +16,11 @@
 //     spin would need an idle core per task).
 //
 // Use the virtual-time engine for exact figures; use this to demonstrate
-// the API against a real clock and to sanity-check orderings. Timestamps
-// come from the TscClock (the paper's RDTSC path).
+// the API against a real clock and to sanity-check orderings. One clock,
+// std::chrono::steady_clock read from run() on, schedules releases,
+// measures responses, ends the run and stamps the trace. (The paper read
+// RDTSC through JNI because Java then had no nanosecond clock; C++ has
+// one.)
 #pragma once
 
 #include <cstdint>
@@ -54,7 +57,8 @@ class WallclockExecutor {
 
   /// Post-run statistics (same shape as the virtual engine's).
   [[nodiscard]] const rt::TaskStats& stats(rt::TaskHandle task) const;
-  /// Post-run trace with TSC timestamps (release/start/end/miss events).
+  /// Post-run trace (release/start/end/miss events), dated in steady-clock
+  /// time since run() started.
   [[nodiscard]] const trace::Recorder& recorder() const;
 
  private:

@@ -6,39 +6,6 @@
 namespace rtft::sched {
 namespace {
 
-/// Largest k*granularity in [0, hi_bound] with feasible(k*granularity),
-/// given feasible(0) and monotonicity (feasible(x) implies feasible(y)
-/// for all y < x). `hi_bound` must satisfy !feasible(hi_bound).
-template <typename Feasible>
-Duration monotone_search(Duration granularity, Duration hi_bound,
-                         const Feasible& feasible) {
-  RTFT_EXPECTS(granularity.is_positive(), "granularity must be positive");
-  std::int64_t lo = 0;  // feasible, in granularity units
-  std::int64_t hi = ceil_div(hi_bound, granularity);  // infeasible
-  RTFT_ASSERT(hi >= 1, "search upper bound must be positive");
-  while (hi - lo > 1) {
-    const std::int64_t mid = lo + (hi - lo) / 2;
-    if (feasible(granularity * mid)) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return granularity * lo;
-}
-
-/// A value of extra cost that provably breaks feasibility: inflating any
-/// task past its own deadline-minus-cost slack makes that task miss.
-Duration infeasibility_bound_all(const TaskSet& ts) {
-  Duration bound = Duration::max();
-  for (const TaskParams& t : ts) {
-    const Duration slack = t.deadline - t.cost;
-    if (slack < bound) bound = slack;
-  }
-  // +1ns: strictly beyond the largest conceivable allowance.
-  return (bound.is_negative() ? Duration::zero() : bound) + Duration::ns(1);
-}
-
 /// Largest overrun the task at `pos` can make alone while `view` (already
 /// known feasible) stays feasible.
 Duration max_overrun(const PriorityView& view, std::size_t pos,
@@ -55,6 +22,16 @@ Duration max_overrun(const PriorityView& view, std::size_t pos,
 }
 
 }  // namespace
+
+Duration infeasibility_bound_all(const TaskSet& ts) {
+  Duration bound = Duration::max();
+  for (const TaskParams& t : ts) {
+    const Duration slack = t.deadline - t.cost;
+    if (slack < bound) bound = slack;
+  }
+  // +1ns: strictly beyond the largest conceivable allowance.
+  return (bound.is_negative() ? Duration::zero() : bound) + Duration::ns(1);
+}
 
 EquitableAllowance equitable_allowance(const TaskSet& ts,
                                        const AllowanceOptions& opts) {

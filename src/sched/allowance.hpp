@@ -2,9 +2,11 @@
 //
 // The *equitable allowance* A is the largest amount that can be added to
 // EVERY task's cost while the system remains feasible; it is found by
-// binary search over the feasibility predicate (monotone in A). The
-// inflated WCRTs (computed with all costs at Ci + A) become the stop
-// thresholds of the equitable treatment — Table 3 of the paper.
+// binary search over the feasibility predicate (monotone in A). That one
+// search, monotone_search, also serves the single-task overrun below and
+// the blocking-aware A (blocking.hpp). The inflated WCRTs (computed with
+// all costs at Ci + A) become the stop thresholds of the equitable
+// treatment — Table 3 of the paper.
 //
 // The *system allowance* B is the largest overrun the highest-priority
 // task can make alone while the system stays feasible; it is granted
@@ -14,6 +16,7 @@
 // at most o and retains B − o of headroom for its own overrun.
 #pragma once
 
+#include "common/assert.hpp"
 #include "sched/response_time.hpp"
 #include "sched/task.hpp"
 
@@ -60,6 +63,32 @@ struct AllowanceOptions {
   Duration granularity = Duration::ns(1);
   RtaOptions rta{};
 };
+
+/// Largest k*granularity in [0, hi_bound] with feasible(k*granularity),
+/// given feasible(0) and monotonicity (feasible(x) implies feasible(y)
+/// for all y < x). `hi_bound` must satisfy !feasible(hi_bound).
+template <typename Feasible>
+[[nodiscard]] Duration monotone_search(Duration granularity, Duration hi_bound,
+                                       const Feasible& feasible) {
+  RTFT_EXPECTS(granularity.is_positive(), "granularity must be positive");
+  std::int64_t lo = 0;  // feasible, in granularity units
+  std::int64_t hi = ceil_div(hi_bound, granularity);  // infeasible
+  RTFT_ASSERT(hi >= 1, "search upper bound must be positive");
+  while (hi - lo > 1) {
+    const std::int64_t mid = lo + (hi - lo) / 2;
+    if (feasible(granularity * mid)) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return granularity * lo;
+}
+
+/// An extra cost that, added to every task, provably breaks feasibility:
+/// 1 ns past the smallest deadline-minus-cost slack, where that task
+/// misses its own deadline. The upper bound of every equitable search.
+[[nodiscard]] Duration infeasibility_bound_all(const TaskSet& ts);
 
 /// Binary search for the equitable allowance A (paper §4.2).
 [[nodiscard]] EquitableAllowance equitable_allowance(

@@ -1,6 +1,7 @@
 #include "sched/blocking.hpp"
 
 #include "common/assert.hpp"
+#include "sched/allowance.hpp"
 
 namespace rtft::sched {
 
@@ -109,25 +110,7 @@ Duration equitable_allowance_with_blocking(const TaskSet& ts,
     return true;
   };
   if (!feasible(Duration::zero())) return Duration::zero();
-  // Same monotone search as the blocking-free case: beyond the smallest
-  // deadline-minus-cost slack some task provably misses.
-  Duration bound = Duration::max();
-  for (const TaskParams& t : ts) {
-    const Duration slack = t.deadline - t.cost;
-    if (slack < bound) bound = slack;
-  }
-  if (bound.is_negative()) bound = Duration::zero();
-  std::int64_t lo = 0;
-  std::int64_t hi = ceil_div(bound + Duration::ns(1), granularity);
-  while (hi - lo > 1) {
-    const std::int64_t mid = lo + (hi - lo) / 2;
-    if (feasible(granularity * mid)) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return granularity * lo;
+  return monotone_search(granularity, infeasibility_bound_all(ts), feasible);
 }
 
 }  // namespace rtft::sched

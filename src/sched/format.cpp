@@ -1,7 +1,5 @@
 #include "sched/format.hpp"
 
-#include <sstream>
-
 #include "common/assert.hpp"
 #include "common/strings.hpp"
 
@@ -33,30 +31,12 @@ std::string format_task_table(const TaskSet& ts, const TableColumns& cols) {
     rows.push_back(std::move(row));
   }
 
-  std::vector<std::size_t> widths(rows[0].size(), 0);
-  for (const auto& row : rows) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      widths[c] = std::max(widths[c], row[c].size());
-    }
-  }
-
-  std::ostringstream out;
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    for (std::size_t c = 0; c < rows[r].size(); ++c) {
-      if (c > 0) out << "  ";
-      out << (c == 0 ? pad_right(rows[r][c], widths[c])
-                     : pad_left(rows[r][c], widths[c]));
-    }
-    out << '\n';
-    if (r == 0) {
-      std::size_t total = 0;
-      for (std::size_t c = 0; c < widths.size(); ++c) {
-        total += widths[c] + (c > 0 ? 2 : 0);
-      }
-      out << std::string(total, '-') << '\n';
-    }
-  }
-  return out.str();
+  // The header rule spans the header line, which is padded to the
+  // table's full width.
+  std::string out = format_table(rows);
+  const std::size_t width = out.find('\n');
+  out.insert(width + 1, std::string(width, '-') + '\n');
+  return out;
 }
 
 }  // namespace rtft::sched

@@ -7,7 +7,6 @@ namespace rtft::sweep {
 namespace {
 
 constexpr std::string_view kMachinePrefix = "progress";
-constexpr std::string_view kHumanSuffix = "scenarios";
 
 /// Parses the bare "<done>/<total>" fraction.
 bool parse_fraction(std::string_view text, ProgressUpdate& out) {
@@ -38,25 +37,8 @@ std::string progress_line(const ProgressUpdate& update) {
 
 bool parse_progress_token(std::string_view token, ProgressUpdate& out) {
   token = trim(token);
-  if (token.empty()) return false;
-  ProgressUpdate parsed;
-  if (token.substr(0, kMachinePrefix.size()) == kMachinePrefix) {
-    // Machine form: "progress D/T".
-    if (!parse_fraction(trim(token.substr(kMachinePrefix.size())), parsed)) {
-      return false;
-    }
-  } else {
-    // Human form: "D/T scenarios (NN%)" — the fraction is the first
-    // space-separated field, the "scenarios" keyword disambiguates it
-    // from arbitrary stderr noise that happens to contain a slash.
-    const std::size_t space = token.find(' ');
-    if (space == std::string_view::npos) return false;
-    const std::string_view rest = trim(token.substr(space + 1));
-    if (rest.substr(0, kHumanSuffix.size()) != kHumanSuffix) return false;
-    if (!parse_fraction(token.substr(0, space), parsed)) return false;
-  }
-  out = parsed;
-  return true;
+  if (token.substr(0, kMachinePrefix.size()) != kMachinePrefix) return false;
+  return parse_fraction(trim(token.substr(kMachinePrefix.size())), out);
 }
 
 void ProgressParser::feed(std::string_view bytes, const Callback& on_update) {

@@ -2,18 +2,17 @@
 // under --progress, and the incremental parser a coordinator turns that
 // stream back into counts with.
 //
-// A worker writing to a terminal prints the human one-line form
-// ("123/1000 scenarios ( 12%)", '\r'-overwritten in place); a worker
-// whose stderr is a pipe prints one machine line per update instead:
+// A worker whose stderr is a pipe prints one machine line per update,
 //
 //   progress <done>/<total>\n
 //
-// Both carry the same two numbers, and parse_progress_token accepts
-// both, so a coordinator never depends on how the worker detected its
-// terminal. run_shard serializes on_progress invocations and guarantees
-// `done` is strictly increasing (sweep.hpp), so a parsed stream is
-// monotone per worker; a lower value after a higher one means a new
-// worker attempt took over the range.
+// and that is the only form parse_progress_token accepts: a coordinator
+// reads worker stderr through a pipe, so the '\r'-overwritten human line
+// a worker prints on a terminal never reaches a parser. run_shard
+// serializes on_progress invocations and guarantees `done` is strictly
+// increasing (sweep.hpp), so a parsed stream is monotone per worker; a
+// lower value after a higher one means a new worker attempt took over
+// the range.
 //
 // ProgressParser is the pipe-side half: feed it byte chunks exactly as
 // read(2) returns them — tokens split across reads, '\r' or '\n'
@@ -42,11 +41,10 @@ struct ProgressUpdate {
 /// "progress <done>/<total>\n".
 [[nodiscard]] std::string progress_line(const ProgressUpdate& update);
 
-/// Parses one delimiter-free token. Accepts the machine form (with or
-/// without the trailing newline stripped) and the human terminal form
-/// "<done>/<total> scenarios (NN%)". Returns false — leaving `out`
-/// untouched — for anything else, including done > total or numbers
-/// that overflow.
+/// Parses one delimiter-free token in the machine form, with or without
+/// its trailing newline. Returns false — leaving `out` untouched — for
+/// anything else, including the human terminal form, done > total or
+/// numbers that overflow.
 [[nodiscard]] bool parse_progress_token(std::string_view token,
                                         ProgressUpdate& out);
 

@@ -16,6 +16,21 @@ std::string task_name(const sched::TaskSet& ts, std::uint32_t task) {
   return ts[task].name;
 }
 
+/// One CSV field (RFC 4180): quoted when it holds a comma, a quote or a
+/// line break, with every quote doubled.
+std::string csv_field(std::string_view text) {
+  if (text.find_first_of(",\"\r\n") == std::string_view::npos) {
+    return std::string(text);
+  }
+  std::string out = "\"";
+  for (const char c : text) {
+    if (c == '"') out += '"';
+    out += c;
+  }
+  out += '"';
+  return out;
+}
+
 }  // namespace
 
 void write_text_log(const Recorder& recorder, const sched::TaskSet& ts,
@@ -35,7 +50,8 @@ void write_csv(const Recorder& recorder, const sched::TaskSet& ts,
   out << "time_ns,kind,task,job,detail\n";
   for (const TraceEvent& e : recorder.events()) {
     out << e.time.count() << ',' << to_string(e.kind) << ','
-        << task_name(ts, e.task) << ',' << e.job << ',' << e.detail << '\n';
+        << csv_field(task_name(ts, e.task)) << ',' << e.job << ','
+        << e.detail << '\n';
   }
 }
 

@@ -15,7 +15,8 @@ namespace rtft::trace {
 void write_text_log(const Recorder& recorder, const sched::TaskSet& ts,
                     std::ostream& out);
 
-/// CSV with header: time_ns,kind,task,job,detail.
+/// CSV with header: time_ns,kind,task,job,detail. A task name holding a
+/// comma, a quote or a line break is quoted (RFC 4180).
 void write_csv(const Recorder& recorder, const sched::TaskSet& ts,
                std::ostream& out);
 

@@ -7,14 +7,13 @@
 // on it — detectors, treatments, the wall-clock executor) writes events
 // through a Sink pointer and never knows what, if anything, is kept.
 //
-//   NullSink     — discards everything; a run costs zero observation.
 //   CountingSink — per-task counters only, derived from the event
 //                  stream; O(tasks) memory however long the run.
 //   Recorder     — the full-fidelity event buffer (trace/recorder.hpp),
 //                  for charts, logs, validation and golden tests.
 //
-// A run that needs no observation passes no sink at all: the engine then
-// drops each event on a null test (runtime/engine.hpp).
+// A run that needs no observation passes no sink at all (nullptr): the
+// engine then drops each event on a null test (runtime/engine.hpp).
 #pragma once
 
 #include <cstddef>
@@ -45,14 +44,6 @@ class Sink {
   }
 };
 
-/// Discards every event: the virtual-call baseline of a sink that keeps
-/// nothing. A run that needs no observation passes no sink instead.
-class NullSink final : public Sink {
- public:
-  using Sink::record;
-  void record(const TraceEvent&) override {}
-};
-
 /// Per-task counters maintained by a CountingSink — the same facts an
 /// engine's TaskStats carries, derived purely from the event stream.
 struct TaskCounters {
@@ -75,31 +66,7 @@ struct TaskCounters {
 class CountingSink final : public Sink {
  public:
   using Sink::record;
-  void record(const TraceEvent& event) override {
-    kind_totals_[static_cast<std::size_t>(event.kind)]++;
-    if (event.task == kNoTask) return;
-    const auto task = static_cast<std::size_t>(event.task);
-    if (task >= tasks_.size()) tasks_.resize(task + 1);
-    TaskCounters& c = tasks_[task];
-    switch (event.kind) {
-      case EventKind::kJobRelease: c.released++; break;
-      case EventKind::kJobStart: c.started++; break;
-      case EventKind::kJobEnd: {
-        c.completed++;
-        const Duration response = Duration::ns(event.detail);
-        c.last_response = response;
-        if (response > c.max_response) c.max_response = response;
-        break;
-      }
-      case EventKind::kDeadlineMiss: c.missed++; break;
-      case EventKind::kJobAborted: c.aborted++; break;
-      case EventKind::kJobPreempted: c.preemptions++; break;
-      case EventKind::kDetectorFire: c.detector_fires++; break;
-      case EventKind::kFaultDetected: c.faults_detected++; break;
-      case EventKind::kTaskStopped: c.stopped = true; break;
-      default: break;  // resumed/timers/idle/etc. carry no counter.
-    }
-  }
+  void record(const TraceEvent& event) override;
 
   /// Forgets everything; keeps allocated capacity for reuse.
   void reset();

@@ -59,23 +59,10 @@ std::string SystemStatsSummary::table() const {
                     to_string(t.cpu_time),
                     t.stopped ? "stopped" : "alive"});
   }
-  std::vector<std::size_t> widths(rows[0].size(), 0);
-  for (const auto& row : rows) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      widths[c] = std::max(widths[c], row[c].size());
-    }
-  }
   std::ostringstream out;
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    for (std::size_t c = 0; c < rows[r].size(); ++c) {
-      if (c > 0) out << "  ";
-      out << (c == 0 ? pad_right(rows[r][c], widths[c])
-                     : pad_left(rows[r][c], widths[c]));
-    }
-    out << '\n';
-  }
-  out << "window " << to_string(window) << ", idle " << to_string(idle_time)
-      << ", cpu " << format_fixed(cpu_utilization * 100.0, 1) << "%, misses "
+  out << format_table(rows) << "window " << to_string(window) << ", idle "
+      << to_string(idle_time) << ", cpu "
+      << format_fixed(cpu_utilization * 100.0, 1) << "%, misses "
       << total_misses << '\n';
   return out.str();
 }

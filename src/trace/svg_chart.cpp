@@ -9,6 +9,8 @@
 namespace rtft::trace {
 namespace {
 
+constexpr int kWidthPx = 960;
+constexpr int kLaneHeightPx = 48;
 constexpr int kMarginLeft = 90;
 constexpr int kMarginTop = 24;
 constexpr int kMarginBottom = 28;
@@ -22,60 +24,68 @@ const char* lane_color(std::size_t i) {
 
 std::string fmt(double v) { return format_fixed(v, 2); }
 
+/// Escapes the five XML special characters for a text node.
+std::string xml_escape(std::string_view text) {
+  std::string out;
+  for (const char c : text) {
+    switch (c) {
+      case '&': out += "&amp;"; break;
+      case '<': out += "&lt;"; break;
+      case '>': out += "&gt;"; break;
+      case '"': out += "&quot;"; break;
+      case '\'': out += "&apos;"; break;
+      default: out += c;
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
-std::string render_svg_chart(const SystemTimeline& tl,
-                             const SvgChartOptions& opts) {
-  Instant from = opts.from;
-  Instant to = opts.to;
-  if (from == Instant() && to == Instant()) {
-    from = tl.start;
-    to = tl.end;
-  }
+std::string render_svg_chart(const SystemTimeline& tl) {
+  const Instant from = tl.start;
+  const Instant to = tl.end;
   RTFT_EXPECTS(to > from, "chart window must be non-empty");
-  RTFT_EXPECTS(opts.width_px > kMarginLeft + 40, "chart too narrow");
 
-  const double plot_w = opts.width_px - kMarginLeft - 16;
+  const double plot_w = kWidthPx - kMarginLeft - 16;
   const double span_ns = static_cast<double>((to - from).count());
   const auto x_of = [&](Instant t) {
     return kMarginLeft +
            plot_w * static_cast<double>((t - from).count()) / span_ns;
   };
   const int lanes = static_cast<int>(tl.tasks.size());
-  const int height =
-      kMarginTop + lanes * opts.lane_height_px + kMarginBottom;
+  const int height = kMarginTop + lanes * kLaneHeightPx + kMarginBottom;
 
   std::ostringstream svg;
   svg << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\""
-      << opts.width_px << "\" height=\"" << height << "\" viewBox=\"0 0 "
-      << opts.width_px << ' ' << height << "\">\n";
+      << kWidthPx << "\" height=\"" << height << "\" viewBox=\"0 0 "
+      << kWidthPx << ' ' << height << "\">\n";
   svg << "<rect width=\"100%\" height=\"100%\" fill=\"white\"/>\n";
 
   // Time grid: ten divisions.
-  if (opts.show_grid) {
-    for (int i = 0; i <= 10; ++i) {
-      const double x = kMarginLeft + plot_w * i / 10.0;
-      svg << "<line x1=\"" << fmt(x) << "\" y1=\"" << kMarginTop
-          << "\" x2=\"" << fmt(x) << "\" y2=\""
-          << kMarginTop + lanes * opts.lane_height_px
-          << "\" stroke=\"#dddddd\" stroke-width=\"1\"/>\n";
-      const Instant t = from + (to - from) * i / 10;
-      svg << "<text x=\"" << fmt(x) << "\" y=\"" << height - 8
-          << "\" font-size=\"11\" text-anchor=\"middle\" fill=\"#555\">"
-          << to_string(t) << "</text>\n";
-    }
+  for (int i = 0; i <= 10; ++i) {
+    const double x = kMarginLeft + plot_w * i / 10.0;
+    svg << "<line x1=\"" << fmt(x) << "\" y1=\"" << kMarginTop
+        << "\" x2=\"" << fmt(x) << "\" y2=\""
+        << kMarginTop + lanes * kLaneHeightPx
+        << "\" stroke=\"#dddddd\" stroke-width=\"1\"/>\n";
+    const Instant t = from + (to - from) * i / 10;
+    svg << "<text x=\"" << fmt(x) << "\" y=\"" << height - 8
+        << "\" font-size=\"11\" text-anchor=\"middle\" fill=\"#555\">"
+        << to_string(t) << "</text>\n";
   }
 
   for (std::size_t lane = 0; lane < tl.tasks.size(); ++lane) {
     const TaskTimeline& task = tl.tasks[lane];
-    const double y0 = kMarginTop + static_cast<double>(lane) *
-                                       opts.lane_height_px;
-    const double bar_y = y0 + opts.lane_height_px * 0.35;
-    const double bar_h = opts.lane_height_px * 0.38;
+    const double y0 =
+        kMarginTop + static_cast<double>(lane) * kLaneHeightPx;
+    const double bar_y = y0 + kLaneHeightPx * 0.35;
+    const double bar_h = kLaneHeightPx * 0.38;
     const char* color = lane_color(lane);
 
-    svg << "<text x=\"8\" y=\"" << fmt(y0 + opts.lane_height_px * 0.62)
-        << "\" font-size=\"13\" fill=\"#222\">" << task.name << "</text>\n";
+    svg << "<text x=\"8\" y=\"" << fmt(y0 + kLaneHeightPx * 0.62)
+        << "\" font-size=\"13\" fill=\"#222\">" << xml_escape(task.name)
+        << "</text>\n";
 
     for (const JobRecord& job : task.jobs) {
       // Execution rectangles.

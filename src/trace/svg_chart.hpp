@@ -9,17 +9,9 @@
 
 namespace rtft::trace {
 
-struct SvgChartOptions {
-  /// Window to render; a default-constructed range means the whole run.
-  Instant from;
-  Instant to;
-  int width_px = 960;
-  int lane_height_px = 48;
-  bool show_grid = true;
-};
-
-/// Renders the timeline as a standalone SVG document (deterministic).
-[[nodiscard]] std::string render_svg_chart(const SystemTimeline& tl,
-                                           const SvgChartOptions& opts = {});
+/// Renders the whole run (tl.start to tl.end) as a standalone SVG
+/// document, 960 px wide with a 48 px lane per task and a ten-division
+/// time grid (deterministic). Task names are XML-escaped.
+[[nodiscard]] std::string render_svg_chart(const SystemTimeline& tl);
 
 }  // namespace rtft::trace

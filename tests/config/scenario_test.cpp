@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/paper.hpp"
 
 namespace rtft::cfg {
@@ -58,6 +60,11 @@ TEST(ParseDuration, UnitsAndDecimals) {
   EXPECT_EQ(d, Duration::zero());
   ASSERT_TRUE(parse_duration("-5ms", d));
   EXPECT_EQ(d, Duration::ms(-5));
+  // Up to the edge of int64 nanoseconds (about 9.22e18).
+  ASSERT_TRUE(parse_duration("9.2e9s", d));
+  EXPECT_EQ(d, Duration::ns(9'200'000'000'000'000'000));
+  ASSERT_TRUE(parse_duration("-9.2e9s", d));
+  EXPECT_EQ(d, Duration::ns(-9'200'000'000'000'000'000));
 }
 
 TEST(ParseDuration, RejectsMalformedInput) {
@@ -68,6 +75,13 @@ TEST(ParseDuration, RejectsMalformedInput) {
   EXPECT_FALSE(parse_duration("29 ms", d));    // no inner space
   EXPECT_FALSE(parse_duration("29minutes", d));
   EXPECT_FALSE(parse_duration("abcms", d));
+  // Past int64 nanoseconds there is no Duration to return.
+  d = 7_ms;
+  EXPECT_FALSE(parse_duration("9.3e9s", d));
+  EXPECT_FALSE(parse_duration("-9.3e9s", d));
+  EXPECT_FALSE(parse_duration("1e300s", d));
+  EXPECT_FALSE(parse_duration("1e400s", d));  // overflows the double too
+  EXPECT_EQ(d, 7_ms);  // a rejected value leaves the output untouched
 }
 
 TEST(DurationToConfigString, PicksLargestExactUnit) {
@@ -145,6 +159,25 @@ TEST(ParseScenario, ErrorsCarryLineNumbers) {
   // A missing mandatory field points at the section header.
   expect_error_line("[task t]\npriority = 1\ncost = 1ms\n", 1);
   expect_error_line("[system]\nquantizer = 10ms\n", 2);  // missing mode
+}
+
+TEST(ParseScenario, DurationsPastInt64NanosecondsNameTheKey) {
+  const auto expect_error = [](std::string_view text, int line,
+                               std::string_view key) {
+    try {
+      (void)parse_scenario(text, "t.rtft");
+      FAIL() << "expected ParseError";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.line(), line) << e.what();
+      EXPECT_NE(std::string(e.what()).find(std::string(key) +
+                                           ": cannot parse duration"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_error("[task t]\npriority = 1\ncost = 9.3e9s\nperiod = 10ms\n", 3,
+               "cost");
+  expect_error("[system]\nhorizon = 1e300s\n", 2, "horizon");
 }
 
 TEST(ParseScenario, MissingFaultFieldsRejected) {

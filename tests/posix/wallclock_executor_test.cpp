@@ -135,6 +135,32 @@ TEST(WallclockExecutor, TraceMirrorsTheStatistics) {
   }
 }
 
+TEST(WallclockExecutor, TraceDatesShareTheSchedulingClock) {
+  // One steady clock, read from run() on, schedules the releases,
+  // measures the responses and dates the trace. So, exactly and on any
+  // machine load, a release is never dated before its scheduled instant,
+  // and neither is an end event's date minus the response it carries.
+  WallclockOptions opts;
+  opts.horizon = 200_ms;
+  WallclockExecutor exec(opts);
+  sched::TaskParams p = task("t", 5, 5_ms, 40_ms);
+  p.offset = 3_ms;
+  exec.add_task(p);
+  exec.run();
+  std::int64_t ends = 0;
+  for (const trace::TraceEvent& e : exec.recorder().events()) {
+    const Instant scheduled = Instant::epoch() + p.offset + p.period * e.job;
+    if (e.kind == trace::EventKind::kJobRelease) {
+      EXPECT_GE(e.time, scheduled) << "job " << e.job;
+    }
+    if (e.kind == trace::EventKind::kJobEnd) {
+      ++ends;
+      EXPECT_GE(e.time - Duration::ns(e.detail), scheduled) << "job " << e.job;
+    }
+  }
+  EXPECT_GE(ends, 1);
+}
+
 TEST(WallclockExecutor, ApiMisuseRejected) {
   WallclockOptions opts;
   opts.horizon = 50_ms;

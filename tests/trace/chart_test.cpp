@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "core/ft_system.hpp"
 #include "core/paper.hpp"
 #include "trace/ascii_chart.hpp"
@@ -93,8 +96,8 @@ TEST(AsciiChart, RejectsDegenerateWindows) {
 }
 
 TEST(SvgChart, WellFormedDocument) {
-  const std::string svg = render_svg_chart(
-      figure_timeline(TreatmentPolicy::kInstantStop), SvgChartOptions{});
+  const std::string svg =
+      render_svg_chart(figure_timeline(TreatmentPolicy::kInstantStop));
   EXPECT_EQ(svg.rfind("<svg", 0), 0u);
   EXPECT_NE(svg.find("</svg>"), std::string::npos);
   EXPECT_NE(svg.find("tau1"), std::string::npos);
@@ -102,20 +105,29 @@ TEST(SvgChart, WellFormedDocument) {
   EXPECT_NE(svg.find("#cc0000"), std::string::npos);
 }
 
-TEST(SvgChart, WindowedRenderOmitsOutsideEvents) {
-  SvgChartOptions opts;
-  opts.from = Instant::epoch() + 0_ms;
-  opts.to = Instant::epoch() + 100_ms;
-  const std::string svg = render_svg_chart(
-      figure_timeline(TreatmentPolicy::kInstantStop), opts);
-  // No stop happens before 100 ms, so no red cross in this window.
-  EXPECT_EQ(svg.find("stroke=\"#cc0000\""), std::string::npos);
+TEST(SvgChart, EscapesTaskNames) {
+  // A name a .rtft section header accepts ("[task a<b&c,d]"), plus both
+  // quote characters.
+  const std::string name = "a<b&c,d\"'";
+  SystemTimeline tl = figure_timeline(TreatmentPolicy::kInstantStop);
+  tl.tasks[0].name = name;
+  const std::string svg = render_svg_chart(tl);
+  EXPECT_EQ(svg.find(name), std::string::npos);
+  EXPECT_NE(svg.find(">a&lt;b&amp;c,d&quot;&apos;</text>"), std::string::npos);
+  // Well-formed as far as text goes: every '&' opens an entity.
+  for (std::size_t at = svg.find('&'); at != std::string::npos;
+       at = svg.find('&', at + 1)) {
+    const std::string_view rest = std::string_view(svg).substr(at);
+    EXPECT_TRUE(rest.rfind("&amp;", 0) == 0 || rest.rfind("&lt;", 0) == 0 ||
+                rest.rfind("&gt;", 0) == 0 || rest.rfind("&quot;", 0) == 0 ||
+                rest.rfind("&apos;", 0) == 0)
+        << rest.substr(0, 8);
+  }
 }
 
 TEST(SvgChart, Deterministic) {
   const SystemTimeline tl = figure_timeline(TreatmentPolicy::kDetectOnly);
-  EXPECT_EQ(render_svg_chart(tl, SvgChartOptions{}),
-            render_svg_chart(tl, SvgChartOptions{}));
+  EXPECT_EQ(render_svg_chart(tl), render_svg_chart(tl));
 }
 
 }  // namespace

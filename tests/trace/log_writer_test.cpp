@@ -58,6 +58,36 @@ TEST(Csv, HeaderAndRowShape) {
   }
 }
 
+TEST(Csv, QuotesNamesWithCommasAndQuotes) {
+  const LoggedRun r = small_run();
+  // Names a .rtft section header accepts ("[task a<b&c,d]") can carry
+  // the separator and the quote character.
+  sched::TaskSet named;
+  for (sched::TaskParams t : r.tasks) {
+    if (t.name == "tau1") t.name = "a<b&c,d";
+    if (t.name == "tau2") t.name = "say \"hi\"";
+    named.add(t);
+  }
+  const std::string csv = csv_string(r.sys->recorder(), named);
+  EXPECT_NE(csv.find(",\"a<b&c,d\","), std::string::npos);
+  EXPECT_NE(csv.find(",\"say \"\"hi\"\"\","), std::string::npos);
+  EXPECT_NE(csv.find(",tau3,"), std::string::npos);  // plain names stay bare
+  // Every row has exactly 4 separators outside quotes.
+  std::size_t pos = csv.find('\n') + 1;
+  while (pos < csv.size()) {
+    const std::size_t end = csv.find('\n', pos);
+    int separators = 0;
+    bool quoted = false;
+    for (std::size_t i = pos; i < end; ++i) {
+      if (csv[i] == '"') quoted = !quoted;
+      if (csv[i] == ',' && !quoted) ++separators;
+    }
+    EXPECT_FALSE(quoted);
+    EXPECT_EQ(separators, 4) << csv.substr(pos, end - pos);
+    pos = end + 1;
+  }
+}
+
 TEST(WriteFile, RoundTripsAndReportsErrors) {
   const std::string path = ::testing::TempDir() + "/rtft_log_test.txt";
   write_file(path, "hello\n");

@@ -17,14 +17,6 @@ TraceEvent ev(Duration at, EventKind kind, std::uint32_t task = 0,
   return TraceEvent{Instant::epoch() + at, job, detail, task, kind};
 }
 
-TEST(NullSink, DiscardsEverything) {
-  NullSink null_sink;
-  Sink& sink = null_sink;
-  sink.record(ev(1_ms, EventKind::kJobRelease));
-  sink.record(Instant::epoch(), EventKind::kJobEnd, 3, 1, 42);
-  // Nothing observable: the sink keeps no state.
-}
-
 TEST(CountingSink, MaintainsPerTaskCounters) {
   CountingSink sink;
   sink.record(ev(0_ms, EventKind::kJobRelease, 2, 0));
