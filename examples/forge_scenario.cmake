@@ -1,8 +1,8 @@
 # Writes the two scenario files the example_scenario_runner_rejects_*
 # tests feed to scenario_runner, each a copy of the scenario SCENARIO
 # with its [system] horizon edited:
-#   OUT_DIR/zero_horizon.rtft  horizon = 0s, which parses but which the
-#                              system refuses;
+#   OUT_DIR/zero_horizon.rtft  horizon = 0s, a duration the parser
+#                              refuses as a horizon;
 #   OUT_DIR/huge_horizon.rtft  horizon = 1e300s, past int64 nanoseconds.
 # Usage: cmake -DSCENARIO=<file.rtft> -DOUT_DIR=<dir> -P forge_scenario.cmake
 file(READ "${SCENARIO}" text)

@@ -38,9 +38,9 @@ std::string demo_scenario_path() {
 
 int main(int argc, char** argv) {
   const std::string path = argc > 1 ? argv[1] : demo_scenario_path();
-  // Everything past the path comes from the file: a value the parser
-  // accepts but the system refuses (a zero horizon, a negative latency)
-  // fails here with one line, like a parse error.
+  // Everything past the path comes from the file: the parser refuses a
+  // value the system cannot run (a zero horizon, a negative latency)
+  // with its key and line, and any later error still ends in one line.
   try {
     cfg::Scenario scenario = cfg::load_scenario(path);
     const sched::TaskSet tasks = scenario.config.tasks;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -19,22 +20,40 @@ struct Cursor {
   throw ParseError(cur.file, cur.line, message);
 }
 
+/// The values a duration key accepts beyond parsing.
+enum class Sign { kAny, kNonNegative, kPositive };
+
 Duration require_duration(const Cursor& cur, std::string_view key,
-                          std::string_view value) {
+                          std::string_view value, Sign sign = Sign::kAny) {
   Duration d;
   if (!parse_duration(value, d)) {
     fail(cur, std::string(key) + ": cannot parse duration '" +
                   std::string(value) +
                   "' (expected <number><ns|us|ms|s> within ±9.2e9s)");
   }
+  if (sign == Sign::kPositive && !d.is_positive()) {
+    fail(cur, std::string(key) + ": must be positive, got '" +
+                  std::string(value) + "'");
+  }
+  if (sign == Sign::kNonNegative && d.is_negative()) {
+    fail(cur, std::string(key) + ": must be non-negative, got '" +
+                  std::string(value) + "'");
+  }
   return d;
 }
 
-std::int64_t require_int(const Cursor& cur, std::string_view key,
-                         std::string_view value) {
+std::int64_t require_int(
+    const Cursor& cur, std::string_view key, std::string_view value,
+    std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
+    std::int64_t hi = std::numeric_limits<std::int64_t>::max()) {
   std::int64_t v = 0;
   if (!parse_int64(value, v)) {
     fail(cur, std::string(key) + ": cannot parse integer '" +
+                  std::string(value) + "'");
+  }
+  if (v < lo || v > hi) {
+    fail(cur, std::string(key) + ": out of range [" + std::to_string(lo) +
+                  ", " + std::to_string(hi) + "], got '" +
                   std::string(value) + "'");
   }
   return v;
@@ -72,6 +91,7 @@ struct PendingTask {
 /// Partially-built [fault] section.
 struct PendingFault {
   std::string task;
+  int task_line = 0;
   std::int64_t job = -1;
   Duration overrun;
   bool has_overrun = false;
@@ -140,6 +160,7 @@ Scenario parse_scenario(std::string_view text, std::string_view filename) {
   Section section = Section::kNone;
   PendingTask task;
   PendingFault fault;
+  std::vector<PendingFault> faults;  // checked once every task is declared
 
   const auto flush_task = [&] {
     if (section != Section::kTask) return;
@@ -150,6 +171,9 @@ Scenario parse_scenario(std::string_view text, std::string_view filename) {
     if (!task.has_deadline) {
       task.params.deadline = task.params.period;  // implicit deadline
     }
+    if (scenario.config.tasks.contains(task.params.name)) {
+      fail(at, "task '" + task.params.name + "': declared twice");
+    }
     scenario.config.tasks.add(task.params);
   };
   const auto flush_fault = [&] {
@@ -159,6 +183,7 @@ Scenario parse_scenario(std::string_view text, std::string_view filename) {
     if (fault.job < 0) fail(at, "fault: missing job");
     if (!fault.has_overrun) fail(at, "fault: missing overrun");
     scenario.faults.add_overrun(fault.task, fault.job, fault.overrun);
+    faults.push_back(fault);
   };
   const auto flush = [&] {
     flush_task();
@@ -224,19 +249,20 @@ Scenario parse_scenario(std::string_view text, std::string_view filename) {
             fail(cur, "unknown policy '" + std::string(value) + "'");
           }
         } else if (key == "horizon") {
-          cfg.horizon = require_duration(cur, key, value);
+          cfg.horizon = require_duration(cur, key, value, Sign::kPositive);
         } else if (key == "quantizer") {
           // "<resolution> <mode>"
           const std::size_t space = value.find(' ');
           if (space == std::string_view::npos) {
             fail(cur, "quantizer: expected '<resolution> <mode>'");
           }
-          cfg.detector.quantizer.resolution =
-              require_duration(cur, key, trim(value.substr(0, space)));
+          cfg.detector.quantizer.resolution = require_duration(
+              cur, key, trim(value.substr(0, space)), Sign::kPositive);
           cfg.detector.quantizer.mode =
               rounding_from(cur, trim(value.substr(space + 1)));
         } else if (key == "detector-fire-cost") {
-          cfg.detector.fire_cost = require_duration(cur, key, value);
+          cfg.detector.fire_cost =
+              require_duration(cur, key, value, Sign::kNonNegative);
         } else if (key == "stop-mode") {
           if (value == "task") {
             cfg.stop_mode = rt::StopMode::kTask;
@@ -246,11 +272,14 @@ Scenario parse_scenario(std::string_view text, std::string_view filename) {
             fail(cur, "stop-mode: expected task|job");
           }
         } else if (key == "stop-poll-latency") {
-          cfg.stop_poll_latency = require_duration(cur, key, value);
+          cfg.stop_poll_latency =
+              require_duration(cur, key, value, Sign::kNonNegative);
         } else if (key == "context-switch-cost") {
-          cfg.context_switch_cost = require_duration(cur, key, value);
+          cfg.context_switch_cost =
+              require_duration(cur, key, value, Sign::kNonNegative);
         } else if (key == "allowance-granularity") {
-          cfg.allowance.granularity = require_duration(cur, key, value);
+          cfg.allowance.granularity =
+              require_duration(cur, key, value, Sign::kPositive);
         } else if (key == "run-infeasible") {
           if (value == "true") {
             cfg.run_infeasible = true;
@@ -266,20 +295,24 @@ Scenario parse_scenario(std::string_view text, std::string_view filename) {
       }
       case Section::kTask: {
         if (key == "priority") {
-          task.params.priority =
-              static_cast<sched::Priority>(require_int(cur, key, value));
+          task.params.priority = static_cast<sched::Priority>(require_int(
+              cur, key, value, std::numeric_limits<sched::Priority>::min(),
+              std::numeric_limits<sched::Priority>::max()));
           task.has_priority = true;
         } else if (key == "cost") {
-          task.params.cost = require_duration(cur, key, value);
+          task.params.cost = require_duration(cur, key, value, Sign::kPositive);
           task.has_cost = true;
         } else if (key == "period") {
-          task.params.period = require_duration(cur, key, value);
+          task.params.period =
+              require_duration(cur, key, value, Sign::kPositive);
           task.has_period = true;
         } else if (key == "deadline") {
-          task.params.deadline = require_duration(cur, key, value);
+          task.params.deadline =
+              require_duration(cur, key, value, Sign::kPositive);
           task.has_deadline = true;
         } else if (key == "offset") {
-          task.params.offset = require_duration(cur, key, value);
+          task.params.offset =
+              require_duration(cur, key, value, Sign::kNonNegative);
         } else {
           fail(cur, "unknown [task] key '" + std::string(key) + "'");
         }
@@ -288,8 +321,9 @@ Scenario parse_scenario(std::string_view text, std::string_view filename) {
       case Section::kFault: {
         if (key == "task") {
           fault.task = std::string(value);
+          fault.task_line = cur.line;
         } else if (key == "job") {
-          fault.job = require_int(cur, key, value);
+          fault.job = require_int(cur, key, value, 0);
         } else if (key == "overrun") {
           fault.overrun = require_duration(cur, key, value);
           fault.has_overrun = true;
@@ -306,7 +340,12 @@ Scenario parse_scenario(std::string_view text, std::string_view filename) {
   if (scenario.config.tasks.empty()) {
     fail(Cursor{filename, cur.line}, "scenario declares no tasks");
   }
-  scenario.faults.validate_against(scenario.config.tasks);
+  for (const PendingFault& f : faults) {
+    if (!scenario.config.tasks.contains(f.task)) {
+      fail(Cursor{filename, f.task_line},
+           "task: '" + f.task + "' names no declared task");
+    }
+  }
   return scenario;
 }
 

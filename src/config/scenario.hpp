@@ -24,7 +24,10 @@
 //   overrun = 40ms                   # negative = cost under-run
 //
 // Durations are written as a decimal number with a mandatory unit
-// (ns, us, ms, s); "0" alone is accepted.
+// (ns, us, ms, s); "0" alone is accepted. The horizon, the quantizer
+// resolution, the allowance granularity and every cost, period and
+// deadline must be positive; latencies, the fire and switch costs and
+// offsets must not be negative.
 #pragma once
 
 #include <stdexcept>
@@ -51,8 +54,10 @@ struct Scenario {
   core::FaultPlan faults;
 };
 
-/// Parses scenario text. Throws ParseError on malformed input and
-/// ContractViolation on semantically invalid values (e.g. zero periods).
+/// Parses scenario text. Throws ParseError, naming the line and its key
+/// or section, on malformed input and on every value the system would
+/// refuse (a zero period or horizon, a negative latency, a fault on an
+/// undeclared task, a task declared twice).
 [[nodiscard]] Scenario parse_scenario(std::string_view text,
                                       std::string_view filename = "<string>");
 

@@ -1,6 +1,6 @@
 // A per-core fleet of rt::Engine instances driven from one global
 // clock, with task-level primary/backup placement and mid-run core
-// fail-over (ROADMAP item 4(b); Persya & Nair in PAPERS.md).
+// fail-over (Persya & Nair in PAPERS.md).
 //
 // Partitioned multiprocessor scheduling keeps every core a plain
 // fixed-priority uniprocessor — exactly what rt::Engine models — so the

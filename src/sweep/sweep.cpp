@@ -18,6 +18,7 @@
 #include "sched/allowance.hpp"
 #include "sched/feasibility.hpp"
 #include "sched/priority.hpp"
+#include "sched/response_time.hpp"
 
 namespace rtft::sweep {
 namespace {
@@ -245,7 +246,9 @@ ScenarioVerdict ScenarioRunner::run(const ScenarioSpec& spec) {
   if (ea.feasible_at_zero) {
     v.allowance = ea.allowance;
     const sched::TaskId top = ts.by_priority_desc().front();
-    arm(ts, horizon, top, ea.allowance);
+    arm(ts,
+        v.engine_clean ? overrun_run_end(ts, ea.allowance, horizon) : horizon,
+        top, ea.allowance);
     engine_.run();
     v.allowance_honored = total_misses() == 0;
   }
@@ -260,16 +263,16 @@ ScenarioVerdict ScenarioRunner::run(const ScenarioSpec& spec) {
   //    stop-poll latency (§4.1) decides how long the hog burns CPU
   //    before dying — visible in how many lower-priority detectors fire
   //    in the meantime. Non-stopping policies keep the nominal run (and
-  //    the historical default-grid fingerprint) unchanged.
+  //    the historical default-grid fingerprint) unchanged. A plan that
+  //    detects nothing would repeat stage 2, so it takes its verdict.
   core::TreatmentPlan plan = core::make_treatment_plan_or_degrade(
       ts, opts_.detector_policy, v.rta_schedulable, aopts);
-  if (plan.detects && plan.stops) {
-    arm(ts, horizon, ts.by_priority_desc().front(), max_period(ts));
-  } else {
-    arm(ts, horizon);
-  }
-  std::optional<core::DetectorBank> bank;
   if (plan.detects) {
+    if (plan.stops) {
+      arm(ts, horizon, ts.by_priority_desc().front(), max_period(ts));
+    } else {
+      arm(ts, horizon);
+    }
     core::DetectorConfig dcfg;
     // The default 1 ms resolution keeps the historical exact-threshold
     // behaviour (kNone ignores the resolution); a swept non-default
@@ -285,16 +288,19 @@ ScenarioVerdict ScenarioRunner::run(const ScenarioSpec& spec) {
         e.request_stop(task, rt::StopMode::kTask);
       };
     }
-    bank.emplace(engine_, handles_, std::move(plan.thresholds), dcfg,
-                 std::move(handler));
+    const core::DetectorBank bank(engine_, handles_,
+                                  std::move(plan.thresholds), dcfg,
+                                  std::move(handler));
+    engine_.run();
+    v.detector_clean = total_misses() == 0;
+    v.detector_faults = bank.total_faults();
+  } else {
+    v.detector_clean = v.engine_clean;
   }
-  engine_.run();
-  v.detector_clean = total_misses() == 0;
-  v.detector_faults = bank ? bank->total_faults() : 0;
 
   // 5. Multicore stage: partitioned placement plus mid-run core
-  //    fail-over (ROADMAP 4(b)). Only cells that sweep cores > 1 pay
-  //    for it; single-core cells keep the historical verdict exactly.
+  //    fail-over. Only cells that sweep cores > 1 pay for it;
+  //    single-core cells keep the historical verdict exactly.
   if (spec.cores > 1) run_multicore(spec, ts, horizon, v);
   return v;
 }
@@ -347,6 +353,18 @@ void ScenarioRunner::run_multicore(const ScenarioSpec& spec,
           v.ff_missed_tasks, v.ff_lost_jobs);
   run_one(fault_aware_, v.fa_placement_feasible, v.fa_failover_clean,
           v.fa_missed_tasks, v.fa_lost_jobs);
+}
+
+Duration overrun_run_end(const sched::TaskSet& ts, Duration overrun,
+                         Duration horizon) {
+  // The demand overrun + sum ceil(t/Tj)*Cj is the same whichever task
+  // carries the overrun, so the lowest-priority task's job 0 dates it.
+  const sched::PriorityView view(ts);
+  const std::size_t low = view.size() - 1;
+  const sched::RtaResult busy =
+      sched::busy_period(view, low, {}, {.pos = low, .one = overrun});
+  const bool closes = busy.bounded && busy.jobs_examined == 1;
+  return closes ? std::min(busy.wcrt, horizon) : horizon;
 }
 
 ScenarioVerdict run_scenario(const ScenarioSpec& spec,

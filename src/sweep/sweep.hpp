@@ -11,9 +11,10 @@
 //   1. the RTA/feasibility analysis          (schedulable?)
 //   2. a nominal rt::Engine run              (does the engine agree?)
 //   3. the equitable-allowance search plus a faulty run that overruns by
-//      exactly the allowance                 (is the allowance honored?)
-//   4. a detector-loaded run with per-fire CPU cost
-//      (does detection overhead break marginal systems? §6.2)
+//      exactly the allowance, cut where it rejoins a clean run 2
+//                                            (is the allowance honored?)
+//   4. a detector-loaded run with per-fire CPU cost unless it would
+//      repeat run 2 (does detection overhead break marginal systems? §6.2)
 //
 // and the per-scenario verdicts are aggregated into grid-cell and total
 // summaries. Results are bitwise deterministic for a given (seed, grid,
@@ -74,12 +75,12 @@ struct SweepGrid {
   /// a faulty job burn CPU past its stop request. The default single
   /// zero keeps the historical grid shape (and fingerprint) unchanged.
   std::vector<Duration> stop_poll_latencies = {Duration::zero()};
-  /// Core counts for the partitioned-multiprocessor stage (ROADMAP
-  /// 4(b)). Cells with cores > 1 additionally place the task set on a
-  /// per-core engine fleet (first-fit and fault-aware primary/backup
-  /// placement), kill the busiest core mid-run and record the
-  /// fail-over verdicts. The default single 1 keeps the historical
-  /// grid shape (and both pinned fingerprints) unchanged.
+  /// Core counts for the partitioned-multiprocessor stage. Cells with
+  /// cores > 1 additionally place the task set on a per-core engine
+  /// fleet (first-fit and fault-aware primary/backup placement), kill
+  /// the busiest core mid-run and record the fail-over verdicts. The
+  /// default single 1 keeps the historical grid shape (and both pinned
+  /// fingerprints) unchanged.
   std::vector<std::size_t> core_counts = {1};
   /// Detector timer-quantizer resolutions (the paper's §6.2 jRate
   /// grid as an axis). The default single 1 ms keeps the historical
@@ -167,10 +168,12 @@ struct ScenarioVerdict {
   bool allowance_feasible = false;  ///< feasible at zero inflation.
   Duration allowance;               ///< equitable A at sweep granularity.
   /// Faulty run: the highest-priority task overruns job 0 by exactly A;
-  /// honored means still zero misses (§4.2's guarantee).
+  /// honored means still zero misses (§4.2's guarantee) over the whole
+  /// window, though a clean nominal run lets it stop at overrun_run_end.
   bool allowance_honored = false;
 
-  /// Detector-loaded run with per-fire cost: zero misses?
+  /// Detector-loaded run with per-fire cost: zero misses? A plan that
+  /// detects nothing would repeat the nominal run: this is engine_clean.
   bool detector_clean = false;
   std::int64_t detector_faults = 0;  ///< faults reported by the detectors.
 
@@ -450,6 +453,15 @@ class ScenarioRunner {
   multicore::FirstFitDecreasing first_fit_;
   multicore::FaultAware fault_aware_;
 };
+
+/// Where a run of `ts` that adds `overrun` to one job 0 may stop, given
+/// a clean nominal run over `horizon`: its first idle instant t*, the
+/// least t > 0 with t = overrun + Σ ceil(t/Tj)·Cj, or `horizon` if that
+/// comes first or lies past the lowest-priority task's first period.
+/// By t* both runs have done all work released before t*, so from t* on
+/// they are one run. A date before t* can hide a miss.
+[[nodiscard]] Duration overrun_run_end(const sched::TaskSet& ts,
+                                       Duration overrun, Duration horizon);
 
 /// Runs one scenario to its verdict (pure; callable from any thread).
 /// One-shot convenience over ScenarioRunner.

@@ -141,12 +141,22 @@ period = 10ms
 }
 
 TEST(ParseScenario, ErrorsCarryLineNumbers) {
-  const auto expect_error_line = [](std::string_view text, int line) {
+  // A non-empty `key` must open the message, right after the line.
+  const auto expect_error_line = [](std::string_view text, int line,
+                                    std::string_view key = {}) {
     try {
       (void)parse_scenario(text, "t.rtft");
       FAIL() << "expected ParseError";
     } catch (const ParseError& e) {
       EXPECT_EQ(e.line(), line) << e.what();
+      if (!key.empty()) {
+        EXPECT_EQ(std::string(e.what()).rfind(
+                      "t.rtft:" + std::to_string(line) + ": " +
+                          std::string(key) + ": ",
+                      0),
+                  0u)
+            << e.what();
+      }
     }
   };
   expect_error_line("[system]\nbogus-key = 1\n", 2);
@@ -159,6 +169,43 @@ TEST(ParseScenario, ErrorsCarryLineNumbers) {
   // A missing mandatory field points at the section header.
   expect_error_line("[task t]\npriority = 1\ncost = 1ms\n", 1);
   expect_error_line("[system]\nquantizer = 10ms\n", 2);  // missing mode
+  // Values that parse but that the system refuses.
+  expect_error_line("[system]\nhorizon = 0s\n", 2, "horizon");
+  expect_error_line("[system]\nhorizon = -1ms\n", 2, "horizon");
+  expect_error_line("[system]\nstop-poll-latency = -1ms\n", 2,
+                    "stop-poll-latency");
+  expect_error_line("[system]\ncontext-switch-cost = -1us\n", 2,
+                    "context-switch-cost");
+  expect_error_line("[system]\nallowance-granularity = 0\n", 2,
+                    "allowance-granularity");
+  expect_error_line("[system]\nquantizer = 0ms nearest\n", 2, "quantizer");
+  expect_error_line("[system]\nquantizer = -10ms up\n", 2, "quantizer");
+  expect_error_line("[system]\ndetector-fire-cost = -10us\n", 2,
+                    "detector-fire-cost");
+  constexpr std::string_view task = "[task t]\npriority = 1\n";
+  for (const char* key : {"cost", "period", "deadline"}) {
+    for (const char* value : {"0", "0ms", "-1ms"}) {
+      SCOPED_TRACE(::testing::Message() << key << " = " << value);
+      expect_error_line(std::string(task) + key + " = " + value + "\n", 3,
+                        key);
+    }
+  }
+  expect_error_line(std::string(task) + "offset = -1ms\n", 3, "offset");
+  expect_error_line("[task t]\npriority = 4294967297\n", 2, "priority");
+  expect_error_line(std::string(task) +
+                        "cost = 1ms\nperiod = 10ms\n[fault]\ntask = t\n"
+                        "job = -3\n",
+                    7, "job");
+  // A fault naming no declared task points at its task key; a task
+  // declared twice at its second header.
+  expect_error_line(std::string(task) +
+                        "cost = 1ms\nperiod = 10ms\n[fault]\njob = 0\n"
+                        "task = ghost\noverrun = 1ms\n",
+                    7, "task");
+  expect_error_line(std::string(task) +
+                        "cost = 1ms\nperiod = 10ms\n" + std::string(task) +
+                        "cost = 1ms\nperiod = 10ms\n",
+                    5);
 }
 
 TEST(ParseScenario, DurationsPastInt64NanosecondsNameTheKey) {
@@ -207,7 +254,22 @@ task = ghost
 job = 0
 overrun = 1ms
 )"),
-               ContractViolation);
+               ParseError);
+}
+
+TEST(ParseScenario, FaultMayPrecedeItsTask) {
+  const Scenario s = parse_scenario(R"(
+[fault]
+task = t
+job = 0
+overrun = 1ms
+
+[task t]
+priority = 1
+cost = 1ms
+period = 10ms
+)");
+  EXPECT_EQ(s.faults.faults().size(), 1u);
 }
 
 TEST(ParseScenario, EmptyScenarioRejected) {
