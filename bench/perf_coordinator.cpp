@@ -18,6 +18,10 @@
 //                                      i.e. the restart latency after a
 //                                      coordinator crash.
 //
+// ProcessFleet and InProcessBaseline run their scenarios in worker
+// processes or on worker threads, so they are timed in real time;
+// ResumeFromCheckpoints runs no scenario.
+//
 // The worker binary path comes from RTFT_SWEEP_RUNNER_BIN (set by the
 // build from $<TARGET_FILE:sweep_runner>); without it the process
 // benches are skipped so the bench target still builds when examples
@@ -28,6 +32,7 @@
 #include <filesystem>
 #include <string>
 
+#include "support_bench.hpp"
 #include "sweep/coordinator.hpp"
 #include "sweep/sweep.hpp"
 
@@ -35,27 +40,8 @@ namespace {
 
 using namespace rtft;
 
-/// Same fixed grid as perf_sweep's bench_options(), so the two files'
-/// scenarios/s numbers are directly comparable.
-sweep::SweepOptions bench_options() {
-  sweep::SweepOptions opts;
-  opts.scenario_count = 96;
-  opts.workers = 2;
-  opts.base_seed = 2006;
-  opts.grid.task_counts = {3, 5};
-  opts.grid.utilizations = {0.6, 0.9};
-  opts.grid.detector_costs = {Duration::zero(), Duration::us(200)};
-  return opts;
-}
-
-void report_rate(benchmark::State& state, std::uint64_t per_iter) {
-  const double scenarios = static_cast<double>(per_iter) *
-                           static_cast<double>(state.iterations());
-  state.counters["scenarios/s"] =
-      benchmark::Counter(scenarios, benchmark::Counter::kIsRate);
-  state.counters["scenarios/iter"] =
-      benchmark::Counter(static_cast<double>(per_iter));
-}
+using bench::report_scenario_rate;
+using bench::sweep_bench_options;
 
 #ifdef RTFT_SWEEP_RUNNER_BIN
 
@@ -78,7 +64,7 @@ std::string fresh_dir(const std::string& name) {
 }
 
 void BM_Coordinator_ProcessFleet(benchmark::State& state) {
-  const sweep::SweepOptions opts = bench_options();
+  const sweep::SweepOptions opts = sweep_bench_options();
   for (auto _ : state) {
     const std::string dir = fresh_dir("fleet");
     sweep::ProcessTransport transport;
@@ -86,12 +72,14 @@ void BM_Coordinator_ProcessFleet(benchmark::State& state) {
     const sweep::CoordinatorResult result = coordinator.run();
     benchmark::DoNotOptimize(result.report.fingerprint);
   }
-  report_rate(state, opts.scenario_count);
+  report_scenario_rate(state, opts.scenario_count);
 }
-BENCHMARK(BM_Coordinator_ProcessFleet)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Coordinator_ProcessFleet)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_Coordinator_ResumeFromCheckpoints(benchmark::State& state) {
-  const sweep::SweepOptions opts = bench_options();
+  const sweep::SweepOptions opts = sweep_bench_options();
   const std::string dir = fresh_dir("resume");
   {
     // Populate the checkpoints once; every iteration then resumes.
@@ -105,20 +93,22 @@ void BM_Coordinator_ResumeFromCheckpoints(benchmark::State& state) {
     const sweep::CoordinatorResult result = coordinator.run();
     benchmark::DoNotOptimize(result.report.fingerprint);
   }
-  report_rate(state, opts.scenario_count);
+  report_scenario_rate(state, opts.scenario_count);
 }
 BENCHMARK(BM_Coordinator_ResumeFromCheckpoints)->Unit(benchmark::kMillisecond);
 
 #endif  // RTFT_SWEEP_RUNNER_BIN
 
 void BM_Coordinator_InProcessBaseline(benchmark::State& state) {
-  const sweep::SweepOptions opts = bench_options();
+  const sweep::SweepOptions opts = sweep_bench_options();
   for (auto _ : state) {
     const sweep::SweepReport report = sweep::run_sweep(opts);
     benchmark::DoNotOptimize(report.fingerprint);
   }
-  report_rate(state, opts.scenario_count);
+  report_scenario_rate(state, opts.scenario_count);
 }
-BENCHMARK(BM_Coordinator_InProcessBaseline)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Coordinator_InProcessBaseline)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace

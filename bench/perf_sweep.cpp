@@ -16,54 +16,35 @@
 //   BM_Sweep_MergeOnly       — merge() alone on pre-run shards: the
 //                              coordinator-side cost of combining
 //                              results that arrive from elsewhere.
+//
+// The first two run their scenarios on the sweep's worker threads, so
+// they are timed in real time; MergeOnly runs on the benchmark thread.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "support_bench.hpp"
 #include "sweep/sweep.hpp"
 
 namespace {
 
 using namespace rtft;
 
-/// A fixed mid-size grid: 8 cells x 12 scenarios, two detector costs —
-/// large enough that per-scenario work dominates, small enough for a
-/// benchmark iteration. Deliberately constant across PRs: the JSON
-/// trajectory is only comparable against an unchanged workload.
-sweep::SweepOptions bench_options() {
-  sweep::SweepOptions opts;
-  opts.scenario_count = 96;
-  opts.workers = 2;
-  opts.base_seed = 2006;
-  opts.grid.task_counts = {3, 5};
-  opts.grid.utilizations = {0.6, 0.9};
-  opts.grid.detector_costs = {Duration::zero(), Duration::us(200)};
-  return opts;
-}
-
-void report_rate(benchmark::State& state, std::uint64_t per_iter) {
-  const double scenarios = static_cast<double>(per_iter) *
-                           static_cast<double>(state.iterations());
-  state.counters["scenarios/s"] =
-      benchmark::Counter(scenarios, benchmark::Counter::kIsRate);
-  state.counters["sec/event"] = benchmark::Counter(
-      scenarios, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
-  state.counters["scenarios/iter"] =
-      benchmark::Counter(static_cast<double>(per_iter));
-}
+using bench::report_scenario_rate;
+using bench::sweep_bench_options;
 
 void BM_Sweep_SingleShard(benchmark::State& state) {
-  const sweep::SweepOptions opts = bench_options();
+  const sweep::SweepOptions opts = sweep_bench_options();
   for (auto _ : state) {
     const sweep::SweepReport report = sweep::run_sweep(opts);
     benchmark::DoNotOptimize(report.fingerprint);
   }
-  report_rate(state, opts.scenario_count);
+  report_scenario_rate(state, opts.scenario_count);
 }
-BENCHMARK(BM_Sweep_SingleShard)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Sweep_SingleShard)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_Sweep_FourShardMerge(benchmark::State& state) {
-  const sweep::SweepOptions opts = bench_options();
+  const sweep::SweepOptions opts = sweep_bench_options();
   const sweep::SweepPlan plan(opts);
   for (auto _ : state) {
     std::vector<sweep::ShardResult> shards;
@@ -74,12 +55,14 @@ void BM_Sweep_FourShardMerge(benchmark::State& state) {
     const sweep::SweepReport report = sweep::merge(shards);
     benchmark::DoNotOptimize(report.fingerprint);
   }
-  report_rate(state, opts.scenario_count);
+  report_scenario_rate(state, opts.scenario_count);
 }
-BENCHMARK(BM_Sweep_FourShardMerge)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Sweep_FourShardMerge)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_Sweep_MergeOnly(benchmark::State& state) {
-  const sweep::SweepOptions opts = bench_options();
+  const sweep::SweepOptions opts = sweep_bench_options();
   const sweep::SweepPlan plan(opts);
   std::vector<sweep::ShardResult> shards;
   shards.reserve(4);
@@ -90,7 +73,7 @@ void BM_Sweep_MergeOnly(benchmark::State& state) {
     const sweep::SweepReport report = sweep::merge(shards);
     benchmark::DoNotOptimize(report.fingerprint);
   }
-  report_rate(state, opts.scenario_count);
+  report_scenario_rate(state, opts.scenario_count);
 }
 BENCHMARK(BM_Sweep_MergeOnly)->Unit(benchmark::kMillisecond);
 

@@ -7,8 +7,7 @@
 //                     [--scenarios N] [--seed S] [--workers W]
 //                     [--tasks ...] [--util ...] [--detector-cost-us ...]
 //                     [--stop-latency-us ...] [--cores ...]
-//                     [--quantum-us ...]
-//                     [--core-fault F] [--policy NAME]
+//                     [--quantum-us ...] [--policy NAME]
 //                     [--horizon-periods K]
 //                     [--shards M] [--max-procs P] [--retry-budget R]
 //                     [--straggler-factor F]
@@ -54,7 +53,7 @@ using namespace rtft;
       "          [--detector-cost-us c1,c2,...]\n"
       "          [--stop-latency-us l1,l2,...]\n"
       "          [--cores m1,m2,...] [--quantum-us q1,q2,...]\n"
-      "          [--core-fault F] [--policy NAME] [--horizon-periods K]\n"
+      "          [--policy NAME] [--horizon-periods K]\n"
       "          [--shards M] [--max-procs P] [--retry-budget R]\n"
       "          [--straggler-factor F] [--min-straggler-timeout-ms MS]\n"
       "          [--poll-interval-ms MS] [--progress] [--quiet]\n",

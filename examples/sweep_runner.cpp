@@ -6,7 +6,7 @@
 //                [--detector-cost-us c1,c2,...]
 //                [--stop-latency-us l1,l2,...]
 //                [--cores m1,m2,...] [--quantum-us q1,q2,...]
-//                [--core-fault F] [--policy NAME] [--horizon-periods K]
+//                [--policy NAME] [--horizon-periods K]
 //                [--verdicts] [--progress]
 //                [--csv FILE] [--cells-csv FILE] [--json FILE]
 //                [--shard I/N [--emit-shard FILE]]
@@ -33,12 +33,11 @@
 // --cores sweeps the partitioned-multiprocessor axis: for M > 1 each
 // scenario is additionally placed onto an M-core fleet (by first-fit
 // and by fault-aware placement, paired on the same draw) and run
-// through a mid-horizon core failure at --core-fault x horizon (0
-// disables the fault). --quantum-us sweeps the release-quantizer
-// resolution; the default 1000 keeps the historical exact-threshold
-// behavior, any other value arms nearest-rounding on the paper's jRate
-// grid. Both axes fingerprint only when off their defaults, so
-// historical pins hold.
+// through a core failure at half the horizon. --quantum-us sweeps the
+// release-quantizer resolution; the default 1000 keeps the historical
+// exact-threshold behavior, any other value arms nearest-rounding on
+// the paper's jRate grid. Both axes fingerprint only when off their
+// defaults, so historical pins hold.
 //
 // --shard I/N runs only shard I (0-based) of an N-way contiguous
 // partition of the scenario index space and, with --emit-shard, writes
@@ -83,7 +82,7 @@ using namespace rtft;
       "          [--detector-cost-us c1,c2,...]\n"
       "          [--stop-latency-us l1,l2,...]\n"
       "          [--cores m1,m2,...] [--quantum-us q1,q2,...]\n"
-      "          [--core-fault F] [--policy NAME] [--horizon-periods K]\n"
+      "          [--policy NAME] [--horizon-periods K]\n"
       "          [--verdicts] [--progress]\n"
       "          [--csv FILE] [--cells-csv FILE] [--json FILE]\n"
       "          [--shard I/N [--emit-shard FILE]]\n"

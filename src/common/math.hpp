@@ -1,13 +1,12 @@
 // Overflow-aware integer helpers used by the scheduling analysis.
 //
-// Hyperperiods of co-prime millisecond periods overflow int64 easily, and
+// Window and release dates must not wrap int64 nanoseconds, and
 // utilization comparisons must not suffer floating-point rounding (a task
 // set with U exactly 1 sits on the feasibility boundary). Both concerns
-// are handled here with saturating/128-bit arithmetic.
+// are handled here with checked/128-bit arithmetic.
 #pragma once
 
 #include <cstdint>
-#include <numeric>
 #include <optional>
 #include <span>
 
@@ -30,28 +29,6 @@ namespace rtft {
   std::int64_t out = 0;
   if (__builtin_add_overflow(a, b, &out)) return std::nullopt;
   return out;
-}
-
-/// Least common multiple of two positive values, nullopt on overflow.
-[[nodiscard]] constexpr std::optional<std::int64_t> checked_lcm(
-    std::int64_t a, std::int64_t b) {
-  RTFT_EXPECTS(a > 0 && b > 0, "lcm arguments must be positive");
-  const std::int64_t g = std::gcd(a, b);
-  return checked_mul(a / g, b);
-}
-
-/// Hyperperiod (lcm of all periods) of a set of positive durations;
-/// nullopt if it does not fit in int64 nanoseconds.
-[[nodiscard]] inline std::optional<Duration> hyperperiod(
-    std::span<const Duration> periods) {
-  std::int64_t acc = 1;
-  for (Duration p : periods) {
-    RTFT_EXPECTS(p.is_positive(), "periods must be positive");
-    auto next = checked_lcm(acc, p.count());
-    if (!next) return std::nullopt;
-    acc = *next;
-  }
-  return Duration::ns(acc);
 }
 
 namespace detail {

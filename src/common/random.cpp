@@ -56,10 +56,6 @@ std::int64_t Rng::next_in(std::int64_t lo, std::int64_t hi) {
   return lo + static_cast<std::int64_t>(v % span);
 }
 
-Duration Rng::next_duration(Duration lo, Duration hi) {
-  return Duration::ns(next_in(lo.count(), hi.count()));
-}
-
 std::vector<double> uunifast(Rng& rng, std::size_t n, double total_u) {
   RTFT_EXPECTS(n > 0, "uunifast needs at least one task");
   RTFT_EXPECTS(total_u > 0.0, "uunifast needs positive utilization");

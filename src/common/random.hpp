@@ -25,8 +25,6 @@ class Rng {
   double next_double();
   /// Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
   std::int64_t next_in(std::int64_t lo, std::int64_t hi);
-  /// Uniform duration in [lo, hi] (inclusive).
-  Duration next_duration(Duration lo, Duration hi);
 
  private:
   std::array<std::uint64_t, 4> state_;

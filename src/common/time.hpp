@@ -44,14 +44,8 @@ class Duration {
 
   /// Raw nanosecond count.
   [[nodiscard]] constexpr std::int64_t count() const { return ns_; }
-  [[nodiscard]] constexpr std::int64_t whole_ms() const {
-    return ns_ / 1'000'000;
-  }
   [[nodiscard]] constexpr double to_ms() const {
     return static_cast<double>(ns_) / 1e6;
-  }
-  [[nodiscard]] constexpr double to_s() const {
-    return static_cast<double>(ns_) / 1e9;
   }
 
   [[nodiscard]] constexpr bool is_zero() const { return ns_ == 0; }

@@ -380,6 +380,10 @@ std::string write_scenario(const Scenario& scenario) {
     out << "context-switch-cost = "
         << duration_to_config_string(cfg.context_switch_cost) << '\n';
   }
+  if (cfg.allowance.granularity != sched::AllowanceOptions{}.granularity) {
+    out << "allowance-granularity = "
+        << duration_to_config_string(cfg.allowance.granularity) << '\n';
+  }
   if (cfg.run_infeasible) out << "run-infeasible = true\n";
 
   for (const sched::TaskParams& t : cfg.tasks) {

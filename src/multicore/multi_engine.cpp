@@ -36,11 +36,6 @@ rt::Engine& MultiEngine::core(std::size_t i) {
   return *engines_[i];
 }
 
-bool MultiEngine::core_alive(std::size_t i) const {
-  RTFT_EXPECTS(i < cores_, "core index out of range");
-  return alive_[i];
-}
-
 void MultiEngine::add_placed(const sched::TaskSet& ts,
                              const Placement& placement) {
   RTFT_EXPECTS(placement.primary.size() == ts.size() &&

@@ -94,7 +94,6 @@ class MultiEngine {
 
   [[nodiscard]] std::size_t cores() const { return cores_; }
   [[nodiscard]] rt::Engine& core(std::size_t i);
-  [[nodiscard]] bool core_alive(std::size_t i) const;
   [[nodiscard]] Instant now() const { return now_; }
   [[nodiscard]] Instant horizon() const { return horizon_; }
 

@@ -123,39 +123,6 @@ Placement FaultAware::place(const sched::TaskSet& ts,
   return p;
 }
 
-bool survives_any_single_fault(const sched::TaskSet& ts,
-                               const Placement& placement,
-                               std::size_t cores) {
-  RTFT_EXPECTS(placement.primary.size() == ts.size() &&
-                   placement.backup.size() == ts.size(),
-               "placement must cover the task set");
-  if (!placement.feasible) return false;
-  sched::PriorityView view;
-  std::vector<sched::TaskId> load;
-  for (std::size_t f = 0; f < cores; ++f) {
-    for (std::size_t j = 0; j < cores; ++j) {
-      if (j == f) continue;
-      load.clear();
-      for (sched::TaskId id = 0; id < ts.size(); ++id) {
-        if (placement.primary[id] == j) load.push_back(id);
-      }
-      for (sched::TaskId id = 0; id < ts.size(); ++id) {
-        if (placement.primary[id] == f && placement.backup[id] == j) {
-          if (placement.backup[id] == placement.primary[id]) return false;
-          load.push_back(id);
-        }
-      }
-      view.assign(ts, load);
-      if (!sched::is_feasible(view)) return false;
-    }
-  }
-  // Every task must actually have a backup for fail-over to exist.
-  for (sched::TaskId id = 0; id < ts.size(); ++id) {
-    if (cores > 1 && placement.backup[id] == kNoCore) return false;
-  }
-  return true;
-}
-
 std::vector<double> primary_utilization(const sched::TaskSet& ts,
                                         const Placement& placement,
                                         std::size_t cores) {

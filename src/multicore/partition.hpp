@@ -85,15 +85,6 @@ class FaultAware final : public Partitioner {
   [[nodiscard]] const char* name() const override { return "fault-aware"; }
 };
 
-/// True iff, for every core f that could fail, every other core j still
-/// passes RTA running its primaries plus the backups it must activate
-/// (tasks with primary == f and backup == j). The global soundness
-/// check FaultAware guarantees by construction; exposed for tests and
-/// for auditing third-party Partitioner implementations.
-[[nodiscard]] bool survives_any_single_fault(const sched::TaskSet& ts,
-                                             const Placement& placement,
-                                             std::size_t cores);
-
 /// Total primary utilization per core (index -> sum of Ci/Ti). The
 /// fail-over victim selector in the sweep kills the busiest core.
 [[nodiscard]] std::vector<double> primary_utilization(

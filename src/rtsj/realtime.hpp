@@ -108,10 +108,6 @@ class RealtimeThread {
   void setCostModel(rt::CostModel model);
 
   [[nodiscard]] const std::string& getName() const { return params_.name; }
-  [[nodiscard]] const sched::TaskParams& getTaskParams() const {
-    return params_;
-  }
-  [[nodiscard]] bool isStarted() const { return started_; }
   /// Valid after start().
   [[nodiscard]] rt::TaskHandle handle() const;
   [[nodiscard]] const rt::TaskStats& getStats() const;

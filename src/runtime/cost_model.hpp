@@ -82,11 +82,6 @@ struct CostSpec {
     return s;
   }
 
-  /// True when resolve() can never deviate from the nominal cost.
-  [[nodiscard]] bool is_nominal() const {
-    return kind == CostKind::kNominal;
-  }
-
   /// Actual cost of job `job_index` for a task of declared cost
   /// `nominal_cost`. Always positive.
   [[nodiscard]] Duration resolve(Duration nominal_cost,

@@ -4,24 +4,6 @@
 #include "sched/feasibility.hpp"
 
 namespace rtft::sched {
-namespace {
-
-/// Largest overrun the task at `pos` can make alone while `view` (already
-/// known feasible) stays feasible.
-Duration max_overrun(const PriorityView& view, std::size_t pos,
-                     const AllowanceOptions& opts) {
-  // Beyond the task's own slack it misses its own deadline, so this is a
-  // valid infeasibility bound.
-  const Duration own_slack = view.deadline(pos) - view.cost(pos);
-  const Duration hi =
-      (own_slack.is_negative() ? Duration::zero() : own_slack) +
-      Duration::ns(1);
-  return monotone_search(opts.granularity, hi, [&](Duration extra) {
-    return is_feasible(view, opts.rta, Inflation{.pos = pos, .one = extra});
-  });
-}
-
-}  // namespace
 
 Duration infeasibility_bound_all(const TaskSet& ts) {
   Duration bound = Duration::max();
@@ -56,14 +38,6 @@ EquitableAllowance equitable_allowance(const TaskSet& ts,
   return out;
 }
 
-Duration max_single_task_overrun(const TaskSet& ts, TaskId id,
-                                 const AllowanceOptions& opts) {
-  RTFT_EXPECTS(id < ts.size(), "task id out of range");
-  const PriorityView view(ts);
-  if (!is_feasible(view, opts.rta)) return Duration::zero();
-  return max_overrun(view, view.position(id), opts);
-}
-
 SystemAllowance system_allowance(const TaskSet& ts,
                                  const AllowanceOptions& opts) {
   SystemAllowance out;
@@ -72,9 +46,18 @@ SystemAllowance system_allowance(const TaskSet& ts,
   if (!is_feasible(view, opts.rta)) return out;
   out.feasible_at_zero = true;
 
-  // Position 0: the highest priority, ties to the lowest TaskId.
+  // Position 0: the highest priority, ties to the lowest TaskId. B is
+  // the largest overrun it can make alone while the set stays feasible;
+  // past its own slack it misses its own deadline, which bounds the
+  // search.
   out.beneficiary = view.id(0);
-  out.budget = max_overrun(view, 0, opts);
+  const Duration own_slack = view.deadline(0) - view.cost(0);
+  const Duration hi =
+      (own_slack.is_negative() ? Duration::zero() : own_slack) +
+      Duration::ns(1);
+  out.budget = monotone_search(opts.granularity, hi, [&](Duration extra) {
+    return is_feasible(view, opts.rta, Inflation{.pos = 0, .one = extra});
+  });
 
   const Inflation worst_case{.pos = 0, .one = out.budget};
   out.nominal_wcrt.resize(ts.size());

@@ -94,12 +94,6 @@ template <typename Feasible>
 [[nodiscard]] EquitableAllowance equitable_allowance(
     const TaskSet& ts, const AllowanceOptions& opts = {});
 
-/// Largest overrun task `id` can make alone (every other cost nominal)
-/// while the system stays feasible. Duration::zero() when even the
-/// smallest overrun breaks feasibility.
-[[nodiscard]] Duration max_single_task_overrun(
-    const TaskSet& ts, TaskId id, const AllowanceOptions& opts = {});
-
 /// System allowance B and the per-task stop thresholds WCRTi + B (§4.3).
 [[nodiscard]] SystemAllowance system_allowance(
     const TaskSet& ts, const AllowanceOptions& opts = {});

@@ -87,8 +87,4 @@ bool FeasibilityAnalysis::remove(std::string_view name) {
   return true;
 }
 
-void FeasibilityAnalysis::add_unchecked(const TaskParams& params) {
-  set_.add(params);
-}
-
 }  // namespace rtft::sched

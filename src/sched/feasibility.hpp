@@ -55,10 +55,10 @@ struct FeasibilityReport {
 ///
 /// Robustness contract (a long-lived admission object must survive bad
 /// input — the serving layer feeds it straight from clients):
-///   * Every mutation is strong-exception-safe: if add()/add_unchecked()
-///     throws (invalid parameters, duplicate name), the analysis is
-///     exactly as it was before the call — candidates are built on a
-///     copy and committed only on success.
+///   * Every mutation is strong-exception-safe: if add() throws
+///     (invalid parameters, duplicate name), the analysis is exactly as
+///     it was before the call — candidates are built on a copy and
+///     committed only on success.
 ///   * Mutations never assert on merely-absent state: remove() of an
 ///     unknown name reports false instead of throwing, so callers can
 ///     treat "already gone" as success.
@@ -76,11 +76,6 @@ class FeasibilityAnalysis {
   /// task. Removal never hurts feasibility, so it always succeeds when
   /// the task exists.
   bool remove(std::string_view name);
-
-  /// Force-adds a task without the admission check (used to model systems
-  /// that bypass admission control; analysis can then flag them). Same
-  /// strong guarantee as add() when validation throws.
-  void add_unchecked(const TaskParams& params);
 
   [[nodiscard]] const TaskSet& task_set() const { return set_; }
   [[nodiscard]] FeasibilityReport report() const {

@@ -59,44 +59,11 @@ double TaskSet::utilization() const {
   return u;
 }
 
-TaskSet TaskSet::with_all_costs_inflated(Duration extra) const {
-  RTFT_EXPECTS(!extra.is_negative(), "inflation must be non-negative");
-  TaskSet out;
-  for (const TaskParams& t : tasks_) {
-    TaskParams copy = t;
-    copy.cost += extra;
-    out.add(std::move(copy));
-  }
-  return out;
-}
-
-TaskSet TaskSet::with_cost(TaskId id, Duration new_cost) const {
-  RTFT_EXPECTS(id < tasks_.size(), "task id out of range");
-  TaskSet out;
-  for (TaskId i = 0; i < tasks_.size(); ++i) {
-    TaskParams copy = tasks_[i];
-    if (i == id) copy.cost = new_cost;
-    out.add(std::move(copy));
-  }
-  return out;
-}
-
 TaskSet TaskSet::without(TaskId id) const {
   RTFT_EXPECTS(id < tasks_.size(), "task id out of range");
   TaskSet out;
   for (TaskId i = 0; i < tasks_.size(); ++i) {
     if (i != id) out.add(tasks_[i]);
-  }
-  return out;
-}
-
-TaskSet TaskSet::with_priority(TaskId id, Priority p) const {
-  RTFT_EXPECTS(id < tasks_.size(), "task id out of range");
-  TaskSet out;
-  for (TaskId i = 0; i < tasks_.size(); ++i) {
-    TaskParams copy = tasks_[i];
-    if (i == id) copy.priority = p;
-    out.add(std::move(copy));
   }
   return out;
 }

@@ -70,19 +70,8 @@ class TaskSet {
   /// Total utilization U = Σ Ci/Ti.
   [[nodiscard]] double utilization() const;
 
-  /// Copy with every cost inflated by `extra` (used by the equitable
-  /// allowance search, §4.2).
-  [[nodiscard]] TaskSet with_all_costs_inflated(Duration extra) const;
-
-  /// Copy with one task's cost replaced (used by the per-task overrun
-  /// search, §4.3).
-  [[nodiscard]] TaskSet with_cost(TaskId id, Duration new_cost) const;
-
   /// Copy without the given task (remaining TaskIds shift down).
   [[nodiscard]] TaskSet without(TaskId id) const;
-
-  /// Copy with one task's priority replaced.
-  [[nodiscard]] TaskSet with_priority(TaskId id, Priority p) const;
 
  private:
   std::vector<TaskParams> tasks_;

@@ -76,8 +76,6 @@ AdmissionService::AdmissionService(ServiceOptions options)
       queue_(options.queue_capacity),
       cache_(options.cache_capacity) {
   RTFT_EXPECTS(opts_.workers > 0, "admission service needs >= 1 worker");
-  RTFT_EXPECTS(opts_.horizon_periods > 0,
-               "cross-check horizon must cover >= 1 period");
   if (opts_.autostart) start();
 }
 
@@ -363,7 +361,7 @@ CachedVerdict AdmissionService::compute(WorkerContext& ctx,
     reach = std::max({reach, t.period.count(), t.deadline.count()});
   }
   const std::optional<std::int64_t> horizon =
-      checked_mul(max_period, opts_.horizon_periods);
+      checked_mul(max_period, ServiceOptions::horizon_periods);
   std::optional<std::int64_t> jobs;
   if (horizon && checked_add(*horizon, reach)) jobs = 0;
   for (const sched::TaskParams& t : ts.tasks()) {

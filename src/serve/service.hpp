@@ -59,8 +59,9 @@ struct ServiceOptions {
   std::size_t queue_capacity = 64;
   std::size_t cache_capacity = 1024;
   /// Engine cross-check window, as a multiple of the set's largest
-  /// period (same meaning as SweepOptions::horizon_periods).
-  std::int64_t horizon_periods = 8;
+  /// period (same meaning as SweepOptions::horizon_periods). A constant,
+  /// since no caller needs another value.
+  static constexpr std::int64_t horizon_periods = 8;
   ServiceFaultPlan faults;
   /// Start the worker pool in the constructor. Tests pass false, preload
   /// the queue, then call start() — making queue-depth-driven ladder
@@ -92,7 +93,6 @@ class AdmissionService {
 
   [[nodiscard]] ServiceMetrics metrics() const;
   [[nodiscard]] AnalysisTier current_tier() const;
-  [[nodiscard]] std::size_t queue_depth() const { return queue_.depth(); }
 
  private:
   struct Pending {

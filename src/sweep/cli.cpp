@@ -154,16 +154,6 @@ bool apply_sweep_flag(std::string_view arg,
       opts.grid.quantizer_resolutions.push_back(Duration::us(
           static_cast<std::int64_t>(parse_u64("--quantum-us", p, 1, kMaxUs))));
     }
-  } else if (arg == "--core-fault") {
-    const std::string v = value();
-    double fraction = 0.0;
-    if (!parse_double(v, fraction) || !std::isfinite(fraction) ||
-        fraction < 0.0 || fraction > 1.0) {
-      bad_value("--core-fault", v,
-                "expects a horizon fraction in [0, 1] (0 disables the "
-                "fault)");
-    }
-    opts.core_fault_fraction = fraction;
   } else if (arg == "--policy") {
     const std::string v = value();
     try {
@@ -219,12 +209,6 @@ std::vector<std::string> worker_argv(const std::string& runner,
                  [](std::string& out, Duration q) {
                    out += std::to_string(q.count() / 1000);
                  });
-  argv.emplace_back("--core-fault");
-  {
-    std::string fraction;
-    append_double(fraction, opts.core_fault_fraction);
-    argv.push_back(std::move(fraction));
-  }
   argv.emplace_back("--policy");
   argv.emplace_back(core::to_string(opts.detector_policy));
   argv.emplace_back("--horizon-periods");

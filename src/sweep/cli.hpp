@@ -62,7 +62,7 @@ struct ShardRequest {
 
 /// Applies one sweep-defining flag (--scenarios, --workers, --seed,
 /// --tasks, --util, --detector-cost-us, --stop-latency-us, --cores,
-/// --quantum-us, --core-fault, --policy, --horizon-periods) to `opts`.
+/// --quantum-us, --policy, --horizon-periods) to `opts`.
 /// Returns false when `arg` is none of these — the caller handles its
 /// own flags; throws ArgError on a bad value. `value` supplies the
 /// flag's argument and is called at most once.
@@ -76,8 +76,8 @@ bool apply_sweep_flag(std::string_view arg,
 /// as %.17g. The sweep flags are parsed back through apply_sweep_flag,
 /// and a result whose scenario identity differs from `opts` throws
 /// ContractViolation: that is how options the runner CLI cannot express
-/// are refused (a non-default allowance granularity, sub-microsecond
-/// grid durations, a seed above the CLI's signed-integer range).
+/// are refused (grid durations that are not whole microseconds, a seed
+/// above the CLI's signed-integer range).
 [[nodiscard]] std::vector<std::string> worker_argv(
     const std::string& runner, const SweepOptions& opts,
     const ShardSpec& shard, const std::string& emit_path);

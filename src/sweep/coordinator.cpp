@@ -238,7 +238,7 @@ Coordinator::Coordinator(const SweepOptions& sweep, CoordinatorOptions options,
     opts_.shards = 4 * static_cast<std::uint64_t>(opts_.max_procs);
   }
   // Fail on the constructing thread if the sweep cannot travel through
-  // the runner CLI (non-default granularity, sub-us grid durations...):
+  // the runner CLI (sub-us grid durations, a seed past int64...):
   // better than every worker computing a foreign sweep.
   (void)cli::worker_argv(opts_.runner, plan_.options(),
                          plan_.shard(0, opts_.shards), "validate");

@@ -100,16 +100,14 @@ void grid_fields(Grid& g, F&& f) {
   f("quantizer_resolution_ns", g.quantizer_resolutions);
 }
 
-/// The shard document's options (report_json keeps its own selection).
+/// The options, as both documents (report and shard) carry them.
 template <typename Options, typename F>
-void shard_option_fields(Options& o, F&& f) {
+void option_fields(Options& o, F&& f) {
   f("scenario_count", o.scenario_count);
   f("base_seed", Hex{o.base_seed});
   f("workers", o.workers);
   f("horizon_periods", o.horizon_periods);
-  f("allowance_granularity_ns", o.allowance_granularity);
   f("detector_policy", o.detector_policy);
-  f("core_fault_fraction", o.core_fault_fraction);
   f("grid", o.grid);
 }
 
@@ -289,15 +287,8 @@ std::string cells_csv(const SweepReport& report) {
 }
 
 std::string report_json(const SweepReport& report) {
-  const SweepOptions& o = report.options;
   std::string out = "{\n  \"options\": {";
-  JsonMembers m{out};
-  m("scenario_count", o.scenario_count);
-  m("workers", o.workers);
-  m("base_seed", Hex{o.base_seed});
-  m("horizon_periods", o.horizon_periods);
-  m("allowance_granularity_ns", o.allowance_granularity);
-  m("core_fault_fraction", o.core_fault_fraction);
+  option_fields(report.options, JsonMembers{out});
   out += "},\n";
   put_results(out, report.totals, report.cells, report.verdicts);
   out += "  \"elapsed_seconds\": ";
@@ -314,7 +305,7 @@ std::string shard_json(const ShardResult& shard) {
   out += "\",\n  \"version\": ";
   put(out, kShardFormatVersion);
   out += ",\n  \"options\": {";
-  shard_option_fields(shard.options, JsonMembers{out});
+  option_fields(shard.options, JsonMembers{out});
   out += "},\n  \"shard\": {";
   shard_spec_fields(shard.shard, JsonMembers{out});
   out += "},\n";
@@ -638,7 +629,7 @@ ShardResult load_shard_json(std::string_view json) {
 
   ShardResult result;
   SweepOptions& o = result.options;
-  shard_option_fields(o, JsonReader{member(root, "options")});
+  option_fields(o, JsonReader{member(root, "options")});
 
   // The plan constructor is the one source of truth for option
   // validity; a file that fails it is not a usable shard.

@@ -6,12 +6,13 @@
 //   verdicts_csv — one row per scenario verdict (the plotting data:
 //                  schedulability and allowance outcomes per scenario);
 //   cells_csv    — one row per grid cell with aggregate counters;
-//   report_json  — options, totals, cells, verdicts, fingerprint.
+//   report_json  — options (as the shard format writes them), totals,
+//                  cells, verdicts, fingerprint.
 //
 // Plus the shard interchange format that lets the partition/run/merge
 // triad cross process and host boundaries:
 //
-//   shard_json      — one ShardResult as a versioned ("rtft-shard" v3)
+//   shard_json      — one ShardResult as a versioned ("rtft-shard" v4)
 //                     JSON document: the producing options and grid, the
 //                     index range, per-cell aggregates, every verdict
 //                     (the shard's fingerprint contribution — FNV-1a
@@ -26,7 +27,7 @@
 //                     skew) all throw ShardError with a message naming
 //                     the defect.
 //
-// Each record — verdict, aggregate, cell, grid, shard options — has one
+// Each record — verdict, aggregate, cell, grid, options — has one
 // field list in export.cpp that the JSON writer, the CSV writers and the
 // loader all walk, so a field's name, position and encoding are defined
 // once for every document. 64-bit seeds and fingerprints are emitted as
@@ -62,8 +63,10 @@ inline constexpr std::string_view kShardFormatName = "rtft-shard";
 /// aggregate fields. v3 dropped the options' "partitioner" (the
 /// multicore stage always runs both placements) and the grid's
 /// deadline_min_factor, deadline_max_factor, min_period_ns and
-/// max_period_ns (every set uses the generator's fixed ranges).
-inline constexpr std::int64_t kShardFormatVersion = 3;
+/// max_period_ns (every set uses the generator's fixed ranges). v4
+/// dropped the options' allowance_granularity_ns and
+/// core_fault_fraction, now constants of every sweep.
+inline constexpr std::int64_t kShardFormatVersion = 4;
 
 /// One ShardResult as a self-contained, versioned JSON document.
 [[nodiscard]] std::string shard_json(const ShardResult& shard);

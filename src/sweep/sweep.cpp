@@ -240,7 +240,7 @@ ScenarioVerdict ScenarioRunner::run(const ScenarioSpec& spec) {
 
   // 3. Equitable allowance, then a faulty run overrunning by exactly A.
   sched::AllowanceOptions aopts;
-  aopts.granularity = opts_.allowance_granularity;
+  aopts.granularity = SweepOptions::allowance_granularity;
   const sched::EquitableAllowance ea = sched::equitable_allowance(ts, aopts);
   v.allowance_feasible = ea.feasible_at_zero;
   if (ea.feasible_at_zero) {
@@ -317,7 +317,8 @@ void ScenarioRunner::run_multicore(const ScenarioSpec& spec,
   // double product is exact IEEE arithmetic on integral inputs, so
   // every platform computes the same instant.
   const Duration fault_after = Duration::ns(static_cast<std::int64_t>(
-      opts_.core_fault_fraction * static_cast<double>(horizon.count())));
+      SweepOptions::core_fault_fraction *
+      static_cast<double>(horizon.count())));
 
   const auto run_one = [&](const multicore::Partitioner& strategy,
                            bool& placed, bool& clean,
@@ -395,8 +396,6 @@ SweepPlan::SweepPlan(const SweepOptions& opts) : opts_(opts) {
     cells *= n;
   }
   RTFT_EXPECTS(opts.horizon_periods > 0, "horizon must cover >= 1 period");
-  RTFT_EXPECTS(opts.allowance_granularity.is_positive(),
-               "allowance granularity must be positive");
   // Generated sets take unique DM priorities from the RTSJ range, which
   // bounds the task count.
   constexpr std::size_t kMaxTasks =
@@ -419,9 +418,6 @@ SweepPlan::SweepPlan(const SweepOptions& opts) : opts_(opts) {
                  "every swept core count must be in [1, 64]");
   for (const Duration q : opts.grid.quantizer_resolutions)
     RTFT_EXPECTS(q.is_positive(), "quantizer resolution must be positive");
-  RTFT_EXPECTS(
-      opts.core_fault_fraction >= 0.0 && opts.core_fault_fraction <= 1.0,
-      "the core-fault fraction must lie in [0, 1]");
   if (opts_.workers == 0) {
     const unsigned hw = std::thread::hardware_concurrency();
     opts_.workers = hw == 0 ? 1 : hw;
@@ -553,9 +549,7 @@ void summarize(ShardResult& r) {
 bool same_scenario_identity(const SweepOptions& a, const SweepOptions& b) {
   return a.scenario_count == b.scenario_count && a.base_seed == b.base_seed &&
          a.horizon_periods == b.horizon_periods &&
-         a.allowance_granularity == b.allowance_granularity &&
-         a.detector_policy == b.detector_policy && a.grid == b.grid &&
-         a.core_fault_fraction == b.core_fault_fraction;
+         a.detector_policy == b.detector_policy && a.grid == b.grid;
 }
 
 }  // namespace detail

@@ -117,18 +117,18 @@ struct SweepOptions {
   SweepGrid grid;
   /// Granularity of the equitable-allowance binary search. Coarser than
   /// the exact-nanosecond default: a sweep values throughput and only
-  /// needs A to be *a* feasible allowance, not the supremum.
-  Duration allowance_granularity = Duration::us(100);
+  /// needs A to be *a* feasible allowance, not the supremum. A constant,
+  /// since no caller needs another value.
+  static constexpr Duration allowance_granularity = Duration::us(100);
   /// Engine window, as a multiple of the set's largest period.
   std::int64_t horizon_periods = 8;
   /// Policy armed in the detector-loaded run.
   core::TreatmentPolicy detector_policy = core::TreatmentPolicy::kDetectOnly;
   /// When the multicore stage kills a core: the fault instant as a
-  /// fraction of the scenario horizon, in [0, 1]. The victim is the
+  /// fraction of the scenario horizon, mid-window. The victim is the
   /// core with the highest primary utilization (ties to the lowest
-  /// index). 0 disables the fault (placement verdicts only); 1 dates
-  /// it at the horizon, which also never fires.
-  double core_fault_fraction = 0.5;
+  /// index). A constant, since no caller needs another value.
+  static constexpr double core_fault_fraction = 0.5;
   /// Progress hook: invoked once per completed scenario with
   /// (scenarios completed so far, scenarios in this run) — for a shard
   /// run, "this run" is the shard. Invocations are serialized (the
@@ -388,13 +388,6 @@ class ShardMerger {
   /// not consumed logically — the merger stays usable).
   void add(ShardResult&& shard);
 
-  /// Scenarios folded so far: the merged prefix [0, n) of the sweep.
-  [[nodiscard]] std::uint64_t accepted_scenarios() const {
-    return expected_begin_;
-  }
-  /// Shards buffered waiting for a gap to close.
-  [[nodiscard]] std::size_t pending_shards() const { return pending_.size(); }
-
   /// Validates full coverage and returns the merged report.
   [[nodiscard]] SweepReport finish();
 
@@ -440,8 +433,8 @@ class ScenarioRunner {
   [[nodiscard]] std::int64_t total_misses() const;
   /// The multicore stage (cells with cores > 1): places the set with
   /// first-fit and with fault-aware placement, kills the busiest core
-  /// at the configured horizon fraction, and fills the ff_*/fa_*
-  /// verdict fields. Verdicts come from engine statistics.
+  /// at SweepOptions::core_fault_fraction of the horizon, and fills the
+  /// ff_*/fa_* verdict fields. Verdicts come from engine statistics.
   void run_multicore(const ScenarioSpec& spec, const sched::TaskSet& ts,
                      Duration horizon, ScenarioVerdict& v);
 

@@ -27,20 +27,4 @@ Recorder::Recorder(std::size_t reserve) { events_.reserve(reserve); }
 
 void Recorder::record(const TraceEvent& event) { events_.push_back(event); }
 
-std::size_t Recorder::count_of_kind(EventKind kind) const {
-  std::size_t n = 0;
-  for (const TraceEvent& e : events_) {
-    if (e.kind == kind) ++n;
-  }
-  return n;
-}
-
-std::size_t Recorder::count_of_task(std::uint32_t task) const {
-  std::size_t n = 0;
-  for (const TraceEvent& e : events_) {
-    if (e.task == task) ++n;
-  }
-  return n;
-}
-
 }  // namespace rtft::trace

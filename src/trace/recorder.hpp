@@ -27,31 +27,6 @@ class Recorder final : public Sink {
   [[nodiscard]] bool empty() const { return events_.empty(); }
   void clear() { events_.clear(); }
 
-  /// Copies the events of one kind, in record order, into `out`; returns
-  /// the iterator past the last element written. Filtering into a
-  /// caller-owned container replaces the old vector-per-call interface:
-  ///   std::vector<TraceEvent> ends;
-  ///   rec.of_kind(EventKind::kJobEnd, std::back_inserter(ends));
-  template <typename OutputIt>
-  OutputIt of_kind(EventKind kind, OutputIt out) const {
-    for (const TraceEvent& e : events_) {
-      if (e.kind == kind) *out++ = e;
-    }
-    return out;
-  }
-  /// Copies the events of one task, in record order, into `out`.
-  template <typename OutputIt>
-  OutputIt of_task(std::uint32_t task, OutputIt out) const {
-    for (const TraceEvent& e : events_) {
-      if (e.task == task) *out++ = e;
-    }
-    return out;
-  }
-  /// Number of recorded events of one kind.
-  [[nodiscard]] std::size_t count_of_kind(EventKind kind) const;
-  /// Number of recorded events attached to one task.
-  [[nodiscard]] std::size_t count_of_task(std::uint32_t task) const;
-
  private:
   std::vector<TraceEvent> events_;
 };

@@ -53,15 +53,6 @@ TEST(Rng, NextInRejectsInvertedRange) {
   EXPECT_THROW((void)rng.next_in(2, 1), ContractViolation);
 }
 
-TEST(Rng, NextDurationStaysInRange) {
-  Rng rng(11);
-  for (int i = 0; i < 100; ++i) {
-    const Duration d = rng.next_duration(Duration::ms(1), Duration::ms(3));
-    EXPECT_GE(d, Duration::ms(1));
-    EXPECT_LE(d, Duration::ms(3));
-  }
-}
-
 TEST(UUniFast, SumsToTotalUtilization) {
   Rng rng(3);
   for (int trial = 0; trial < 20; ++trial) {

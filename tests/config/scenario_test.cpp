@@ -119,15 +119,46 @@ TEST(ParseScenario, Figure5RoundsTrip) {
   }
 }
 
+/// Sets every [system] key away from its default.
+constexpr std::string_view kEverySystemKey = R"(
+[system]
+policy = system-allowance-sound
+horizon = 500ms
+quantizer = 250us up
+stop-mode = job
+stop-poll-latency = 2ms
+context-switch-cost = 50us
+detector-fire-cost = 10us
+allowance-granularity = 1ms
+run-infeasible = true
+
+[task t]
+priority = 1
+cost = 1ms
+period = 10ms
+)";
+
 TEST(ParseScenario, WriteParseIdentity) {
-  const Scenario original = parse_scenario(kFigure5);
-  const std::string text = write_scenario(original);
-  const Scenario reparsed = parse_scenario(text);
-  EXPECT_EQ(write_scenario(reparsed), text);
-  EXPECT_EQ(reparsed.config.tasks.size(), original.config.tasks.size());
-  EXPECT_EQ(reparsed.config.policy, original.config.policy);
-  EXPECT_EQ(reparsed.faults.faults().size(),
-            original.faults.faults().size());
+  for (const std::string_view source : {kFigure5, kEverySystemKey}) {
+    const Scenario original = parse_scenario(source);
+    const std::string text = write_scenario(original);
+    const Scenario reparsed = parse_scenario(text);
+    EXPECT_EQ(write_scenario(reparsed), text);
+    const core::FtSystemConfig& a = original.config;
+    const core::FtSystemConfig& b = reparsed.config;
+    EXPECT_EQ(b.policy, a.policy);
+    EXPECT_EQ(b.horizon, a.horizon);
+    EXPECT_EQ(b.detector.quantizer.resolution, a.detector.quantizer.resolution);
+    EXPECT_EQ(b.detector.quantizer.mode, a.detector.quantizer.mode);
+    EXPECT_EQ(b.detector.fire_cost, a.detector.fire_cost);
+    EXPECT_EQ(b.stop_mode, a.stop_mode);
+    EXPECT_EQ(b.stop_poll_latency, a.stop_poll_latency);
+    EXPECT_EQ(b.context_switch_cost, a.context_switch_cost);
+    EXPECT_EQ(b.allowance.granularity, a.allowance.granularity);
+    EXPECT_EQ(b.run_infeasible, a.run_infeasible);
+    EXPECT_EQ(b.tasks.size(), a.tasks.size());
+    EXPECT_EQ(reparsed.faults.faults().size(), original.faults.faults().size());
+  }
 }
 
 TEST(ParseScenario, ImplicitDeadlineDefaultsToPeriod) {
@@ -277,22 +308,11 @@ TEST(ParseScenario, EmptyScenarioRejected) {
 }
 
 TEST(ParseScenario, SystemKnobsParsed) {
-  const Scenario s = parse_scenario(R"(
-[system]
-policy = system-allowance-sound
-stop-mode = job
-stop-poll-latency = 2ms
-context-switch-cost = 50us
-detector-fire-cost = 10us
-allowance-granularity = 1ms
-run-infeasible = true
-
-[task t]
-priority = 1
-cost = 1ms
-period = 10ms
-)");
+  const Scenario s = parse_scenario(kEverySystemKey);
   EXPECT_EQ(s.config.policy, core::TreatmentPolicy::kSystemAllowanceSound);
+  EXPECT_EQ(s.config.horizon, 500_ms);
+  EXPECT_EQ(s.config.detector.quantizer.resolution, 250_us);
+  EXPECT_EQ(s.config.detector.quantizer.mode, rt::Rounding::kUp);
   EXPECT_EQ(s.config.stop_mode, rt::StopMode::kJob);
   EXPECT_EQ(s.config.stop_poll_latency, 2_ms);
   EXPECT_EQ(s.config.context_switch_cost, 50_us);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <vector>
 
@@ -31,7 +32,9 @@ rt::EngineOptions traced_opts(Duration h, trace::Sink& sink) {
 std::vector<trace::TraceEvent> events_of_kind(const trace::Recorder& rec,
                                               EventKind kind) {
   std::vector<trace::TraceEvent> out;
-  rec.of_kind(kind, std::back_inserter(out));
+  std::ranges::copy_if(rec.events(), std::back_inserter(out),
+                       [kind](EventKind k) { return k == kind; },
+                       &trace::TraceEvent::kind);
   return out;
 }
 

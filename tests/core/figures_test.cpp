@@ -5,6 +5,8 @@
 // narration; EXPERIMENTS.md records the full mapping.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/ft_system.hpp"
 #include "core/paper.hpp"
 
@@ -78,7 +80,9 @@ TEST_F(Figure, Fig3NoDetection) {
   EXPECT_EQ(report.tasks[2].stats.missed, 1);
   EXPECT_EQ(report.missing_tasks(), std::vector<std::string>{"tau3"});
   // Nothing was detected or stopped.
-  EXPECT_EQ(rec().count_of_kind(EventKind::kDetectorFire), 0u);
+  EXPECT_EQ(std::ranges::count(rec().events(), EventKind::kDetectorFire,
+                               &trace::TraceEvent::kind),
+            0);
   for (const auto& t : report.tasks) EXPECT_FALSE(t.stats.stopped);
 }
 

@@ -3,7 +3,6 @@
 // spacing, fixed-priority compliance) and its bookkeeping cross-checked.
 #include <gtest/gtest.h>
 
-#include <iterator>
 #include <vector>
 
 #include "common/random.hpp"
@@ -84,10 +83,8 @@ TEST_P(StressTest, RandomFaultsUnderEveryPolicyYieldValidTraces) {
       std::int64_t releases = 0;
       std::int64_t ends = 0;
       std::int64_t aborts = 0;
-      std::vector<trace::TraceEvent> task_events;
-      sys.recorder().of_task(static_cast<std::uint32_t>(i),
-                             std::back_inserter(task_events));
-      for (const auto& e : task_events) {
+      for (const auto& e : sys.recorder().events()) {
+        if (e.task != i) continue;
         if (e.kind == trace::EventKind::kJobRelease) ++releases;
         if (e.kind == trace::EventKind::kJobEnd) ++ends;
         if (e.kind == trace::EventKind::kJobAborted) ++aborts;

@@ -180,8 +180,7 @@ TEST(MultiEngine, DefaultFaultPlanIsAFaultFreeRun) {
       EXPECT_FALSE(t.failed_over);
       EXPECT_EQ(t.lost_jobs, 0);
     }
-    EXPECT_TRUE(fleet.core_alive(0));
-    EXPECT_TRUE(fleet.core_alive(1));
+    EXPECT_EQ(fleet.report().failed_core, kNoCore);  // both cores alive.
   }
 }
 

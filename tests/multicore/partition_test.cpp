@@ -10,10 +10,13 @@
 
 #include "common/assert.hpp"
 #include "sched/feasibility.hpp"
+#include "support/fault_oracle.hpp"
 #include "sweep/generators.hpp"
 
 namespace rtft::multicore {
 namespace {
+
+using testsupport::survives_any_single_fault;
 
 sched::TaskSet seeded_set(std::uint64_t seed, std::size_t tasks,
                           double util) {

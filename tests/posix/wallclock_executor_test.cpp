@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <iterator>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -75,9 +74,8 @@ TEST(WallclockExecutor, TraceEventsArriveInTimeOrderPerTask) {
   // Per task: release(j) <= start(j) <= end(j), job indices increasing.
   for (std::uint32_t taskid : {0u, 1u}) {
     std::int64_t last_job = -1;
-    std::vector<trace::TraceEvent> task_events;
-    exec.recorder().of_task(taskid, std::back_inserter(task_events));
-    for (const auto& e : task_events) {
+    for (const auto& e : exec.recorder().events()) {
+      if (e.task != taskid) continue;
       if (e.kind == trace::EventKind::kJobRelease) {
         EXPECT_EQ(e.job, last_job + 1);
         last_job = e.job;
@@ -119,10 +117,8 @@ TEST(WallclockExecutor, TraceMirrorsTheStatistics) {
   exec.run();
   for (const rt::TaskHandle t : {a, b}) {
     std::int64_t released = 0, ended = 0, missed = 0;
-    std::vector<trace::TraceEvent> events;
-    exec.recorder().of_task(static_cast<std::uint32_t>(t),
-                            std::back_inserter(events));
-    for (const trace::TraceEvent& e : events) {
+    for (const trace::TraceEvent& e : exec.recorder().events()) {
+      if (e.task != t) continue;
       released += e.kind == trace::EventKind::kJobRelease ? 1 : 0;
       ended += e.kind == trace::EventKind::kJobEnd ? 1 : 0;
       missed += e.kind == trace::EventKind::kDeadlineMiss ? 1 : 0;

@@ -2,6 +2,7 @@
 // offsets, degenerate workloads, horizon boundaries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <vector>
 
@@ -64,7 +65,9 @@ TEST(EngineEdge, OffsetsShiftEverything) {
   const TaskHandle t = eng.add_task(p);
   eng.run();
   std::vector<trace::TraceEvent> releases;
-  rec.of_kind(EventKind::kJobRelease, std::back_inserter(releases));
+  std::ranges::copy_if(rec.events(), std::back_inserter(releases),
+                       [](EventKind k) { return k == EventKind::kJobRelease; },
+                       &trace::TraceEvent::kind);
   ASSERT_EQ(releases.size(), 3u);  // 15, 55, 95
   EXPECT_EQ(releases[0].time, Instant::epoch() + 15_ms);
   EXPECT_EQ(releases[2].time, Instant::epoch() + 95_ms);
@@ -103,7 +106,9 @@ TEST(EngineEdge, ManyEqualPriorityTasksKeepFifoOrder) {
     }
     EXPECT_TRUE(found) << i;
   }
-  EXPECT_EQ(rec.count_of_kind(EventKind::kJobPreempted), 0u);
+  EXPECT_EQ(std::ranges::count(rec.events(), EventKind::kJobPreempted,
+                               &trace::TraceEvent::kind),
+            0);
 }
 
 TEST(EngineEdge, DeadlineLongerThanPeriodChecksFireAfterNextRelease) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <vector>
 
@@ -32,7 +33,9 @@ EngineOptions with_sink(EngineOptions opts, trace::Recorder& rec) {
 std::vector<trace::TraceEvent> events_of_kind(const trace::Recorder& rec,
                                               EventKind kind) {
   std::vector<trace::TraceEvent> out;
-  rec.of_kind(kind, std::back_inserter(out));
+  std::ranges::copy_if(rec.events(), std::back_inserter(out),
+                       [kind](EventKind k) { return k == kind; },
+                       &trace::TraceEvent::kind);
   return out;
 }
 
@@ -122,7 +125,9 @@ TEST(Engine, FifoWithinSamePriority) {
   ASSERT_TRUE(a_end && b_end);
   EXPECT_EQ(a_end->time, Instant::epoch() + 3_ms);
   EXPECT_EQ(b_end->time, Instant::epoch() + 6_ms);
-  EXPECT_EQ(rec.count_of_kind(EventKind::kJobPreempted), 0u);
+  EXPECT_EQ(std::ranges::count(rec.events(), EventKind::kJobPreempted,
+                               &trace::TraceEvent::kind),
+            0);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include "sched/feasibility.hpp"
 #include "support/paper_systems.hpp"
 #include "support/random_sets.hpp"
+#include "support/task_set_copies.hpp"
 
 namespace rtft::sched {
 namespace {
@@ -13,6 +14,8 @@ namespace {
 using rtft::testsupport::make_random_task_set;
 using rtft::testsupport::table1_system;
 using rtft::testsupport::table2_system;
+using rtft::testsupport::with_all_costs_inflated;
+using rtft::testsupport::with_cost;
 using namespace rtft::literals;
 
 // ---------------------------------------------------------------------------
@@ -51,16 +54,6 @@ TEST(PaperSystemAllowance, StopThresholdsAreWcrtPlusBudget) {
   EXPECT_EQ(s.stop_thresholds[2], 120_ms);  // 87 + 33
 }
 
-TEST(PaperMaxSingleOverrun, PerTaskValues) {
-  const TaskSet ts = table2_system();
-  // τ1: bounded by τ3's deadline — 87 + o <= 120.
-  EXPECT_EQ(max_single_task_overrun(ts, 0), 33_ms);
-  // τ2: same constraint through τ3 — 87 + o <= 120.
-  EXPECT_EQ(max_single_task_overrun(ts, 1), 33_ms);
-  // τ3: only its own deadline constrains it — 87 + o <= 120.
-  EXPECT_EQ(max_single_task_overrun(ts, 2), 33_ms);
-}
-
 // ---------------------------------------------------------------------------
 // Semantics and edge cases.
 // ---------------------------------------------------------------------------
@@ -91,8 +84,10 @@ TEST(EquitableAllowance, EmptySetThrows) {
   EXPECT_THROW((void)equitable_allowance(TaskSet{}), ContractViolation);
 }
 
-TEST(MaxSingleOverrun, InfeasibleSystemGivesZero) {
-  EXPECT_EQ(max_single_task_overrun(table1_system(), 0), Duration::zero());
+TEST(SystemAllowance, InfeasibleSystemGivesZero) {
+  const SystemAllowance s = system_allowance(table1_system());
+  EXPECT_FALSE(s.feasible_at_zero);
+  EXPECT_EQ(s.budget, Duration::zero());
 }
 
 TEST(SystemAllowance, NominalWcrtsReported) {
@@ -123,12 +118,12 @@ TEST_P(AllowancePropertyTest, EquitableAllowanceIsMaximal) {
   const EquitableAllowance a = equitable_allowance(ts, opts);
   ASSERT_TRUE(a.feasible_at_zero);
   // Feasible at A, infeasible at A + granularity.
-  EXPECT_TRUE(is_feasible(ts.with_all_costs_inflated(a.allowance)));
+  EXPECT_TRUE(is_feasible(with_all_costs_inflated(ts, a.allowance)));
   EXPECT_FALSE(is_feasible(
-      ts.with_all_costs_inflated(a.allowance + opts.granularity)));
+      with_all_costs_inflated(ts, a.allowance + opts.granularity)));
 }
 
-TEST_P(AllowancePropertyTest, SingleTaskOverrunIsMaximal) {
+TEST_P(AllowancePropertyTest, SystemBudgetIsMaximal) {
   Rng rng(GetParam() ^ 0x5a5a5a);
   RandomTaskSetSpec spec;
   spec.tasks = 1 + static_cast<std::size_t>(rng.next_in(1, 5));
@@ -139,10 +134,10 @@ TEST_P(AllowancePropertyTest, SingleTaskOverrunIsMaximal) {
   AllowanceOptions opts;
   opts.granularity = 100_us;
   const TaskId top = ts.by_priority_desc().front();
-  const Duration b = max_single_task_overrun(ts, top, opts);
-  EXPECT_TRUE(is_feasible(ts.with_cost(top, ts[top].cost + b)));
+  const Duration b = system_allowance(ts, opts).budget;
+  EXPECT_TRUE(is_feasible(with_cost(ts, top, ts[top].cost + b)));
   EXPECT_FALSE(is_feasible(
-      ts.with_cost(top, ts[top].cost + b + opts.granularity)));
+      with_cost(ts, top, ts[top].cost + b + opts.granularity)));
 }
 
 TEST_P(AllowancePropertyTest, SystemBudgetAtLeastEquitableAllowance) {

@@ -62,7 +62,7 @@ TEST_P(AperiodicInverseProperty, BoundOfMaxCostFitsAndSupremumHolds) {
   Rng rng(GetParam());
   const Duration budget = Duration::ms(rng.next_in(1, 20));
   const Duration period = budget * rng.next_in(2, 10);
-  const Duration wcrt = Duration::ms(rng.next_in(0, budget.whole_ms()));
+  const Duration wcrt = Duration::ms(rng.next_in(0, budget / Duration::ms(1)));
   const Duration deadline = Duration::ms(rng.next_in(1, 2000));
 
   const Duration max_cost =

@@ -108,12 +108,8 @@ TEST(FeasibilityAnalysis, ThrowingAddLeavesTheSetUnchanged) {
       admission.add(TaskParams{"tau1", 5, 1_ms, 10_ms, 10_ms,
                                Duration::zero()}),
       ContractViolation);
-  EXPECT_THROW(admission.add_unchecked(
-                   TaskParams{"bad", 5, Duration::zero(), 10_ms, 10_ms,
-                              Duration::zero()}),
-               ContractViolation);
 
-  // The set is exactly what it was before the three throws.
+  // The set is exactly what it was before the two throws.
   EXPECT_EQ(admission.task_set().size(), 3u);
   EXPECT_FALSE(admission.task_set().contains("bad"));
   EXPECT_TRUE(admission.report().feasible);
@@ -133,16 +129,6 @@ TEST(FeasibilityAnalysis, RemoveUnknownNeverThrowsAndPreservesState) {
   EXPECT_TRUE(admission.remove("tau2"));
   EXPECT_FALSE(admission.remove("tau2"));
   EXPECT_EQ(admission.task_set().size(), 2u);
-}
-
-TEST(FeasibilityAnalysis, AddUncheckedBypassesAdmission) {
-  FeasibilityAnalysis admission;
-  admission.add_unchecked(
-      TaskParams{"a", 2, 6_ms, 10_ms, 10_ms, Duration::zero()});
-  admission.add_unchecked(
-      TaskParams{"b", 1, 5_ms, 10_ms, 10_ms, Duration::zero()});
-  EXPECT_EQ(admission.task_set().size(), 2u);
-  EXPECT_FALSE(admission.report().feasible);
 }
 
 }  // namespace

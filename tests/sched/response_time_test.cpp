@@ -6,6 +6,7 @@
 #include "sched/feasibility.hpp"
 #include "support/paper_systems.hpp"
 #include "support/random_sets.hpp"
+#include "support/task_set_copies.hpp"
 
 namespace rtft::sched {
 namespace {
@@ -13,6 +14,7 @@ namespace {
 using rtft::testsupport::make_random_task_set;
 using rtft::testsupport::table1_system;
 using rtft::testsupport::table2_system;
+using rtft::testsupport::with_cost;
 using namespace rtft::literals;
 
 // ---------------------------------------------------------------------------
@@ -179,7 +181,7 @@ TEST_P(RtaPropertyTest, WcrtAtLeastCostAndMonotoneInCost) {
     // Inflating the highest-priority task's cost cannot shrink anyone's
     // WCRT.
     const TaskId top = ts.by_priority_desc().front();
-    const TaskSet inflated = ts.with_cost(top, ts[top].cost + 1_ms);
+    const TaskSet inflated = with_cost(ts, top, ts[top].cost + 1_ms);
     const RtaResult r2 = response_time(inflated, i);
     if (r2.bounded) {
       EXPECT_GE(r2.wcrt, r.wcrt) << "task " << i;

@@ -5,11 +5,15 @@
 #include "common/assert.hpp"
 #include "sched/response_time.hpp"
 #include "support/paper_systems.hpp"
+#include "support/task_set_copies.hpp"
 
 namespace rtft::sched {
 namespace {
 
 using rtft::testsupport::table2_system;
+using rtft::testsupport::with_all_costs_inflated;
+using rtft::testsupport::with_cost;
+using rtft::testsupport::with_priority;
 using namespace rtft::literals;
 
 TaskParams valid_task(std::string name = "t") {
@@ -137,7 +141,7 @@ TEST(TaskSet, UtilizationOfPaperSystem) {
 }
 
 TEST(TaskSet, WithAllCostsInflated) {
-  const TaskSet inflated = table2_system().with_all_costs_inflated(11_ms);
+  const TaskSet inflated = with_all_costs_inflated(table2_system(), 11_ms);
   for (TaskId i = 0; i < inflated.size(); ++i) {
     EXPECT_EQ(inflated[i].cost, 40_ms);
     EXPECT_EQ(inflated[i].period, table2_system()[i].period);
@@ -145,7 +149,7 @@ TEST(TaskSet, WithAllCostsInflated) {
 }
 
 TEST(TaskSet, WithCostReplacesOneTask) {
-  const TaskSet modified = table2_system().with_cost(0, 62_ms);
+  const TaskSet modified = with_cost(table2_system(), 0, 62_ms);
   EXPECT_EQ(modified[0].cost, 62_ms);
   EXPECT_EQ(modified[1].cost, 29_ms);
   EXPECT_EQ(modified[2].cost, 29_ms);
@@ -159,7 +163,7 @@ TEST(TaskSet, WithoutRemovesTask) {
 }
 
 TEST(TaskSet, WithPriorityReplacesPriority) {
-  const TaskSet modified = table2_system().with_priority(2, 25);
+  const TaskSet modified = with_priority(table2_system(), 2, 25);
   EXPECT_EQ(modified[2].priority, 25);
   // tau3 now outranks everyone.
   EXPECT_EQ(modified.by_priority_desc().front(), 2u);

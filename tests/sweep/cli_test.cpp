@@ -139,11 +139,13 @@ TEST(ApplySweepFlag, ClaimsOnlySweepFlagsAndRejectsBadValues) {
 }
 
 TEST(ApplySweepFlag, RetiredEngineModeFlagsAreNotSweepFlags) {
-  // The engine has one implementation and the sweep one observation
-  // mode; the flags that once selected the others fall through to the
-  // caller's unknown-flag error without consuming a value.
+  // The engine has one implementation, the sweep one observation mode
+  // and the multicore stage one fault date; the flags that once
+  // selected the others fall through to the caller's unknown-flag error
+  // without consuming a value.
   for (const char* retired : {"--event-queue", "--sink-mode", "--cost-spec",
-                              "--full-traces", "--partitioner"}) {
+                              "--full-traces", "--partitioner",
+                              "--core-fault"}) {
     SweepOptions opts;
     bool consumed = false;
     EXPECT_FALSE(apply_sweep_flag(
@@ -161,11 +163,11 @@ TEST(ApplySweepFlag, RetiredEngineModeFlagsAreNotSweepFlags) {
 TEST(ApplySweepFlag, ExplicitDefaultsParseToTheDefaultScenarioIdentity) {
   // Spelling out a default axis value must not define another sweep:
   // the default stop-poll latency, and every multicore default (one
-  // core, the fault at half the horizon, the 1 ms quantizer). Both then
-  // reproduce the pinned default fingerprint.
+  // core, the 1 ms quantizer). Both then reproduce the pinned default
+  // fingerprint.
   const std::vector<std::vector<std::string>> flag_sets = {
       {"--stop-latency-us", "0"},
-      {"--cores", "1", "--core-fault", "0.5", "--quantum-us", "1000"},
+      {"--cores", "1", "--quantum-us", "1000"},
   };
   for (const std::vector<std::string>& flags : flag_sets) {
     std::vector<std::string> argv = {"sweep_runner"};
@@ -186,12 +188,6 @@ TEST(ApplySweepFlag, ParsesTheMulticoreAxesStrictly) {
       "--quantum-us", [] { return std::string("1000,250"); }, opts));
   EXPECT_EQ(opts.grid.quantizer_resolutions,
             (std::vector<Duration>{Duration::ms(1), Duration::us(250)}));
-  EXPECT_TRUE(apply_sweep_flag(
-      "--core-fault", [] { return std::string("0"); }, opts));
-  EXPECT_EQ(opts.core_fault_fraction, 0.0);
-  EXPECT_TRUE(apply_sweep_flag(
-      "--core-fault", [] { return std::string("0.75"); }, opts));
-  EXPECT_EQ(opts.core_fault_fraction, 0.75);
 
   EXPECT_THROW(apply_sweep_flag(
                    "--cores", [] { return std::string("0"); }, opts),
@@ -202,16 +198,6 @@ TEST(ApplySweepFlag, ParsesTheMulticoreAxesStrictly) {
   EXPECT_THROW(apply_sweep_flag(
                    "--quantum-us", [] { return std::string("0"); }, opts),
                ArgError);
-  for (const char* bad : {"", "x", "-0.1", "1.5", "nan", "inf"}) {
-    const std::string msg = arg_error_of([&] {
-      apply_sweep_flag(
-          "--core-fault", [&] { return std::string(bad); }, opts);
-    });
-    EXPECT_NE(msg.find("--core-fault"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("[0, 1]"), std::string::npos) << msg;
-  }
-  // Bad values must not have clobbered the last good setting.
-  EXPECT_EQ(opts.core_fault_fraction, 0.75);
 }
 
 TEST(ApplySweepFlag, BoundsUtilizationsByTheCoreCap) {
@@ -237,7 +223,6 @@ TEST(WorkerArgv, RoundTripsTheMulticoreAxesBitForBit) {
   opts.grid.utilizations = {2.0, 2.4};
   opts.grid.core_counts = {2, 4};
   opts.grid.quantizer_resolutions = {Duration::ms(1), Duration::us(250)};
-  opts.core_fault_fraction = 0.25;
 
   const SweepPlan plan(opts);
   const std::vector<std::string> argv = worker_argv(
@@ -248,7 +233,6 @@ TEST(WorkerArgv, RoundTripsTheMulticoreAxesBitForBit) {
   EXPECT_EQ(reparsed.grid.core_counts, opts.grid.core_counts);
   EXPECT_EQ(reparsed.grid.quantizer_resolutions,
             opts.grid.quantizer_resolutions);
-  EXPECT_EQ(reparsed.core_fault_fraction, opts.core_fault_fraction);
 
   // Sub-microsecond quantizer resolutions are inexpressible in the
   // runner CLI and must be refused, not silently rounded.
@@ -295,7 +279,7 @@ TEST(WorkerArgv, RefusesOptionsTheRunnerCliCannotExpress) {
   const ShardSpec spec = base.shard(0, 2);
   {
     SweepOptions opts;
-    opts.allowance_granularity = Duration::us(1);
+    opts.grid.detector_costs = {Duration::ns(1'500)};  // not whole us.
     EXPECT_THROW((void)worker_argv("r", opts, spec, "p"), ContractViolation);
   }
   {

@@ -397,7 +397,7 @@ TEST(Coordinator, LiveProgressAggregatesAcrossWorkersAndFinishesAtTotal) {
 
 TEST(Coordinator, ConstructionRejectsUnexpressibleSweeps) {
   SweepOptions opts = small_options();
-  opts.allowance_granularity = Duration::us(1);  // not a runner flag.
+  opts.grid.detector_costs = {Duration::ns(1'500)};  // not whole us.
   FakeTransport transport;
   EXPECT_THROW(Coordinator(opts, test_copts(scratch_dir("reject")),
                            transport),

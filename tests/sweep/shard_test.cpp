@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sweep/export.hpp"
@@ -316,6 +317,18 @@ SweepOptions multicore_options() {
   return opts;
 }
 
+/// The error finish() raises on a copy of `merger` ("" if it succeeds):
+/// it names the shard the fold waits behind, or else the merged prefix.
+std::string finish_error(const ShardMerger& merger) {
+  ShardMerger copy = merger;
+  try {
+    (void)copy.finish();
+  } catch (const ShardError& e) {
+    return e.what();
+  }
+  return {};
+}
+
 TEST(ShardMergerTest, SixShardMixFoldsToTheSingleProcessReportBitForBit) {
   // Six shards with mixed worker counts over a grid exercising the
   // multicore and quantizer axes, folded incrementally in order and in
@@ -332,21 +345,30 @@ TEST(ShardMergerTest, SixShardMixFoldsToTheSingleProcessReportBitForBit) {
   }
   expect_same_report(merge(shards), single);
 
+  // In order, nothing waits: each shard extends the merged prefix.
   ShardMerger in_order;
-  for (const ShardResult& s : shards) {
-    in_order.add(ShardResult(s));
-    EXPECT_EQ(in_order.pending_shards(), 0u);
+  for (std::size_t i = 0; i + 1 < shards.size(); ++i) {
+    in_order.add(ShardResult(shards[i]));
+    EXPECT_EQ(finish_error(in_order),
+              "shards cover only [0, " + std::to_string(shards[i].shard.end) +
+                  ") of the sweep's " + std::to_string(opts.scenario_count) +
+                  " scenarios");
   }
-  EXPECT_EQ(in_order.accepted_scenarios(), opts.scenario_count);
+  in_order.add(ShardResult(shards.back()));
   expect_same_report(in_order.finish(), single);
 
+  // In reverse, each shard waits behind the gap at scenario 0.
   ShardMerger reversed;
   for (std::size_t i = shards.size(); i-- > 1;) {
     reversed.add(ShardResult(shards[i]));
+    EXPECT_EQ(finish_error(reversed),
+              "shard ranges must tile the index space contiguously: "
+              "expected a shard starting at scenario 0, got [" +
+                  std::to_string(shards[i].shard.begin) + ", " +
+                  std::to_string(shards[i].shard.end) + ")");
   }
-  EXPECT_EQ(reversed.pending_shards(), shards.size() - 1);
   reversed.add(ShardResult(shards[0]));  // closes the gap, drains all.
-  EXPECT_EQ(reversed.pending_shards(), 0u);
+  EXPECT_EQ(finish_error(reversed), "");
   expect_same_report(reversed.finish(), single);
 }
 
@@ -471,17 +493,29 @@ TEST(ShardJson, RejectsMalformedDocuments) {
       "\"version\": " + std::to_string(kShardFormatVersion + 1));
   EXPECT_THROW((void)load_shard_json(wrong_version), ShardError);
 
-  // A v2 file still carries the retired partitioner and generator
-  // ranges: it is refused by its version, not misread.
+  // Earlier versions are refused by their version, not misread. A v2
+  // file still carries the retired partitioner and generator ranges; a
+  // v3 file carries the allowance granularity and the core-fault
+  // fraction, which are now constants.
   std::string v2 = good;
   v2.replace(vpos, version_field.size(), "\"version\": 2");
-  try {
-    (void)load_shard_json(v2);
-    ADD_FAILURE() << "a version-2 shard file loaded";
-  } catch (const ShardError& e) {
-    EXPECT_STREQ(e.what(),
-                 "unsupported rtft-shard version 2 (this build reads "
-                 "version 3)");
+  std::string v3 = good;
+  v3.replace(vpos, version_field.size(), "\"version\": 3");
+  const std::size_t policy = v3.find("\"detector_policy\"");
+  ASSERT_NE(policy, std::string::npos);
+  v3.insert(policy, "\"allowance_granularity_ns\":100000,");
+  const std::size_t grid = v3.find(",\"grid\"");
+  ASSERT_NE(grid, std::string::npos);
+  v3.insert(grid, ",\"core_fault_fraction\":0.5");
+  for (const auto& [version, doc] : {std::pair{2, &v2}, std::pair{3, &v3}}) {
+    try {
+      (void)load_shard_json(*doc);
+      ADD_FAILURE() << "a version-" << version << " shard file loaded";
+    } catch (const ShardError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "unsupported rtft-shard version " + std::to_string(version) +
+                    " (this build reads version 4)");
+    }
   }
 }
 

@@ -108,9 +108,10 @@ TEST(SinkEquivalence, SameScenarioSameTaskStatsUnderEverySink) {
                   return n;
                 }());
     }
-    EXPECT_EQ(static_cast<std::size_t>(
-                  counting.total(trace::EventKind::kJobRelease)),
-              recorder.count_of_kind(trace::EventKind::kJobRelease));
+    EXPECT_EQ(counting.total(trace::EventKind::kJobRelease),
+              std::ranges::count(recorder.events(),
+                                 trace::EventKind::kJobRelease,
+                                 &trace::TraceEvent::kind));
   }
 }
 

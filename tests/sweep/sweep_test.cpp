@@ -170,9 +170,9 @@ TEST(SweepGrid, StopLatencyAxisRoundRobinsFastest) {
 }
 
 TEST(SweepGrid, DefaultMulticoreAxesKeepHistoricalMapping) {
-  // Single-value default core/quantum axes (and the default fault
-  // fraction) must not perturb the cell mapping or the fingerprint:
-  // pre-multicore sweeps stay bit-for-bit reproducible.
+  // Single-value default core/quantum axes must not perturb the cell
+  // mapping or the fingerprint: pre-multicore sweeps stay bit-for-bit
+  // reproducible.
   SweepOptions opts = small_options();
   opts.scenario_count = 40;
   const SweepReport implicit = run_sweep(opts);
@@ -181,7 +181,6 @@ TEST(SweepGrid, DefaultMulticoreAxesKeepHistoricalMapping) {
             std::vector<Duration>{Duration::ms(1)});
   opts.grid.core_counts = {1};                        // explicit defaults
   opts.grid.quantizer_resolutions = {Duration::ms(1)};
-  opts.core_fault_fraction = 0.5;
   const SweepReport explicit_defaults = run_sweep(opts);
   EXPECT_EQ(implicit.fingerprint, explicit_defaults.fingerprint);
   for (std::uint64_t i = 0; i < opts.scenario_count; ++i) {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <iterator>
 #include <vector>
 
 namespace rtft::trace {
@@ -25,33 +24,6 @@ TEST(Recorder, DefaultsForTasklessEvents) {
   rec.record(Instant::epoch(), EventKind::kTimerFire);
   EXPECT_EQ(rec.events()[0].task, kNoTask);
   EXPECT_EQ(rec.events()[0].job, kNoJob);
-}
-
-TEST(Recorder, FiltersByKindAndTask) {
-  Recorder rec;
-  rec.record(Instant::epoch(), EventKind::kJobRelease, 0, 0);
-  rec.record(Instant::epoch(), EventKind::kJobRelease, 1, 0);
-  rec.record(Instant::epoch() + 1_ms, EventKind::kJobEnd, 0, 0);
-  EXPECT_EQ(rec.count_of_kind(EventKind::kJobRelease), 2u);
-  EXPECT_EQ(rec.count_of_task(0), 2u);
-  EXPECT_EQ(rec.count_of_task(7), 0u);
-
-  // The output-iterator form copies matching events in record order.
-  std::vector<TraceEvent> releases;
-  rec.of_kind(EventKind::kJobRelease, std::back_inserter(releases));
-  ASSERT_EQ(releases.size(), 2u);
-  EXPECT_EQ(releases[0].task, 0u);
-  EXPECT_EQ(releases[1].task, 1u);
-
-  std::vector<TraceEvent> task0;
-  rec.of_task(0, std::back_inserter(task0));
-  ASSERT_EQ(task0.size(), 2u);
-  EXPECT_EQ(task0[1].kind, EventKind::kJobEnd);
-
-  // It also fills preallocated storage and reports the new end.
-  std::vector<TraceEvent> fixed(8);
-  const auto end = rec.of_task(0, fixed.begin());
-  EXPECT_EQ(end - fixed.begin(), 2);
 }
 
 TEST(Recorder, ClearEmpties) {

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <iterator>
+#include <algorithm>
 #include <vector>
 
 #include "trace/recorder.hpp"
@@ -100,19 +100,16 @@ TEST(Sink, CountingMatchesRecorderDerivedCountsOnOneStream) {
     counting.record(e);
   }
   for (std::uint32_t task = 0; task < 2; ++task) {
-    std::size_t ends = 0;
-    std::vector<TraceEvent> task_events;
-    rec.of_task(task, std::back_inserter(task_events));
-    for (const TraceEvent& e : task_events) {
-      if (e.kind == EventKind::kJobEnd) ++ends;
-    }
     EXPECT_EQ(counting.counters(task).completed,
-              static_cast<std::int64_t>(ends));
+              std::ranges::count_if(rec.events(), [task](const TraceEvent& e) {
+                return e.task == task && e.kind == EventKind::kJobEnd;
+              }));
   }
   EXPECT_EQ(counting.counters(0).preemptions, 1);
   EXPECT_EQ(counting.counters(0).max_response, 5_ms);
-  EXPECT_EQ(static_cast<std::size_t>(counting.total(EventKind::kJobEnd)),
-            rec.count_of_kind(EventKind::kJobEnd));
+  EXPECT_EQ(counting.total(EventKind::kJobEnd),
+            std::ranges::count(rec.events(), EventKind::kJobEnd,
+                               &TraceEvent::kind));
 }
 
 }  // namespace
