@@ -4,9 +4,11 @@
 
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/file.hpp"
 #include "common/strings.hpp"
 
 namespace rtft::bench {
@@ -158,17 +160,10 @@ int main(int argc, char** argv) {
     if (json_path.empty()) json_path = "BENCH_" + bench + ".json";
     const std::string doc =
         rtft::bench::render_bench_json(bench, reporter.runs());
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot open '%s' for writing\n",
-                   json_path.c_str());
-      return 2;
-    }
-    const bool wrote =
-        std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-    const bool closed = std::fclose(f) == 0;
-    if (!wrote || !closed) {
-      std::fprintf(stderr, "error: short write to '%s'\n", json_path.c_str());
+    try {
+      rtft::write_file(json_path, doc);
+    } catch (const std::runtime_error& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
       return 2;
     }
     std::fprintf(stderr, "wrote %s\n", json_path.c_str());

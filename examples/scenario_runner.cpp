@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <string>
 
+#include "common/file.hpp"
 #include "config/scenario.hpp"
 #include "core/paper.hpp"
 #include "trace/log_writer.hpp"
@@ -29,7 +30,7 @@ std::string demo_scenario_path() {
   file.config = std::move(s.config);
   file.faults = std::move(s.faults);
   const std::string path = "/tmp/rtft_figure6_demo.rtft";
-  trace::write_file(path, cfg::write_scenario(file));
+  write_file(path, cfg::write_scenario(file));
   std::printf("no input given; wrote demo scenario to %s\n", path.c_str());
   return path;
 }
@@ -59,11 +60,10 @@ int main(int argc, char** argv) {
     std::fputs(trace::compute_stats(timeline).table().c_str(), stdout);
 
     const std::string base = path + ".out";
-    trace::write_file(base + ".log",
-                      trace::text_log_string(system.recorder(), tasks));
-    trace::write_file(base + ".csv",
-                      trace::csv_string(system.recorder(), tasks));
-    trace::write_file(base + ".svg", trace::render_svg_chart(timeline));
+    write_file(base + ".log",
+               trace::text_log_string(system.recorder(), tasks));
+    write_file(base + ".csv", trace::csv_string(system.recorder(), tasks));
+    write_file(base + ".svg", trace::render_svg_chart(timeline));
     std::printf("wrote %s.{log,csv,svg}\n", base.c_str());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

@@ -58,14 +58,20 @@
 // fingerprint.
 //
 // --csv exports one row per scenario verdict, --cells-csv one row per
-// grid cell, --json the whole report; "-" writes to stdout.
+// grid cell, --json the whole report as the shard document of the range
+// [0, N), which --merge reads back; "-" writes to stdout and moves the
+// summary to stderr.
 #include <cstdio>
 #include <cstdlib>
+#include <iostream>
+#include <iterator>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/file.hpp"
 #include "sweep/cli.hpp"
 #include "sweep/export.hpp"
 #include "sweep/sweep.hpp"
@@ -91,50 +97,25 @@ using namespace rtft;
   std::exit(2);
 }
 
-/// Reads a whole file ("-" = stdin); exits 2 on I/O failure.
-std::string read_file(const std::string& path) {
-  std::FILE* f = path == "-" ? stdin : std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "error: cannot open '%s' for reading\n",
-                 path.c_str());
-    std::exit(2);
-  }
-  std::string content;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    content.append(buf, n);
-  }
-  const bool failed = std::ferror(f) != 0;
-  if (f != stdin) std::fclose(f);
-  if (failed) {
-    std::fprintf(stderr, "error: failed reading '%s'\n", path.c_str());
-    std::exit(2);
-  }
+/// Reads a whole file ("-" = stdin); throws std::runtime_error on I/O
+/// failure.
+std::string read_input(const std::string& path) {
+  if (path != "-") return read_file(path);
+  std::string content(std::istreambuf_iterator<char>(std::cin), {});
+  if (std::cin.bad()) throw std::runtime_error("cannot read stdin");
   return content;
 }
 
 /// Writes `content` to `path` ("-" = stdout); exits 2 on I/O failure.
-void write_file(const std::string& path, const std::string& content) {
-  if (path == "-") {
+void write_output(const std::string& path, const std::string& content) {
+  try {
+    if (path != "-") return write_file(path, content);
     if (std::fwrite(content.data(), 1, content.size(), stdout) !=
         content.size()) {
-      std::fprintf(stderr, "error: short write to stdout\n");
-      std::exit(2);
+      throw std::runtime_error("short write to stdout");
     }
-    return;
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "error: cannot open '%s' for writing\n",
-                 path.c_str());
-    std::exit(2);
-  }
-  const bool wrote_all =
-      std::fwrite(content.data(), 1, content.size(), f) == content.size();
-  const bool closed = std::fclose(f) == 0;  // always close, even on failure
-  if (!wrote_all || !closed) {
-    std::fprintf(stderr, "error: short write to '%s'\n", path.c_str());
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
     std::exit(2);
   }
 }
@@ -209,6 +190,13 @@ int main(int argc, char** argv) {
     usage(argv[0]);
   }
 
+  // A document written to stdout ("-") owns it; the summary then moves
+  // to stderr so the stream stays loadable (`--json - | --merge -`).
+  std::FILE* const summary = emit_shard_path == "-" || json_path == "-" ||
+                                     csv_path == "-" || cells_csv_path == "-"
+                                 ? stderr
+                                 : stdout;
+
   if (progress) {
     // Human '\r' line on a terminal, machine "progress D/T" lines on a
     // pipe; ~1% throttle. run_shard serializes invocations and delivers
@@ -227,9 +215,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: %s\n", e.what());
       return 2;
     }
-    // With --emit-shard - the JSON document owns stdout; the summary
-    // moves to stderr so the emitted stream stays loadable.
-    std::FILE* const summary = emit_shard_path == "-" ? stderr : stdout;
     std::fprintf(summary,
                  "shard %llu/%llu: scenarios [%llu, %llu) of %llu, "
                  "seed %llu, %zu workers\n",
@@ -264,7 +249,7 @@ int main(int argc, char** argv) {
     std::fprintf(summary, "shard fingerprint %016llx\n",
                  static_cast<unsigned long long>(shard.fingerprint));
     if (!emit_shard_path.empty()) {
-      write_file(emit_shard_path, sweep::shard_json(shard));
+      write_output(emit_shard_path, sweep::shard_json(shard));
     }
     const bool sound =
         shard.totals.agreement_violations == 0 &&
@@ -286,10 +271,10 @@ int main(int argc, char** argv) {
     origins.reserve(merge_paths.size());
     for (const std::string& path : merge_paths) {
       try {
-        sweep::ShardResult shard = sweep::load_shard_json(read_file(path));
+        sweep::ShardResult shard = sweep::load_shard_json(read_input(path));
         origins.emplace_back(path, shard.shard);
         merger.add(std::move(shard));
-      } catch (const sweep::ShardError& e) {
+      } catch (const std::runtime_error& e) {
         std::fprintf(stderr, "error: shard file '%s': %s\n", path.c_str(),
                      e.what());
         return 2;
@@ -309,7 +294,7 @@ int main(int argc, char** argv) {
       }
       return 2;
     }
-    std::printf("merged %zu shard file(s)\n", origins.size());
+    std::fprintf(summary, "merged %zu shard file(s)\n", origins.size());
   } else {
     if (opts.grid.task_counts.empty() || opts.grid.utilizations.empty() ||
         opts.grid.detector_costs.empty() ||
@@ -324,32 +309,34 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("sweep: %llu scenarios, %zu workers, seed %llu\n\n",
-              static_cast<unsigned long long>(report.options.scenario_count),
-              report.options.workers,
-              static_cast<unsigned long long>(report.options.base_seed));
-  std::fputs(report.table().c_str(), stdout);
-  std::printf("\nelapsed %.3fs (%.0f scenarios/s)\n", report.elapsed_seconds,
-              static_cast<double>(report.totals.total) /
-                  (report.elapsed_seconds > 0 ? report.elapsed_seconds : 1.0));
-  std::printf("fingerprint %016llx\n",
-              static_cast<unsigned long long>(report.fingerprint));
+  std::fprintf(summary, "sweep: %llu scenarios, %zu workers, seed %llu\n\n",
+               static_cast<unsigned long long>(report.options.scenario_count),
+               report.options.workers,
+               static_cast<unsigned long long>(report.options.base_seed));
+  std::fputs(report.table().c_str(), summary);
+  std::fprintf(summary, "\nelapsed %.3fs (%.0f scenarios/s)\n",
+               report.elapsed_seconds,
+               static_cast<double>(report.totals.total) /
+                   (report.elapsed_seconds > 0 ? report.elapsed_seconds : 1.0));
+  std::fprintf(summary, "fingerprint %016llx\n",
+               static_cast<unsigned long long>(report.fingerprint));
 
-  if (!csv_path.empty()) write_file(csv_path, sweep::verdicts_csv(report));
+  if (!csv_path.empty()) write_output(csv_path, sweep::verdicts_csv(report));
   if (!cells_csv_path.empty()) {
-    write_file(cells_csv_path, sweep::cells_csv(report));
+    write_output(cells_csv_path, sweep::cells_csv(report));
   }
-  if (!json_path.empty()) write_file(json_path, sweep::report_json(report));
+  if (!json_path.empty()) write_output(json_path, sweep::shard_json(report));
 
   if (print_verdicts) {
-    std::puts("\nindex seed             tasks U     sched clean agree A(ms)");
+    std::fputs("\nindex seed             tasks U     sched clean agree A(ms)\n",
+               summary);
     for (const sweep::ScenarioVerdict& v : report.verdicts) {
-      std::printf("%5llu %016llx %5zu %.3f %5s %5s %5s %.3f\n",
-                  static_cast<unsigned long long>(v.index),
-                  static_cast<unsigned long long>(v.seed), v.task_count,
-                  v.actual_utilization, v.rta_schedulable ? "yes" : "no",
-                  v.engine_clean ? "yes" : "no", v.agreement ? "yes" : "NO",
-                  v.allowance.to_ms());
+      std::fprintf(summary, "%5llu %016llx %5zu %.3f %5s %5s %5s %.3f\n",
+                   static_cast<unsigned long long>(v.index),
+                   static_cast<unsigned long long>(v.seed), v.task_count,
+                   v.actual_utilization, v.rta_schedulable ? "yes" : "no",
+                   v.engine_clean ? "yes" : "no", v.agreement ? "yes" : "NO",
+                   v.allowance.to_ms());
     }
   }
 

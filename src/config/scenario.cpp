@@ -1,11 +1,11 @@
 #include "config/scenario.hpp"
 
 #include <cmath>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <sstream>
 
+#include "common/file.hpp"
 #include "common/strings.hpp"
 
 namespace rtft::cfg {
@@ -350,11 +350,7 @@ Scenario parse_scenario(std::string_view text, std::string_view filename) {
 }
 
 Scenario load_scenario(const std::string& path) {
-  std::ifstream in(path);
-  RTFT_EXPECTS(in.good(), "cannot open scenario file '" + path + "'");
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return parse_scenario(buffer.str(), path);
+  return parse_scenario(read_file(path), path);
 }
 
 std::string write_scenario(const Scenario& scenario) {

@@ -61,7 +61,7 @@ struct Scenario {
 [[nodiscard]] Scenario parse_scenario(std::string_view text,
                                       std::string_view filename = "<string>");
 
-/// Loads and parses a scenario file.
+/// Loads and parses a scenario file; std::runtime_error if unreadable.
 [[nodiscard]] Scenario load_scenario(const std::string& path);
 
 /// Canonical text for a scenario; parse_scenario(write_scenario(s)) is an

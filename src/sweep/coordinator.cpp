@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/file.hpp"
 #include "sweep/cli.hpp"
 #include "sweep/export.hpp"
 
@@ -24,20 +25,6 @@ namespace {
 [[noreturn]] void transport_failure(const char* what) {
   throw CoordinatorError(std::string(what) + " failed: " +
                          std::strerror(errno));
-}
-
-/// Reads a whole file; false on any I/O failure (the caller treats an
-/// unreadable checkpoint exactly like an invalid one).
-bool read_whole_file(const std::string& path, std::string& out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  out.clear();
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
-  const bool failed = std::ferror(f) != 0;
-  std::fclose(f);
-  return !failed;
 }
 
 /// waitpid(2) restarted across EINTR. A benign signal (SIGCHLD from a
@@ -266,10 +253,8 @@ void Coordinator::emit_progress() {
 }
 
 bool Coordinator::adopt_shard_file(ShardTask& task, bool resumed) {
-  std::string content;
-  if (!read_whole_file(task.path, content)) return false;
   try {
-    ShardResult loaded = load_shard_json(content);
+    ShardResult loaded = load_shard_json(read_file(task.path));
     if (!detail::same_scenario_identity(plan_.options(), loaded.options) ||
         loaded.shard.begin != task.spec.begin ||
         loaded.shard.end != task.spec.end) {
@@ -288,6 +273,8 @@ bool Coordinator::adopt_shard_file(ShardTask& task, bool resumed) {
         task.path + "': " + e.what());
     std::remove(task.path.c_str());
     return false;
+  } catch (const std::runtime_error&) {
+    return false;  // an unreadable checkpoint is an absent one.
   }
 }
 

@@ -1,9 +1,10 @@
 #include "sweep/export.hpp"
 
+#include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <concepts>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -223,31 +224,6 @@ struct CsvRow {
   }
 };
 
-/// The totals, cells and verdicts members report_json and shard_json
-/// share, each on its own line.
-void put_results(std::string& out, const SweepAggregate& totals,
-                 const std::vector<CellSummary>& cells,
-                 const std::vector<ScenarioVerdict>& verdicts) {
-  out += "  \"totals\": ";
-  put(out, totals);
-  out += ",\n  \"cells\": [";
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    out += c > 0 ? ",\n    {" : "\n    {";
-    JsonMembers m{out};
-    m("cell", c);
-    cell_fields(cells[c], m);
-    m("aggregate", cells[c].agg);
-    out += '}';
-  }
-  out += "\n  ],\n  \"verdicts\": [";
-  for (std::size_t i = 0; i < verdicts.size(); ++i) {
-    out += i > 0 ? ",\n    {" : "\n    {";
-    verdict_fields(verdicts[i], JsonMembers{out});
-    out += '}';
-  }
-  out += "\n  ],\n";
-}
-
 }  // namespace
 
 std::string verdicts_csv(const SweepReport& report) {
@@ -286,19 +262,6 @@ std::string cells_csv(const SweepReport& report) {
   return out;
 }
 
-std::string report_json(const SweepReport& report) {
-  std::string out = "{\n  \"options\": {";
-  option_fields(report.options, JsonMembers{out});
-  out += "},\n";
-  put_results(out, report.totals, report.cells, report.verdicts);
-  out += "  \"elapsed_seconds\": ";
-  put(out, report.elapsed_seconds);
-  out += ",\n  \"fingerprint\": ";
-  put(out, Hex{report.fingerprint});
-  out += "\n}\n";
-  return out;
-}
-
 std::string shard_json(const ShardResult& shard) {
   std::string out = "{\n  \"format\": \"";
   out += kShardFormatName;
@@ -308,9 +271,24 @@ std::string shard_json(const ShardResult& shard) {
   option_fields(shard.options, JsonMembers{out});
   out += "},\n  \"shard\": {";
   shard_spec_fields(shard.shard, JsonMembers{out});
-  out += "},\n";
-  put_results(out, shard.totals, shard.cells, shard.verdicts);
-  out += "  \"fingerprint\": ";
+  out += "},\n  \"totals\": ";
+  put(out, shard.totals);
+  out += ",\n  \"cells\": [";
+  for (std::size_t c = 0; c < shard.cells.size(); ++c) {
+    out += c > 0 ? ",\n    {" : "\n    {";
+    JsonMembers m{out};
+    m("cell", c);
+    cell_fields(shard.cells[c], m);
+    m("aggregate", shard.cells[c].agg);
+    out += '}';
+  }
+  out += "\n  ],\n  \"verdicts\": [";
+  for (std::size_t i = 0; i < shard.verdicts.size(); ++i) {
+    out += i > 0 ? ",\n    {" : "\n    {";
+    verdict_fields(shard.verdicts[i], JsonMembers{out});
+    out += '}';
+  }
+  out += "\n  ],\n  \"fingerprint\": ";
   put(out, Hex{shard.fingerprint});
   out += ",\n  \"elapsed_seconds\": ";
   put(out, shard.elapsed_seconds);
@@ -319,308 +297,234 @@ std::string shard_json(const ShardResult& shard) {
 }
 
 // ---------------------------------------------------------------------------
-// Shard interchange: reader. A minimal recursive-descent JSON parser —
-// just what the versioned shard format needs, with every failure mapped
-// to a ShardError naming the defect (the repo deliberately has no JSON
-// dependency).
+// Reader: one forward pass over the same field lists, so every member
+// must come in writer order and each value parses straight into its
+// record. The format fixes the nesting (the grid inside the options is
+// its deepest point), so nothing recurses on the input, and arrays grow
+// one element at a time: a load holds the result, never a tree of the
+// text.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kObject, kArray };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  /// Decoded characters for kString; the raw token for kNumber (kept
-  /// textual so 64-bit integers and %.17g doubles convert losslessly
-  /// via from_chars instead of detouring through double).
-  std::string text;
-  std::vector<std::pair<std::string, JsonValue>> members;  ///< kObject.
-  std::vector<JsonValue> items;                            ///< kArray.
-
-  [[nodiscard]] const JsonValue* find(std::string_view key) const {
-    for (const auto& [k, v] : members) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
+/// A forward cursor over one document. Each read skips the whitespace
+/// before it; a syntax error names its offset.
+class Cursor {
  public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  JsonValue parse_document() {
-    JsonValue v = parse_value(0);
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters after the document");
-    return v;
-  }
-
- private:
-  /// The shard format nests four levels deep; anything past this bound
-  /// is not one of our documents (and must not overflow the C++ stack).
-  static constexpr int kMaxDepth = 16;
+  explicit Cursor(std::string_view text) : text_(text) {}
 
   [[noreturn]] void fail(const std::string& why) const {
-    throw ShardError("shard JSON parse error at offset " +
-                     std::to_string(pos_) + ": " + why);
+    throw ShardError("shard JSON at offset " + std::to_string(pos_) + ": " +
+                     why);
   }
 
   void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
+    pos_ = std::min(text_.find_first_not_of(" \t\n\r", pos_), text_.size());
   }
 
-  char peek() const {
-    if (pos_ >= text_.size()) {
-      throw ShardError("shard JSON parse error at offset " +
-                       std::to_string(pos_) + ": unexpected end of document");
-    }
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + '\'');
-    ++pos_;
-  }
-
+  /// Consumes `c` if it comes next.
   bool consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool consume_word(std::string_view w) {
-    if (text_.substr(pos_, w.size()) != w) return false;
-    pos_ += w.size();
+    skip_ws();
+    if (pos_ == text_.size() || text_[pos_] != c) return false;
+    ++pos_;
     return true;
   }
 
-  std::string parse_string() {
+  void expect(char c) {
+    if (!consume(c)) fail(std::string("expected '") + c + '\'');
+  }
+
+  /// A string, decoded into a buffer the next call reuses.
+  std::string_view string() {
     expect('"');
-    std::string out;
+    buf_.clear();
     for (;;) {
-      if (pos_ >= text_.size()) fail("unterminated string");
+      if (pos_ == text_.size()) fail("unterminated string");
       const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("unterminated escape");
-        switch (text_[pos_++]) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          default:
-            // \uXXXX is valid JSON but the format never emits it.
-            fail("unsupported string escape");
-        }
-        continue;
-      }
+      if (c == '"') return buf_;
       if (static_cast<unsigned char>(c) < 0x20) {
         fail("unescaped control character in string");
       }
-      out += c;
+      if (c != '\\') {
+        buf_ += c;
+        continue;
+      }
+      if (pos_ == text_.size()) fail("unterminated escape");
+      switch (text_[pos_++]) {
+        case '"': buf_ += '"'; break;
+        case '\\': buf_ += '\\'; break;
+        case '/': buf_ += '/'; break;
+        case 'b': buf_ += '\b'; break;
+        case 'f': buf_ += '\f'; break;
+        case 'n': buf_ += '\n'; break;
+        case 'r': buf_ += '\r'; break;
+        case 't': buf_ += '\t'; break;
+        default:
+          // \uXXXX is valid JSON but the format never emits it.
+          fail("unsupported string escape");
+      }
     }
   }
 
-  JsonValue parse_value(int depth) {
-    if (depth > kMaxDepth) fail("document nests too deeply");
+  /// A bare token (a number, true or false): the text up to the next
+  /// delimiter, checked by its reader.
+  std::string_view token() {
     skip_ws();
-    JsonValue v;
-    const char c = peek();
-    if (c == '{') {
-      ++pos_;
-      v.kind = JsonValue::Kind::kObject;
-      skip_ws();
-      if (consume('}')) return v;
-      for (;;) {
-        skip_ws();
-        std::string key = parse_string();
-        skip_ws();
-        expect(':');
-        v.members.emplace_back(std::move(key), parse_value(depth + 1));
-        skip_ws();
-        if (consume(',')) continue;
-        expect('}');
-        return v;
-      }
-    }
-    if (c == '[') {
-      ++pos_;
-      v.kind = JsonValue::Kind::kArray;
-      skip_ws();
-      if (consume(']')) return v;
-      for (;;) {
-        v.items.push_back(parse_value(depth + 1));
-        skip_ws();
-        if (consume(',')) continue;
-        expect(']');
-        return v;
-      }
-    }
-    if (c == '"') {
-      v.kind = JsonValue::Kind::kString;
-      v.text = parse_string();
-      return v;
-    }
-    if (consume_word("true")) {
-      v.kind = JsonValue::Kind::kBool;
-      v.boolean = true;
-      return v;
-    }
-    if (consume_word("false")) {
-      v.kind = JsonValue::Kind::kBool;
-      return v;
-    }
-    if (consume_word("null")) return v;
-    // Number token: validated on conversion, so the scan just collects.
     const std::size_t start = pos_;
-    while (pos_ < text_.size()) {
-      const char d = text_[pos_];
-      const bool number_char = (d >= '0' && d <= '9') || d == '-' ||
-                               d == '+' || d == '.' || d == 'e' || d == 'E';
-      if (!number_char) break;
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected a JSON value");
-    v.kind = JsonValue::Kind::kNumber;
-    v.text.assign(text_.substr(start, pos_ - start));
-    return v;
+    pos_ = std::min(text_.find_first_of(",]} \t\n\r", pos_), text_.size());
+    if (pos_ == start) fail("expected a value");
+    return text_.substr(start, pos_ - start);
   }
 
+  /// Requires member `key` next: its name and ':', after a ',' unless
+  /// it opens its object. Anything else (a missing, reordered or
+  /// unknown member) fails at the offset where `key` should start.
+  void member(const char* key, bool first) {
+    if (first || consume(',')) {
+      skip_ws();
+      const std::size_t at = pos_;
+      if (pos_ < text_.size() && text_[pos_] == '"' && string() == key) {
+        return expect(':');
+      }
+      pos_ = at;
+    }
+    fail(std::string("expected member '") + key + '\'');
+  }
+
+  /// Requires the end of the text: only whitespace may follow.
+  void end() {
+    skip_ws();
+    if (pos_ != text_.size()) fail("trailing characters after the document");
+  }
+
+ private:
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::string buf_;
 };
 
-[[noreturn]] void field_error(const char* what, const std::string& why) {
-  throw ShardError(std::string("shard JSON field '") + what + "': " + why);
-}
-
-const JsonValue& member(const JsonValue& obj, const char* key) {
-  if (obj.kind != JsonValue::Kind::kObject) {
-    field_error(key, "enclosing value is not an object");
-  }
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr) field_error(key, "missing");
-  return *v;
-}
-
-const std::string& as_string(const JsonValue& v, const char* what) {
-  if (v.kind != JsonValue::Kind::kString) {
-    field_error(what, "expected a string");
-  }
-  return v.text;
-}
-
-const std::vector<JsonValue>& as_array(const JsonValue& v, const char* what) {
-  if (v.kind != JsonValue::Kind::kArray) field_error(what, "expected an array");
-  return v.items;
+[[noreturn]] void field_error(const Cursor& in, const char* what,
+                              const char* why) {
+  in.fail(std::string("field '") + what + "': " + why);
 }
 
 // Readers, one per field type; each accepts exactly what put writes.
 
-void get(const JsonValue& v, const char* what, bool& out) {
-  if (v.kind != JsonValue::Kind::kBool) field_error(what, "expected a bool");
-  out = v.boolean;
+void get(Cursor& in, const char* what, bool& out) {
+  const std::string_view t = in.token();
+  if (t != "true" && t != "false") field_error(in, what, "expected a bool");
+  out = t == "true";
 }
 
-/// Numbers convert from their raw token, so 64-bit integers and %.17g
+/// Numbers convert from their token, so 64-bit integers and %.17g
 /// doubles arrive losslessly.
 template <typename T>
   requires std::is_arithmetic_v<T>
-void get(const JsonValue& v, const char* what, T& out) {
-  const char* end = v.text.data() + v.text.size();
-  const auto [p, ec] = std::from_chars(v.text.data(), end, out);
-  if (v.kind != JsonValue::Kind::kNumber || ec != std::errc{} || p != end) {
-    if constexpr (std::is_floating_point_v<T>) {
-      field_error(what, "expected a number");
-    } else if constexpr (std::is_signed_v<T>) {
-      field_error(what, "expected an integer");
-    } else {
-      field_error(what, "expected an unsigned integer");
-    }
+void get(Cursor& in, const char* what, T& out) {
+  const std::string_view t = in.token();
+  const auto [p, ec] = std::from_chars(t.data(), t.data() + t.size(), out);
+  // from_chars also takes "inf" and "nan", which JSON has no room for.
+  if (ec != std::errc{} || p != t.data() + t.size() ||
+      !std::isfinite(static_cast<double>(out))) {
+    field_error(in, what,
+                std::is_floating_point_v<T> ? "expected a number"
+                : std::is_signed_v<T>       ? "expected an integer"
+                                            : "expected an unsigned integer");
   }
 }
 
-void get(const JsonValue& v, const char* what, Duration& out) {
+void get(Cursor& in, const char* what, Duration& out) {
   std::int64_t ns = 0;
-  get(v, what, ns);
+  get(in, what, ns);
   out = Duration::ns(ns);
 }
 
-void get(const JsonValue& v, const char* what, Hex<std::uint64_t> h) {
-  const std::string& s = as_string(v, what);
+void get(Cursor& in, const char* what, Hex<std::uint64_t> h) {
+  const std::string_view s = in.string();
   const auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(),
                                        h.value, 16);
-  if (ec != std::errc{} || p != s.data() + s.size() || s.empty() ||
-      s.size() > 16) {
-    field_error(what, "expected a 64-bit hex string");
+  if (ec != std::errc{} || p != s.data() + s.size() || s.size() > 16) {
+    field_error(in, what, "expected a 64-bit hex string");
   }
 }
 
 /// The policy arrives by name; an unknown name is a defect of the file.
-void get(const JsonValue& v, const char* what, core::TreatmentPolicy& out) {
+void get(Cursor& in, const char* what, core::TreatmentPolicy& out) {
   try {
-    out = core::treatment_policy_from_string(as_string(v, what));
+    out = core::treatment_policy_from_string(in.string());
   } catch (const ContractViolation&) {
-    field_error(what, "unknown name");
+    field_error(in, what, "unknown name");
   }
+}
+
+/// Reads one array, calling `item` once per element, in order.
+template <typename Item>
+void get_array(Cursor& in, Item&& item) {
+  in.expect('[');
+  if (in.consume(']')) return;
+  do {
+    in.skip_ws();  // so an element's error names its offset.
+    item();
+  } while (in.consume(','));
+  in.expect(']');
 }
 
 template <typename T>
-void get(const JsonValue& v, const char* what, std::vector<T>& out) {
-  const std::vector<JsonValue>& items = as_array(v, what);
-  out.assign(items.size(), T{});
-  for (std::size_t i = 0; i < items.size(); ++i) get(items[i], what, out[i]);
+void get(Cursor& in, const char* what, std::vector<T>& out) {
+  out.clear();
+  get_array(in, [&] { get(in, what, out.emplace_back()); });
 }
 
-void get(const JsonValue& v, const char* what, SweepGrid& g);
-
-/// Field-list visitor reading every field from one JSON object.
+/// Field-list visitor reading one object's members in writer order.
 struct JsonReader {
-  const JsonValue& obj;
+  Cursor& in;
+  bool first = true;
+
+  void member(const char* key) {
+    in.member(key, first);
+    first = false;
+  }
 
   template <typename T>
   void operator()(const char* key, T&& field) {
-    get(member(obj, key), key, field);
+    member(key);
+    get(in, key, field);
   }
 };
 
-void get(const JsonValue& v, const char*, SweepGrid& g) {
-  grid_fields(g, JsonReader{v});
+/// Reads one object: exactly the members `fields` visits, then '}'.
+template <typename Fields>
+void get_object(Cursor& in, Fields&& fields) {
+  in.expect('{');
+  JsonReader members{in};
+  fields(members);
+  in.expect('}');
 }
 
-/// A cell as the document declares it: coordinates and aggregate.
-CellSummary read_cell(const JsonValue& v) {
-  CellSummary cell;
-  cell_fields(cell, JsonReader{v});
-  aggregate_fields(cell.agg, JsonReader{member(v, "aggregate")});
-  return cell;
+void get(Cursor& in, const char*, SweepGrid& g) {
+  get_object(in, [&g](JsonReader& m) { grid_fields(g, m); });
+}
+
+void get(Cursor& in, const char*, SweepAggregate& a) {
+  get_object(in, [&a](JsonReader& m) {
+    aggregate_fields(a, m);
+    double mean = 0.0;  // derived from the counters; not stored.
+    m("mean_allowance_ms", mean);
+  });
 }
 
 }  // namespace
 
 ShardResult load_shard_json(std::string_view json) {
-  JsonParser parser(json);
-  const JsonValue root = parser.parse_document();
-  if (root.kind != JsonValue::Kind::kObject) {
-    throw ShardError("shard document must be a JSON object");
-  }
-  if (as_string(member(root, "format"), "format") != kShardFormatName) {
+  Cursor in(json);
+  in.expect('{');
+  JsonReader doc{in};
+  doc.member("format");
+  if (in.string() != kShardFormatName) {
     throw ShardError("not an rtft-shard document (format field differs)");
   }
   std::int64_t version = 0;
-  get(member(root, "version"), "version", version);
+  doc("version", version);
   if (version != kShardFormatVersion) {
     throw ShardError("unsupported rtft-shard version " +
                      std::to_string(version) + " (this build reads version " +
@@ -629,8 +533,8 @@ ShardResult load_shard_json(std::string_view json) {
 
   ShardResult result;
   SweepOptions& o = result.options;
-  option_fields(o, JsonReader{member(root, "options")});
-
+  doc.member("options");
+  get_object(in, [&o](JsonReader& m) { option_fields(o, m); });
   // The plan constructor is the one source of truth for option
   // validity; a file that fails it is not a usable shard.
   try {
@@ -642,36 +546,53 @@ ShardResult load_shard_json(std::string_view json) {
   }
 
   ShardSpec& s = result.shard;
-  shard_spec_fields(s, JsonReader{member(root, "shard")});
+  doc.member("shard");
+  get_object(in, [&s](JsonReader& m) { shard_spec_fields(s, m); });
   if (s.shards == 0 || s.index >= s.shards) {
     throw ShardError("shard index/count are inconsistent");
   }
   if (s.begin > s.end || s.end > o.scenario_count) {
     throw ShardError("shard range does not lie within the sweep");
   }
-  // Nothing is sized from the declared grid before the document proves
-  // it carries that many cells: a forged grid can declare 10^18.
+  SweepAggregate totals;
+  doc("totals", totals);
+
+  // Cells grow one at a time and stop at the grid's count: nothing is
+  // sized from a grid that a forged file can declare 10^18 cells wide.
   const std::size_t cells = o.grid.cell_count();
-  const auto& jcells = as_array(member(root, "cells"), "cells");
-  if (jcells.size() != cells) {
+  std::vector<CellSummary> declared_cells;
+  doc.member("cells");
+  get_array(in, [&] {
+    if (declared_cells.size() == cells) {
+      in.fail("more cells than the sweep grid has");
+    }
+    CellSummary& cell = declared_cells.emplace_back();
+    get_object(in, [&cell](JsonReader& m) {
+      std::size_t index = 0;  // the cell's position; not stored.
+      m("cell", index);
+      cell_fields(cell, m);
+      m("aggregate", cell.agg);
+    });
+  });
+  if (declared_cells.size() != cells) {
     throw ShardError("cell count does not match the sweep grid");
   }
 
-  // Verdicts: the payload. Everything derivable is re-derived and
-  // compared, so a shard that loads is internally consistent.
-  const auto& jverdicts = as_array(member(root, "verdicts"), "verdicts");
-  if (jverdicts.size() != s.count()) {
-    throw ShardError("verdict count " + std::to_string(jverdicts.size()) +
-                     " does not match the shard range [" +
-                     std::to_string(s.begin) + ", " + std::to_string(s.end) +
-                     ")");
-  }
-  result.verdicts.resize(jverdicts.size());
-  for (std::size_t i = 0; i < jverdicts.size(); ++i) {
-    ScenarioVerdict& v = result.verdicts[i];
-    verdict_fields(v, JsonReader{jverdicts[i]});
-    if (v.index != s.begin + static_cast<std::uint64_t>(i)) {
-      throw ShardError("verdict " + std::to_string(i) +
+  // Verdicts: the payload, checked as each arrives. Everything derivable
+  // is re-derived and compared, so a shard that loads is internally
+  // consistent.
+  doc.member("verdicts");
+  get_array(in, [&] {
+    if (result.verdicts.size() == s.count()) {
+      in.fail("more verdicts than the shard range [" +
+              std::to_string(s.begin) + ", " + std::to_string(s.end) +
+              ") holds");
+    }
+    const std::uint64_t index = s.begin + result.verdicts.size();
+    ScenarioVerdict& v = result.verdicts.emplace_back();
+    get_object(in, [&v](JsonReader& m) { verdict_fields(v, m); });
+    if (v.index != index) {
+      throw ShardError("verdict " + std::to_string(index - s.begin) +
                        " is out of index order");
     }
     if (v.seed != scenario_seed(o.base_seed, v.index)) {
@@ -691,31 +612,36 @@ ShardResult load_shard_json(std::string_view json) {
                        " carries a target utilization the grid does not "
                        "derive");
     }
+  });
+  if (result.verdicts.size() != s.count()) {
+    throw ShardError("verdict count " + std::to_string(result.verdicts.size()) +
+                     " does not match the shard range [" +
+                     std::to_string(s.begin) + ", " + std::to_string(s.end) +
+                     ")");
   }
+  std::uint64_t fingerprint = 0;
+  doc("fingerprint", Hex{fingerprint});
+  doc("elapsed_seconds", result.elapsed_seconds);
+  in.expect('}');
+  in.end();
 
   // Declared summaries must equal the recomputation — the
   // tamper/bit-rot/version-skew check.
   detail::summarize(result);
-  SweepAggregate totals;
-  aggregate_fields(totals, JsonReader{member(root, "totals")});
   if (totals != result.totals) {
     throw ShardError("totals do not match the verdicts (corrupt shard file)");
   }
   for (std::size_t c = 0; c < cells; ++c) {
-    if (read_cell(jcells[c]) != result.cells[c]) {
+    if (declared_cells[c] != result.cells[c]) {
       throw ShardError("cell " + std::to_string(c) +
                        " does not match the grid and the verdicts");
     }
   }
-  std::uint64_t fingerprint = 0;
-  get(member(root, "fingerprint"), "fingerprint", Hex{fingerprint});
   if (fingerprint != result.fingerprint) {
     throw ShardError(
         "fingerprint does not match the verdicts (corrupt or tampered "
         "shard file)");
   }
-  get(member(root, "elapsed_seconds"), "elapsed_seconds",
-      result.elapsed_seconds);
   return result;
 }
 

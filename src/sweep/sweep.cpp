@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <exception>
 #include <limits>
 #include <mutex>
@@ -12,6 +11,7 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/strings.hpp"
 #include "core/detector.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/quantize.hpp"
@@ -313,7 +313,7 @@ void ScenarioRunner::run_multicore(const ScenarioSpec& spec,
   rt::EngineOptions eopts;
   eopts.horizon = Instant::epoch() + horizon;
 
-  // Deterministic fault date: a fixed fraction of the horizon. The
+  // Deterministic fault date: mid-horizon, so always inside it. The
   // double product is exact IEEE arithmetic on integral inputs, so
   // every platform computes the same instant.
   const Duration fault_after = Duration::ns(static_cast<std::int64_t>(
@@ -329,22 +329,17 @@ void ScenarioRunner::run_multicore(const ScenarioSpec& spec,
     if (!placement.feasible) return;
     fleet_.reset(spec.cores, eopts);
     fleet_.add_placed(ts, placement);
-    multicore::CoreFaultPlan fault;
-    if (fault_after.is_positive() &&
-        fault_after < horizon) {  // 0 and >= horizon disable the fault.
-      // Kill the busiest core: highest primary utilization, ties to
-      // the lowest index — the worst single failure the placement can
-      // suffer under the single-fault hypothesis.
-      const std::vector<double> load =
-          multicore::primary_utilization(ts, placement, spec.cores);
-      std::size_t victim = 0;
-      for (std::size_t c = 1; c < load.size(); ++c) {
-        if (load[c] > load[victim]) victim = c;
-      }
-      fault.core = victim;
-      fault.at = Instant::epoch() + fault_after;
+    // Kill the busiest core: highest primary utilization, ties to the
+    // lowest index — the worst single failure the placement can suffer
+    // under the single-fault hypothesis.
+    const std::vector<double> load =
+        multicore::primary_utilization(ts, placement, spec.cores);
+    std::size_t victim = 0;
+    for (std::size_t c = 1; c < load.size(); ++c) {
+      if (load[c] > load[victim]) victim = c;
     }
-    const multicore::MultiRunReport report = fleet_.run_with_fault(fault);
+    const multicore::MultiRunReport report =
+        fleet_.run_with_fault({victim, Instant::epoch() + fault_after});
     clean = report.failover_clean;
     missed_tasks = report.missed_tasks;
     lost_jobs = report.total_lost_jobs;
@@ -660,6 +655,7 @@ SweepReport ShardMerger::finish() {
         ") of the sweep's " +
         std::to_string(report_.options.scenario_count) + " scenarios");
   }
+  report_.shard = {0, 1, 0, report_.options.scenario_count};
   report_.fingerprint = fp_.value();
   return std::move(report_);
 }
@@ -685,46 +681,34 @@ SweepReport run_sweep(const SweepOptions& opts) {
 // Rendering.
 // ---------------------------------------------------------------------------
 
-std::string SweepReport::table() const {
-  std::string out;
-  char line[160];
-  std::snprintf(line, sizeof(line),
-                "%5s %5s %9s %9s %7s %7s %7s %7s %9s %8s\n", "tasks", "U",
-                "det-cost", "stop-lat", "n", "sched", "clean", "agree",
-                "mean-A", "honored");
-  out += line;
-  auto pct = [](std::uint64_t part, std::uint64_t whole) {
-    return whole == 0 ? 0.0
-                      : 100.0 * static_cast<double>(part) /
-                            static_cast<double>(whole);
+std::string ShardResult::table() const {
+  const auto pct = [](std::uint64_t part, std::uint64_t whole) {
+    const double share = whole == 0 ? 0.0
+                                    : 100.0 * static_cast<double>(part) /
+                                          static_cast<double>(whole);
+    return format_fixed(share, 1) + '%';
   };
+  std::vector<std::vector<std::string>> rows = {
+      {"tasks", "U", "det-cost", "stop-lat", "n", "sched", "clean", "agree",
+       "mean-A", "honored"}};
   for (const CellSummary& c : cells) {
     const SweepAggregate& a = c.agg;
-    std::snprintf(line, sizeof(line),
-                  "%5zu %5.2f %9s %9s %7llu %6.1f%% %6.1f%% %7s %7.2fms "
-                  "%7.1f%%\n",
-                  c.task_count, c.utilization,
-                  to_string(c.detector_cost).c_str(),
-                  to_string(c.stop_poll_latency).c_str(),
-                  static_cast<unsigned long long>(a.total),
-                  pct(a.rta_schedulable, a.total), pct(a.engine_clean, a.total),
-                  a.agreement_violations == 0 ? "yes" : "NO",
-                  a.mean_allowance_ms(),
-                  pct(a.allowance_honored, a.allowance_feasible));
-    out += line;
+    rows.push_back({std::to_string(c.task_count),
+                    format_fixed(c.utilization, 2), to_string(c.detector_cost),
+                    to_string(c.stop_poll_latency), std::to_string(a.total),
+                    pct(a.rta_schedulable, a.total),
+                    pct(a.engine_clean, a.total),
+                    a.agreement_violations == 0 ? "yes" : "NO",
+                    format_fixed(a.mean_allowance_ms(), 2) + "ms",
+                    pct(a.allowance_honored, a.allowance_feasible)});
   }
-  std::snprintf(
-      line, sizeof(line),
-      "total %llu  schedulable %llu  engine-clean %llu  "
-      "agreement-violations %llu  allowance-honored %llu/%llu\n",
-      static_cast<unsigned long long>(totals.total),
-      static_cast<unsigned long long>(totals.rta_schedulable),
-      static_cast<unsigned long long>(totals.engine_clean),
-      static_cast<unsigned long long>(totals.agreement_violations),
-      static_cast<unsigned long long>(totals.allowance_honored),
-      static_cast<unsigned long long>(totals.allowance_feasible));
-  out += line;
-  return out;
+  return format_table(rows) + "total " + std::to_string(totals.total) +
+         "  schedulable " + std::to_string(totals.rta_schedulable) +
+         "  engine-clean " + std::to_string(totals.engine_clean) +
+         "  agreement-violations " +
+         std::to_string(totals.agreement_violations) +
+         "  allowance-honored " + std::to_string(totals.allowance_honored) +
+         '/' + std::to_string(totals.allowance_feasible) + '\n';
 }
 
 }  // namespace rtft::sweep

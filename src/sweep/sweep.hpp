@@ -34,9 +34,10 @@
 // run_sweep() is the single-process convenience: plan -> run -> merge of
 // one shard covering everything. ShardMerger is the one merge: merge()
 // feeds it a list, `sweep_runner --merge` and the coordinator feed it
-// shards as they load. Shards serialize to versioned JSON
-// (sweep/export.hpp: shard_json / load_shard_json) so the run step can
-// cross process and host boundaries.
+// shards as they load. A report is the ShardResult of the one shard
+// [0, scenario_count), so shards and reports share one versioned JSON
+// document (sweep/export.hpp: shard_json / load_shard_json), which
+// carries the run step across process and host boundaries.
 #pragma once
 
 #include <cstdint>
@@ -232,24 +233,6 @@ struct CellSummary {
   bool operator==(const CellSummary&) const = default;
 };
 
-/// Full sweep outcome.
-struct SweepReport {
-  SweepOptions options;  ///< as resolved (workers filled in).
-  SweepAggregate totals;
-  std::vector<CellSummary> cells;        ///< grid order.
-  std::vector<ScenarioVerdict> verdicts; ///< index order.
-  /// Wall-clock of the sweep, for the CLI's scenarios/s line. Not part of
-  /// the deterministic state.
-  double elapsed_seconds = 0.0;
-  /// FNV-1a hash over every verdict's deterministic fields, in index
-  /// order. Two runs with equal (seed, grid, count) produce equal
-  /// fingerprints whatever the worker count.
-  std::uint64_t fingerprint = 0;
-
-  /// Aligned per-cell summary table plus a totals line.
-  [[nodiscard]] std::string table() const;
-};
-
 /// The spec for scenario `index` of a sweep (pure function of options).
 [[nodiscard]] ScenarioSpec scenario_spec(const SweepOptions& opts,
                                          std::uint64_t index);
@@ -318,10 +301,9 @@ class Fingerprint {
   std::uint64_t h_ = kFnvOffsetBasis;
 };
 
-/// Outcome of one shard: the shard's slice of every SweepReport field.
-/// The verdicts are the shard's fingerprint contribution (FNV-1a state
-/// is sequential, so the merge re-folds the verdict fields in index
-/// order; a lone hash could not be chained).
+/// Outcome of one shard. The verdicts are the shard's fingerprint
+/// contribution (FNV-1a state is sequential, so the merge re-folds the
+/// verdict fields in index order; a lone hash could not be chained).
 struct ShardResult {
   SweepOptions options;  ///< as resolved by the plan (workers filled in).
   ShardSpec shard;
@@ -331,10 +313,18 @@ struct ShardResult {
   /// FNV-1a fold over this shard's verdicts from the offset basis: a
   /// pure function of (seed, grid, range) for cross-process spot checks
   /// and loader validation. Equals the sweep fingerprint only for a
-  /// shard covering the whole index space.
+  /// shard covering the whole index space, whatever the worker count.
   std::uint64_t fingerprint = 0;
   double elapsed_seconds = 0.0;  ///< not part of the deterministic state.
+
+  /// Aligned per-cell summary table plus a totals line.
+  [[nodiscard]] std::string table() const;
 };
+
+/// A whole sweep's outcome is the ShardResult of the one shard
+/// [0, scenario_count), so a report is written and read back as a shard
+/// document (sweep/export.hpp).
+using SweepReport = ShardResult;
 
 /// Runs one shard on `opts.workers` threads (clamped to the shard size).
 /// The per-worker ScenarioRunner is the unit of execution, exactly as in
@@ -388,7 +378,8 @@ class ShardMerger {
   /// not consumed logically — the merger stays usable).
   void add(ShardResult&& shard);
 
-  /// Validates full coverage and returns the merged report.
+  /// Validates full coverage and returns the merged report, whose
+  /// shard is {0, 1, 0, scenario_count}.
   [[nodiscard]] SweepReport finish();
 
  private:

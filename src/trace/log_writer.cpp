@@ -1,6 +1,5 @@
 #include "trace/log_writer.hpp"
 
-#include <fstream>
 #include <ostream>
 #include <sstream>
 
@@ -66,13 +65,6 @@ std::string csv_string(const Recorder& recorder, const sched::TaskSet& ts) {
   std::ostringstream out;
   write_csv(recorder, ts, out);
   return out.str();
-}
-
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  RTFT_EXPECTS(out.good(), "cannot open '" + path + "' for writing");
-  out << content;
-  RTFT_EXPECTS(out.good(), "write to '" + path + "' failed");
 }
 
 }  // namespace rtft::trace

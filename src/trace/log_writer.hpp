@@ -26,7 +26,4 @@ void write_csv(const Recorder& recorder, const sched::TaskSet& ts,
 [[nodiscard]] std::string csv_string(const Recorder& recorder,
                                      const sched::TaskSet& ts);
 
-/// Writes `content` to `path`, throwing ContractViolation on I/O failure.
-void write_file(const std::string& path, const std::string& content);
-
 }  // namespace rtft::trace

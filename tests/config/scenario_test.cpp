@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 
 #include "core/paper.hpp"
@@ -322,8 +323,9 @@ TEST(ParseScenario, SystemKnobsParsed) {
 }
 
 TEST(LoadScenario, MissingFileThrows) {
+  // An unreadable file is an I/O error, not a caller bug.
   EXPECT_THROW((void)load_scenario("/nonexistent/scenario.rtft"),
-               ContractViolation);
+               std::runtime_error);
 }
 
 }  // namespace

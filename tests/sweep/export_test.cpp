@@ -60,7 +60,7 @@ TEST(SweepExport, CarriesTheStopLatencyAxis) {
   EXPECT_NE(csv.find(",250000,"), std::string::npos);
   EXPECT_NE(cells_csv(report).find("stop_poll_latency_ns"),
             std::string::npos);
-  EXPECT_NE(report_json(report).find("\"stop_poll_latency_ns\":250000"),
+  EXPECT_NE(shard_json(report).find("\"stop_poll_latency_ns\":250000"),
             std::string::npos);
 }
 
@@ -73,7 +73,7 @@ TEST(SweepExport, CellsCsvHasOneRowPerCell) {
 
 TEST(SweepExport, JsonCarriesFingerprintSeedAndStructure) {
   const SweepReport report = run_sweep(tiny_options());
-  const std::string json = report_json(report);
+  const std::string json = shard_json(report);
   // The fingerprint round-trips as a 16-digit hex string.
   char fp[32];
   std::snprintf(fp, sizeof(fp), "\"%016llx\"",
@@ -112,7 +112,7 @@ TEST(SweepExport, ReportsStayParseableUnderACommaDecimalLocale) {
     pos = end + 1;
   }
   // JSON keeps its structure and numbers keep '.' decimals.
-  const std::string json = report_json(report);
+  const std::string json = shard_json(report);
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
   EXPECT_NE(json.find("\"elapsed_seconds\""), std::string::npos);
@@ -130,7 +130,7 @@ TEST(SweepExport, ExportsAreDeterministic) {
 // ---------------------------------------------------------------------------
 // Golden export corpus: golden/ holds the bytes every export format
 // wrote for one small sweep — both shard files of a 2-way split plus the
-// report JSON and both CSVs. A change to any of them is a change to the
+// report's document (the whole-range shard) and both CSVs. A change to any of them is a change to the
 // shard format or to what plotting scripts read, so the corpus is
 // regenerated only together with a kShardFormatVersion bump, by running
 // rtft_sweep_export_test with --gtest_also_run_disabled_tests
@@ -186,7 +186,7 @@ std::vector<std::pair<std::string, std::string>> current_exports() {
                        shard_json(shard));
   }
   const SweepReport report = golden_report();
-  files.emplace_back("report.json", report_json(report));
+  files.emplace_back("report.json", shard_json(report));
   files.emplace_back("verdicts.csv", verdicts_csv(report));
   files.emplace_back("cells.csv", cells_csv(report));
   return files;
@@ -199,13 +199,13 @@ TEST(GoldenExportCorpus, EveryExportMatchesTheFrozenBytes) {
 }
 
 TEST(GoldenExportCorpus, CommittedShardFilesMergeToTheInProcessReport) {
-  const std::string expected = report_json(golden_report());
+  const std::string expected = shard_json(golden_report());
   for (const bool reversed : {false, true}) {
     std::vector<ShardResult> shards;
     shards.push_back(load_shard_json(read_golden("shard-0.json")));
     shards.push_back(load_shard_json(read_golden("shard-1.json")));
     if (reversed) std::swap(shards[0], shards[1]);
-    EXPECT_EQ(report_json(merge(std::move(shards))), expected)
+    EXPECT_EQ(shard_json(merge(std::move(shards))), expected)
         << (reversed ? "shard-1 first" : "shard-0 first");
   }
 }

@@ -519,6 +519,116 @@ TEST(ShardJson, RejectsMalformedDocuments) {
   }
 }
 
+/// The ShardError load_shard_json raises on `doc` ("" if it loads).
+std::string load_error(const std::string& doc) {
+  try {
+    (void)load_shard_json(doc);
+  } catch (const ShardError& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(ShardJson, RefusesDeepNestingWithoutRecursing) {
+  // The reader follows the format's fixed shape, so 100,000 nested
+  // arrays where a value belongs fail at the first bracket instead of
+  // descending (CI runs this under ASan).
+  const std::string deep(100000, '[');
+  EXPECT_NE(load_error("{\"format\": " + deep), "");
+  const SweepPlan plan(small_options());
+  std::string doc = shard_json(run_shard(plan.shard(0, 2), plan.options()));
+  const std::string key = "\"task_counts\":[";
+  const std::size_t at = doc.find(key);
+  ASSERT_NE(at, std::string::npos);
+  doc.insert(at + key.size(), deep);
+  EXPECT_NE(load_error(doc), "");
+}
+
+TEST(ShardJson, RequiresMembersInWriterOrder) {
+  const SweepPlan plan(small_options());
+  const std::string good =
+      shard_json(run_shard(plan.shard(0, 2), plan.options()));
+  const std::size_t options = good.find("\"options\"");
+  const std::size_t shard = good.find("\"shard\"");
+  const std::size_t totals = good.find("\"totals\"");
+  ASSERT_LT(options, shard);
+  ASSERT_LT(shard, totals);
+  const std::string expected_options =
+      "shard JSON at offset " + std::to_string(options) +
+      ": expected member 'options'";
+
+  // Options and shard swapped: each block still ends in ",\n  ".
+  const std::string swapped = good.substr(0, options) +
+                              good.substr(shard, totals - shard) +
+                              good.substr(options, shard - options) +
+                              good.substr(totals);
+  EXPECT_EQ(load_error(swapped), expected_options);
+
+  // An extra member, at the top level and inside a verdict.
+  std::string extra = good;
+  extra.insert(options, "\"comment\": \"hi\",\n  ");
+  EXPECT_EQ(load_error(extra), expected_options);
+  std::string extra_field = good;
+  const std::size_t seed = extra_field.find("\"seed\":");
+  ASSERT_NE(seed, std::string::npos);
+  extra_field.insert(seed, "\"note\":1,");
+  EXPECT_EQ(load_error(extra_field),
+            "shard JSON at offset " + std::to_string(seed) +
+                ": expected member 'seed'");
+
+  // A missing member names the one the writer puts there.
+  std::string missing = good;
+  const std::size_t workers = missing.find("\"workers\":");
+  ASSERT_NE(workers, std::string::npos);
+  missing.erase(workers, missing.find(',', workers) + 1 - workers);
+  EXPECT_EQ(load_error(missing),
+            "shard JSON at offset " + std::to_string(workers) +
+                ": expected member 'workers'");
+}
+
+TEST(ShardJson, AnElementPastItsCountFailsAtThatElement) {
+  const SweepPlan plan(small_options());
+  const std::string good =
+      shard_json(run_shard(plan.shard(0, 2), plan.options()));
+  // Appends a copy of the last element of the array that ends at
+  // `close`; returns the copy's offset, past ",\n" and its indent.
+  const auto repeat_last = [](std::string& doc, std::size_t close) {
+    const std::size_t last = doc.rfind("\n    {", close) + 1;
+    doc.insert(close, ",\n" + doc.substr(last, close - last));
+    return close + 2 + 4;
+  };
+  std::string verdicts = good;
+  const std::size_t at = repeat_last(
+      verdicts, verdicts.find("\n  ],\n  \"fingerprint\""));
+  EXPECT_EQ(load_error(verdicts),
+            "shard JSON at offset " + std::to_string(at) +
+                ": more verdicts than the shard range [0, 30) holds");
+  std::string cells = good;
+  const std::size_t cell =
+      repeat_last(cells, cells.find("\n  ],\n  \"verdicts\""));
+  EXPECT_EQ(load_error(cells), "shard JSON at offset " +
+                                   std::to_string(cell) +
+                                   ": more cells than the sweep grid has");
+}
+
+TEST(ShardJson, AReportIsTheWholeRangeShardDocument) {
+  const SweepReport report = run_sweep(small_options());
+  EXPECT_EQ(report.shard.index, 0u);
+  EXPECT_EQ(report.shard.shards, 1u);
+  EXPECT_EQ(report.shard.begin, 0u);
+  EXPECT_EQ(report.shard.end, report.options.scenario_count);
+  const ShardResult loaded = load_shard_json(shard_json(report));
+  EXPECT_EQ(loaded.shard.index, 0u);
+  EXPECT_EQ(loaded.shard.shards, 1u);
+  EXPECT_EQ(loaded.shard.begin, 0u);
+  EXPECT_EQ(loaded.shard.end, report.options.scenario_count);
+  EXPECT_EQ(loaded.fingerprint, report.fingerprint);
+  // Merged alone, it is the report again.
+  std::vector<ShardResult> alone;
+  alone.push_back(loaded);
+  expect_same_report(merge(std::move(alone)), report);
+}
+
 TEST(ShardJson, RejectsTamperedVerdictsAndFingerprints) {
   const SweepOptions opts = small_options();
   const SweepPlan plan(opts);

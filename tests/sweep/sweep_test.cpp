@@ -7,6 +7,7 @@
 #include <string>
 
 #include "sched/feasibility.hpp"
+#include "support/numeric_locale.hpp"
 #include "sweep/generators.hpp"
 
 namespace rtft::sweep {
@@ -410,6 +411,17 @@ TEST(SweepReport, TableListsEveryCellAndTotals) {
   // Header + one row per cell + totals line.
   const std::size_t lines = std::count(table.begin(), table.end(), '\n');
   EXPECT_EQ(lines, 1 + report.cells.size() + 1);
+}
+
+TEST(SweepReport, TableKeepsDotDecimalsUnderACommaLocale) {
+  testsupport::ScopedNumericLocale locale;
+  if (!locale.force_comma_decimal()) {
+    GTEST_SKIP() << "no comma-decimal locale installed on this host";
+  }
+  SweepOptions opts = small_options();
+  opts.scenario_count = 32;
+  const std::string table = run_sweep(opts).table();
+  EXPECT_EQ(table.find(','), std::string::npos) << table;
 }
 
 }  // namespace

@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-
 #include "core/ft_system.hpp"
 #include "core/paper.hpp"
 
@@ -86,18 +83,6 @@ TEST(Csv, QuotesNamesWithCommasAndQuotes) {
     EXPECT_EQ(separators, 4) << csv.substr(pos, end - pos);
     pos = end + 1;
   }
-}
-
-TEST(WriteFile, RoundTripsAndReportsErrors) {
-  const std::string path = ::testing::TempDir() + "/rtft_log_test.txt";
-  write_file(path, "hello\n");
-  std::ifstream in(path);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  EXPECT_EQ(content, "hello\n");
-  std::remove(path.c_str());
-  EXPECT_THROW(write_file("/nonexistent-dir/x/y.txt", "a"),
-               ContractViolation);
 }
 
 }  // namespace
