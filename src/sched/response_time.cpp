@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "common/math.hpp"
@@ -88,13 +89,20 @@ RtaResult busy_period(const PriorityView& view, std::size_t pos,
   };
 
   RtaResult result;
+  // Every exit names its reason. An overload forgets the jobs examined:
+  // a load test in front of the analysis would have examined none.
+  const auto stop = [&result](RtaStop why) {
+    if (why == RtaStop::kOverload) result = RtaResult{};
+    result.bounded = why == RtaStop::kClosed;
+    result.stop = why;
+    return std::move(result);
+  };
   std::int64_t budget = opts.max_iterations;
   std::int64_t completion = 0;  // R(q-1)
   for (std::int64_t q = 0; q < opts.max_jobs; ++q) {
-    const auto base = checked_mul(q + 1, c);
-    if (!base) return result;
     // Iterates past `window` push work onto job q+1; iterates past `cap`
-    // miss job q's deadline. A bound beyond int64 is never reached.
+    // miss job q's deadline. A bound beyond int64 is never reached, so
+    // work past int64 is a miss only under a cap that int64 holds.
     const std::int64_t window = checked_mul(q + 1, t).value_or(kNever);
     std::int64_t cap = kNever;
     if (deadline_cap) {
@@ -102,13 +110,19 @@ RtaResult busy_period(const PriorityView& view, std::size_t pos,
         cap = checked_add(*release, d).value_or(kNever);
       }
     }
+    const RtaStop past_int64 =
+        cap < kNever ? RtaStop::kMiss : RtaStop::kGuardRail;
+    const auto base = checked_mul(q + 1, c);
+    if (!base) return stop(past_int64);
     // Seed with the previous job's completion (a lower bound on this
     // job's, which accelerates convergence) or the base.
     std::int64_t r = std::max(completion, *base);
     for (;;) {
-      if (r > cap) return result;
-      if (r > window && !load_tested && overloaded()) return RtaResult{};
-      if (budget-- <= 0) return result;  // guard rail hit: unbounded
+      if (r > cap) return stop(RtaStop::kMiss);
+      if (r > window && !load_tested && overloaded()) {
+        return stop(RtaStop::kOverload);
+      }
+      if (budget-- <= 0) return stop(RtaStop::kGuardRail);
       std::int64_t next = *base;
       bool overflow = false;
       for (std::size_t j = 0; j < end && next <= cap && !overflow; ++j) {
@@ -120,10 +134,12 @@ RtaResult busy_period(const PriorityView& view, std::size_t pos,
                    __builtin_add_overflow(next, work, &next);
       }
       if (overflow) {
-        // Past every bound: a miss under the cap, otherwise unbounded —
-        // through the load test when it is still owed.
-        if (!deadline_cap && !load_tested && overloaded()) return RtaResult{};
-        return result;
+        // Past int64: uncapped, unbounded through the load test when it
+        // is still owed.
+        if (!deadline_cap && !load_tested && overloaded()) {
+          return stop(RtaStop::kOverload);
+        }
+        return stop(past_int64);
       }
       if (next == r) break;
       RTFT_ASSERT(next > r, "fixed-point iterate must be monotone");
@@ -132,6 +148,7 @@ RtaResult busy_period(const PriorityView& view, std::size_t pos,
     completion = r;
     const Duration response = Duration::ns(r - q * t);
     result.jobs_examined = q + 1;
+    result.last_completion = Duration::ns(r);
     if (opts.record_jobs && result.jobs.size() < opts.max_recorded_jobs) {
       result.jobs.push_back(JobResponse{q, Duration::ns(r), response});
     }
@@ -141,12 +158,9 @@ RtaResult busy_period(const PriorityView& view, std::size_t pos,
     }
     // Busy period closes: this job completed within its own period slot,
     // so it exerts no carry-in on the next job.
-    if (r <= window) {
-      result.bounded = true;
-      return result;
-    }
+    if (r <= window) return stop(RtaStop::kClosed);
   }
-  return result;  // max_jobs exhausted: report unbounded
+  return stop(RtaStop::kGuardRail);  // max_jobs exhausted
 }
 
 RtaResult response_time(const TaskSet& ts, TaskId id, const RtaOptions& opts) {

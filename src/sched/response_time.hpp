@@ -63,6 +63,14 @@ struct JobResponse {
   Duration response;         ///< R(q) − q·Ti.
 };
 
+/// Why busy_period() stopped.
+enum class RtaStop : std::uint8_t {
+  kClosed,     ///< the busy period closed: the result is bounded.
+  kMiss,       ///< the deadline cap: job `jobs_examined` certainly misses.
+  kOverload,   ///< the level load exceeds 1: the busy period never ends.
+  kGuardRail,  ///< max_jobs, max_iterations, or an overflow no cap dates.
+};
+
 /// Outcome of the analysis of one task.
 struct RtaResult {
   /// False when the busy period provably never ends (interfering load
@@ -71,6 +79,10 @@ struct RtaResult {
   Duration wcrt;             ///< max over jobs of R(q) − q·Ti.
   std::int64_t worst_job = 0;///< q achieving the maximum.
   std::int64_t jobs_examined = 0;
+  /// R(q) of the last job examined; when bounded, the end of the level-i
+  /// busy period started at the critical instant.
+  Duration last_completion;
+  RtaStop stop = RtaStop::kGuardRail;  ///< kClosed iff bounded.
   std::vector<JobResponse> jobs;  ///< filled when RtaOptions::record_jobs.
 };
 
@@ -91,7 +103,8 @@ class PriorityView;
 /// the paper's Figure 2 analysis. With it, the analysis stops with
 /// bounded = false (and the jobs examined so far) as soon as some job is
 /// certain to miss its deadline, so bounded then means "every job of the
-/// busy period meets its deadline".
+/// busy period meets its deadline", and stop = kMiss dates that miss at
+/// jobs_examined·Ti + Di.
 [[nodiscard]] RtaResult busy_period(const PriorityView& view, std::size_t pos,
                                     const RtaOptions& opts = {},
                                     const Inflation& extra = {},

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -10,7 +11,6 @@
 #include "common/assert.hpp"
 #include "common/math.hpp"
 #include "sched/canonical.hpp"
-#include "sched/feasibility.hpp"
 #include "sched/utilization.hpp"
 
 namespace rtft::serve {
@@ -25,9 +25,9 @@ constexpr double kDegradeRtaAt = 0.50;    ///< fill >= this: no cross-check.
 constexpr double kDegradeBoundAt = 0.80;  ///< fill >= this: bounds only.
 constexpr double kRecoverFactor = 0.5;
 
-/// The exact tier answers at kRtaOnly instead when the cross-check
-/// window would release more jobs than this: one pathological request
-/// must not monopolize a worker.
+/// The exact tier answers at kRtaOnly instead when the engine replay
+/// over [0, E] would release more jobs than this: one pathological
+/// request must not monopolize a worker.
 constexpr std::int64_t kMaxCrossCheckJobs = 200'000;
 
 std::int64_t steady_ns() {
@@ -59,6 +59,14 @@ bool bounds_applicable(const sched::TaskSet& ts) {
     }
   }
   return true;
+}
+
+/// True when the task at `pos` shares its priority with another. The
+/// analysis lets equal priorities interfere both ways; the engine serves
+/// them FIFO, so its responses there may only be shorter.
+bool tied(const sched::PriorityView& view, std::size_t pos) {
+  return view.interferer_end(pos) != pos + 1 ||
+         (pos > 0 && view.interferer_end(pos - 1) != pos);
 }
 
 }  // namespace
@@ -342,36 +350,64 @@ CachedVerdict AdmissionService::compute(WorkerContext& ctx,
     return out;
   }
 
-  // The deadline-capped kernel: an infeasible task stops at its first
-  // certain miss, so a set at U = 1.00 cannot hold the worker for a
-  // busy period that runs toward the hyperperiod.
-  const bool feasible = sched::is_feasible(ts);
+  // Both analysis tiers answer from this one loop: is_feasible's, with
+  // each result kept. The deadline-capped kernel stops an infeasible
+  // task at its first certain miss, so a set at U = 1.00 cannot hold the
+  // worker for a busy period that runs toward the hyperperiod. Lowest
+  // priority first, the likeliest to miss.
+  ctx.ids.resize(ts.size());
+  std::iota(ctx.ids.begin(), ctx.ids.end(), sched::TaskId{0});
+  ctx.view.assign(ts, ctx.ids);
+  const std::size_t n = ctx.view.size();
+  ctx.rta.resize(n);
+  std::size_t low = n;  // the last position analyzed
+  bool feasible = true;
+  while (feasible && low > 0) {
+    --low;
+    ctx.rta[low] = sched::busy_period(ctx.view, low, {}, {}, true);
+    feasible = ctx.rta[low].bounded;
+  }
   out.verdict =
       feasible ? AdmissionVerdict::kAdmit : AdmissionVerdict::kReject;
   if (tier == AnalysisTier::kRtaOnly) return out;
 
-  // kExact: replay the set through the virtual-time engine and compare.
-  // Every date the engine forms must fit in int64 nanoseconds: the window
-  // plus the farthest a release reaches past it (its next release one
-  // period on, its deadline check).
+  // kExact: replay the set from its synchronous release up to a date E
+  // the kernel gives, and compare with the kernel exactly. A feasible
+  // set ends at L, the end of the level-n busy period, where each job
+  // examined has completed; a certain miss of job q ends at its
+  // deadline q·T + D. A set the kernel gives no date (a level load
+  // above 1 or a guard rail) keeps the window of horizon_periods.
+  const bool dated =
+      feasible || ctx.rta[low].stop == sched::RtaStop::kMiss;
   std::int64_t max_period = 0;
   std::int64_t reach = 0;
   for (const sched::TaskParams& t : ts.tasks()) {
     max_period = std::max(max_period, t.period.count());
     reach = std::max({reach, t.period.count(), t.deadline.count()});
   }
-  const std::optional<std::int64_t> horizon =
-      checked_mul(max_period, ServiceOptions::horizon_periods);
+  std::optional<std::int64_t> end;
+  if (feasible) {
+    end = ctx.rta[n - 1].last_completion.count();
+  } else if (dated) {
+    // The kernel's cap held this date in int64.
+    const sched::TaskParams& t = ts[ctx.view.id(low)];
+    end = ctx.rta[low].jobs_examined * t.period.count() + t.deadline.count();
+  } else {
+    end = checked_mul(max_period, ServiceOptions::horizon_periods);
+  }
+  // Every date the engine forms must fit in int64 nanoseconds: E plus
+  // the farthest a release reaches past it (its next release one period
+  // on, its deadline check).
   std::optional<std::int64_t> jobs;
-  if (horizon && checked_add(*horizon, reach)) jobs = 0;
+  if (end && checked_add(*end, reach)) jobs = 0;
   for (const sched::TaskParams& t : ts.tasks()) {
     if (!jobs || *jobs > kMaxCrossCheckJobs) break;
     const std::int64_t period = t.period.count();
-    jobs = checked_add(*jobs, (*horizon + period - 1) / period);
+    jobs = checked_add(*jobs, (*end + period - 1) / period);
   }
   if (!jobs || *jobs > kMaxCrossCheckJobs) {
     // A 1 ns period next to a 1000 s one must not monopolize a worker,
-    // and a window past int64 cannot run at all: keep the analytic
+    // and a replay past int64 cannot run at all: keep the analytic
     // answer and tag it honestly as not cross-checked.
     // Mark the tier as this key's ceiling so exact-tier lookups still
     // hit the cache — recomputing would skip the cross-check again.
@@ -382,26 +418,45 @@ CachedVerdict AdmissionService::compute(WorkerContext& ctx,
   }
 
   rt::EngineOptions eopts;
-  eopts.horizon = Instant::from_ns(*horizon);
+  eopts.horizon = Instant::from_ns(*end);
   ctx.engine.reset(eopts);
-  std::vector<rt::TaskHandle> handles;
-  handles.reserve(ts.size());
   for (const sched::TaskParams& t : ts.tasks()) {
     // Zero the offsets: synchronous release is the critical instant the
     // analysis assumes; simulating a client's phasing instead would make
-    // honest disagreements look like library bugs.
+    // honest disagreements look like library bugs. Handles follow
+    // TaskIds, since the engine was just reset.
     sched::TaskParams aligned = t;
     aligned.offset = Duration::zero();
-    handles.push_back(ctx.engine.add_task(aligned));
+    (void)ctx.engine.add_task(aligned);
   }
   ctx.engine.run();
-  std::int64_t missed = 0;
-  for (const rt::TaskHandle h : handles) missed += ctx.engine.stats(h).missed;
   cross_checked = true;
-  const bool engine_clean = missed == 0;
-  if (engine_clean != feasible) {
-    // RTA is a sound worst case, so this is a library bug surfaced by
-    // traffic; count it loudly, answer from the analysis.
+
+  bool agree = true;
+  if (feasible) {
+    // Every job has completed by L: no miss, and each task's worst
+    // response is its WCRT. The engine serves a priority tie FIFO,
+    // never later than the analysis assumes.
+    for (std::size_t p = 0; p < n; ++p) {
+      const rt::TaskStats& s = ctx.engine.stats(ctx.view.id(p));
+      const Duration wcrt = ctx.rta[p].wcrt;
+      agree = agree && s.missed == 0 &&
+              (s.max_response == wcrt ||
+               (tied(ctx.view, p) && s.max_response < wcrt));
+    }
+  } else if (dated) {
+    // Jobs 0..q-1 met their deadlines, job q misses at E.
+    const std::int64_t missed = ctx.engine.stats(ctx.view.id(low)).missed;
+    agree = missed == 1 || (tied(ctx.view, low) && missed == 0);
+  } else {
+    // No date: the engine must miss in the window, as the verdict says.
+    std::int64_t missed = 0;
+    for (std::size_t i = 0; i < n; ++i) missed += ctx.engine.stats(i).missed;
+    agree = missed != 0;
+  }
+  if (!agree) {
+    // The kernel is exact at the critical instant, so this is a library
+    // bug surfaced by traffic; count it loudly, answer from the analysis.
     cross_check_disagreements_.fetch_add(1);
   }
   return out;

@@ -28,6 +28,13 @@
 //     step back up (with hysteresis, at half those fills) when pressure
 //     clears. Degraded answers are weaker but bounded — kInconclusive
 //     at worst — never wrong.
+//   * The exact cross-check: both analysis tiers take their verdict
+//     from one loop of the deadline-capped kernel, and kExact replays
+//     the set from its synchronous release (the critical instant) only
+//     up to a date that loop computed: the end of the busy period for a
+//     feasible set, the deadline of the first certain miss otherwise.
+//     Over that interval the engine must reproduce the kernel exactly,
+//     task by task (see AdmissionService::compute).
 //   * Pooled engines: each worker reuses one rt::Engine through the
 //     reset() path, so steady-state serving allocates nothing per
 //     request on the engine side.
@@ -48,6 +55,7 @@
 #include <vector>
 
 #include "runtime/engine.hpp"
+#include "sched/response_time.hpp"
 #include "serve/admission.hpp"
 #include "serve/bounded_queue.hpp"
 #include "serve/verdict_cache.hpp"
@@ -58,9 +66,10 @@ struct ServiceOptions {
   std::size_t workers = 2;
   std::size_t queue_capacity = 64;
   std::size_t cache_capacity = 1024;
-  /// Engine cross-check window, as a multiple of the set's largest
-  /// period (same meaning as SweepOptions::horizon_periods). A constant,
-  /// since no caller needs another value.
+  /// The replay window, as a multiple of the set's largest period, for
+  /// the one kind of set the kernel gives no date: its capped analysis
+  /// stopped on a level load above 1 or a guard rail. A constant, since
+  /// no caller needs another value.
   static constexpr std::int64_t horizon_periods = 8;
   ServiceFaultPlan faults;
   /// Start the worker pool in the constructor. Tests pass false, preload
@@ -102,11 +111,15 @@ class AdmissionService {
   };
 
   /// Per-worker pooled execution context (the reset() path): one
-  /// sink-free engine reused across every request the worker serves;
-  /// the cross-check reads misses from its TaskStats.
+  /// sink-free engine and one priority view reused across every request
+  /// the worker serves, and the kernel's result at each view position;
+  /// the cross-check compares the engine's TaskStats with those results.
   struct WorkerContext {
     WorkerContext();
     rt::Engine engine;
+    std::vector<sched::TaskId> ids;
+    sched::PriorityView view;
+    std::vector<sched::RtaResult> rta;  ///< by view position.
   };
 
   /// Service clock: steady_clock nanoseconds plus the injected skew.

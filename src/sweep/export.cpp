@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <concepts>
+#include <cstring>
 #include <type_traits>
 #include <vector>
 
@@ -391,6 +392,9 @@ class Cursor {
     fail(std::string("expected member '") + key + '\'');
   }
 
+  /// Bytes not yet read.
+  [[nodiscard]] std::size_t remaining() const { return text_.size() - pos_; }
+
   /// Requires the end of the text: only whitespace may follow.
   void end() {
     skip_ws();
@@ -402,6 +406,18 @@ class Cursor {
   std::size_t pos_ = 0;
   std::string buf_;
 };
+
+/// The fewest bytes a verdict object takes in an array: per member its
+/// quoted key, the colon, one value byte and a separator (a comma or
+/// the closing brace).
+std::size_t min_verdict_bytes() {
+  std::size_t bytes = 0;
+  ScenarioVerdict v;
+  verdict_fields(v, [&bytes](const char* key, const auto&) {
+    bytes += std::strlen(key) + 5;
+  });
+  return bytes;
+}
 
 [[noreturn]] void field_error(const Cursor& in, const char* what,
                               const char* why) {
@@ -580,8 +596,11 @@ ShardResult load_shard_json(std::string_view json) {
 
   // Verdicts: the payload, checked as each arrives. Everything derivable
   // is re-derived and compared, so a shard that loads is internally
-  // consistent.
+  // consistent. The range sizes the result, as far as the text left can
+  // hold verdicts: a forged range reserves no more than that.
   doc.member("verdicts");
+  result.verdicts.reserve(std::min<std::uint64_t>(
+      s.count(), in.remaining() / min_verdict_bytes()));
   get_array(in, [&] {
     if (result.verdicts.size() == s.count()) {
       in.fail("more verdicts than the shard range [" +

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <string>
@@ -603,6 +604,125 @@ TEST(RtaKernel, FeasibilityMatchesTheReference) {
     }
     EXPECT_EQ(is_feasible(ts), want.feasible);
   }
+}
+
+TEST(RtaKernel, ReportsTheLastCompletionAndTheMissItDates) {
+  // The reference has neither field: the last completion is pinned to
+  // the jobs recorded, and a capped miss of job q to the uncapped
+  // recurrence, whose job q completes past q·T + D or is never reached.
+  RtaOptions recorded;
+  recorded.record_jobs = true;
+  std::size_t multi_job = 0;
+  for (std::size_t k = 0; k < corpus().size(); ++k) {
+    const TaskSet& ts = corpus()[k];
+    SCOPED_TRACE("set " + std::to_string(k));
+    const PriorityView view(ts);
+    for (std::size_t pos = 0; pos < view.size(); ++pos) {
+      const RtaResult full = busy_period(view, pos, recorded);
+      const RtaResult capped = busy_period(view, pos, recorded, {}, true);
+      for (const RtaResult* r : {&full, &capped}) {
+        EXPECT_EQ(r->bounded, r->stop == RtaStop::kClosed);
+        if (r->jobs_examined == 0) {
+          EXPECT_EQ(r->last_completion, Duration::zero());
+        } else if (r->jobs.size() ==
+                   static_cast<std::size_t>(r->jobs_examined)) {
+          EXPECT_EQ(r->last_completion, r->jobs.back().completion);
+        }
+      }
+      multi_job += full.bounded && full.jobs_examined > 1 ? 1 : 0;
+      if (capped.stop != RtaStop::kMiss) continue;
+      const auto q = static_cast<std::size_t>(capped.jobs_examined);
+      if (full.jobs.size() > q) {
+        const TaskParams& t = ts[view.id(pos)];
+        EXPECT_GT(full.jobs[q].completion,
+                  t.period * static_cast<std::int64_t>(q) + t.deadline);
+      } else {
+        EXPECT_TRUE(full.jobs.size() == q || full.stop != RtaStop::kClosed);
+      }
+    }
+  }
+  EXPECT_GT(multi_job, 20u);
+}
+
+TEST(RtaKernel, NamesWhyAnAnalysisStopped) {
+  const auto task = [](const char* name, Priority prio, std::int64_t c,
+                       std::int64_t t, std::int64_t d) {
+    return TaskParams{name, prio, Duration::ns(c), Duration::ns(t),
+                      Duration::ns(d), Duration::zero()};
+  };
+  const auto lowest = [](const TaskSet& ts, bool cap,
+                         const RtaOptions& opts = {}) {
+    const PriorityView view(ts);
+    return busy_period(view, view.size() - 1, opts, {}, cap);
+  };
+  constexpr std::int64_t kMs = 1'000'000;
+
+  // Closed: "lo" completes at 7, 14 and 18 ms, the third job within its
+  // own period.
+  TaskSet closes;
+  closes.add(task("hi", 2, 3 * kMs, 10 * kMs, 10 * kMs));
+  closes.add(task("lo", 1, 4 * kMs, 6 * kMs, 8 * kMs));
+  RtaResult r = lowest(closes, true);
+  EXPECT_EQ(r.stop, RtaStop::kClosed);
+  EXPECT_TRUE(r.bounded);
+  EXPECT_EQ(r.jobs_examined, 3);
+  EXPECT_EQ(r.last_completion, 18_ms);
+  EXPECT_EQ(r.wcrt, 8_ms);
+
+  // A certain miss of job 1: with D = 7 ms its iterate passes 6 + 7 ms.
+  // Uncapped, the same busy period closes at 18 ms with WCRT 8 ms.
+  TaskSet misses;
+  misses.add(task("hi", 2, 3 * kMs, 10 * kMs, 10 * kMs));
+  misses.add(task("lo", 1, 4 * kMs, 6 * kMs, 7 * kMs));
+  r = lowest(misses, true);
+  EXPECT_EQ(r.stop, RtaStop::kMiss);
+  EXPECT_FALSE(r.bounded);
+  EXPECT_EQ(r.jobs_examined, 1);
+  EXPECT_EQ(r.last_completion, 7_ms);
+  r = lowest(misses, false);
+  EXPECT_EQ(r.stop, RtaStop::kClosed);
+  EXPECT_EQ(r.last_completion, 18_ms);
+  EXPECT_EQ(r.wcrt, 8_ms);
+
+  // A level load of 3/4 + 2/5: the first iterate past T = 4 ms, still
+  // inside D = 6 ms, meets the load test, capped or not.
+  TaskSet overloaded;
+  overloaded.add(task("hi", 2, 2 * kMs, 5 * kMs, 5 * kMs));
+  overloaded.add(task("lo", 1, 3 * kMs, 4 * kMs, 6 * kMs));
+  for (const bool cap : {true, false}) {
+    r = lowest(overloaded, cap);
+    EXPECT_EQ(r.stop, RtaStop::kOverload);
+    EXPECT_EQ(r.jobs_examined, 0);
+  }
+
+  // The guard rails, on the set that closes.
+  RtaOptions few_iterations;
+  few_iterations.max_iterations = 2;
+  EXPECT_EQ(lowest(closes, true, few_iterations).stop, RtaStop::kGuardRail);
+  RtaOptions one_job;
+  one_job.max_jobs = 1;
+  r = lowest(closes, true, one_job);
+  EXPECT_EQ(r.stop, RtaStop::kGuardRail);
+  EXPECT_EQ(r.jobs_examined, 1);
+  EXPECT_EQ(r.last_completion, 7_ms);
+
+  // Load 0.61 + 0.36: the second iterate, 5.6e18 + 2 x 2e18 ns, passes
+  // int64. No cap dates a deadline of int64 max, and the load test
+  // clears the uncapped analysis: a guard rail either way. A deadline
+  // that int64 holds dates the miss of job 0.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const auto overflow_set = [&](std::int64_t d) {
+    TaskSet ts;
+    ts.add(task("hi", 2, 2'000'000'000'000'000'000, 5'500'000'000'000'000'000,
+                5'500'000'000'000'000'000));
+    ts.add(task("lo", 1, 5'600'000'000'000'000'000, kMax, d));
+    return ts;
+  };
+  EXPECT_EQ(lowest(overflow_set(kMax), false).stop, RtaStop::kGuardRail);
+  EXPECT_EQ(lowest(overflow_set(kMax), true).stop, RtaStop::kGuardRail);
+  r = lowest(overflow_set(9'000'000'000'000'000'000), true);
+  EXPECT_EQ(r.stop, RtaStop::kMiss);
+  EXPECT_EQ(r.jobs_examined, 0);
 }
 
 TEST(RtaKernel, AllowancesMatchTheReference) {

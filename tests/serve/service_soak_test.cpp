@@ -161,6 +161,18 @@ TEST(AdmissionServiceSoak, SurvivesBurstsAndInjectedFaults) {
     }
   }
 
+  // The burst has drained, so the ladder is back at kExact. One request
+  // per set, one at a time: each set the burst answered only below the
+  // exact tier is now replayed and cross-checked, so the disagreement
+  // count below covers the whole population, not just the sets the
+  // burst's thread timing happened to serve exactly.
+  for (std::size_t i = 0; i < kDistinctSets; ++i) {
+    AdmissionRequest req;
+    req.id = 3'000'000 + i;
+    req.tasks = pop.sets[i].tasks();
+    check(service.admit(std::move(req)), i);
+  }
+
   // Backpressure may turn so much of the burst away that no set gets
   // answered twice. Resubmit one set one request at a time: four
   // consecutive ordinals hold at most one injected throw (every 29) and
@@ -176,8 +188,9 @@ TEST(AdmissionServiceSoak, SurvivesBurstsAndInjectedFaults) {
   service.stop();
 
   const ServiceMetrics m = service.metrics();
-  const std::uint64_t total =
-      opts.queue_capacity + kProducers * kPerProducer + kResubmits;
+  const std::uint64_t total = opts.queue_capacity +
+                              kProducers * kPerProducer + kDistinctSets +
+                              kResubmits;
 
   // The books balance: every submission has exactly one recorded fate,
   // and what we observed in responses matches the service's own count.

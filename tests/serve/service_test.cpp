@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "sched/feasibility.hpp"
+#include "sched/response_time.hpp"
 #include "support/paper_systems.hpp"
 #include "support/random_sets.hpp"
 
@@ -241,13 +242,14 @@ TEST(AdmissionService, BoundTierRefusesEqualPriorityAcrossPeriods) {
 TEST(AdmissionService, OversizeCrossChecksFallBackToRtaOnly) {
   AdmissionService service{quiet_options()};
 
-  // 100 us next to 10 s: the engine window (8 x 10 s) would release 800k
-  // jobs of the fast task — past the 200k cap.
+  // 30 s of work every 100 s next to 10 us every 100 us: the replay runs
+  // to the end of the busy period, about 33.3 s, and would release some
+  // 333k jobs of the fast task, past the 200k cap.
   sched::TaskSet mixed;
   mixed.add(sched::TaskParams{"fast", 2, Duration::us(10), Duration::us(100),
                               Duration::us(100), Duration::zero()});
-  mixed.add(sched::TaskParams{"slow", 1, Duration::s(1), Duration::s(10),
-                              Duration::s(10), Duration::zero()});
+  mixed.add(sched::TaskParams{"slow", 1, Duration::s(30), Duration::s(100),
+                              Duration::s(100), Duration::zero()});
   const AdmissionResponse resp = service.admit(request_for(mixed, 1));
   EXPECT_EQ(resp.status, ResponseStatus::kAnswered);
   EXPECT_EQ(resp.tier, AnalysisTier::kRtaOnly);  // tagged honestly.
@@ -265,28 +267,85 @@ TEST(AdmissionService, OversizeCrossChecksFallBackToRtaOnly) {
   EXPECT_EQ(again.verdict, AdmissionVerdict::kAdmit);
   EXPECT_EQ(service.metrics().oversize_cross_check_skips, 1u);  // no rerun.
 
-  // Sets that pass validation but whose engine dates overflow int64
-  // nanoseconds: an 8 x 2^61 ns window; an 8 x 1.085e18 ns window whose
-  // next release lies a period past int64; a deadline reaching past
-  // int64 from the first release on. All are oversize, never simulated.
-  const std::pair<std::int64_t, std::int64_t> vast_shapes[] = {
-      {std::int64_t{1} << 61, std::int64_t{1} << 61},
-      {1'085'000'000'000'000'000, 1'085'000'000'000'000'000},
-      {1'000'000, std::numeric_limits<std::int64_t>::max()}};
+  // A 2^61 ns period: the replay ends with the one job's completion at
+  // 100 us, and every date it forms fits in int64, so the set is
+  // cross-checked. A deadline of int64 max, though, lies past int64 from
+  // any date after the release: that set is oversize, never simulated.
+  const std::pair<std::int64_t, bool> vast_shapes[] = {
+      {std::int64_t{1} << 61, true},
+      {std::numeric_limits<std::int64_t>::max(), false}};
   std::uint64_t id = 3;
-  for (const auto& [period, deadline] : vast_shapes) {
+  for (const auto& [deadline, replayed] : vast_shapes) {
     const sched::TaskParams params{"vast", 1, Duration::us(100),
-                                   Duration::ns(period), Duration::ns(deadline),
-                                   Duration::zero()};
+                                   Duration::ns(std::int64_t{1} << 61),
+                                   Duration::ns(deadline), Duration::zero()};
     sched::TaskSet vast;
     vast.add(params);
     const AdmissionResponse big = service.admit(request_for(vast, id++));
     EXPECT_EQ(big.status, ResponseStatus::kAnswered) << big.detail;
-    EXPECT_EQ(big.tier, AnalysisTier::kRtaOnly);
-    EXPECT_FALSE(big.cross_checked);
+    EXPECT_EQ(big.tier,
+              replayed ? AnalysisTier::kExact : AnalysisTier::kRtaOnly);
+    EXPECT_EQ(big.cross_checked, replayed);
     EXPECT_EQ(big.verdict, AdmissionVerdict::kAdmit);
   }
-  EXPECT_EQ(service.metrics().oversize_cross_check_skips, 4u);
+  const ServiceMetrics m = service.metrics();
+  EXPECT_EQ(m.oversize_cross_check_skips, 2u);
+  EXPECT_EQ(m.cross_check_disagreements, 0u);
+}
+
+/// Answers `ts` at the exact tier; the engine replay must agree.
+AdmissionResponse expect_cross_checked(const sched::TaskSet& ts) {
+  AdmissionService service{quiet_options()};
+  const AdmissionResponse resp = service.admit(request_for(ts, 1));
+  EXPECT_EQ(resp.status, ResponseStatus::kAnswered);
+  EXPECT_EQ(resp.tier, AnalysisTier::kExact);
+  EXPECT_TRUE(resp.cross_checked);
+  EXPECT_EQ(service.metrics().cross_check_disagreements, 0u);
+  return resp;
+}
+
+sched::TaskSet two_tasks(Duration hi_cost, Duration hi_period, Duration cost,
+                         Duration period, Duration deadline) {
+  sched::TaskSet ts;
+  ts.add(sched::TaskParams{"hi", 2, hi_cost, hi_period, hi_period,
+                           Duration::zero()});
+  ts.add(sched::TaskParams{"lo", 1, cost, period, deadline, Duration::zero()});
+  return ts;
+}
+
+TEST(AdmissionService, ReplaysAFeasibleBusyPeriodOfSeveralJobs) {
+  // D > T: "lo" completes at 7, 14 and 18 ms (responses 7, 8, 6 ms)
+  // before its level busy period closes. The replay ends at 18 ms, and
+  // its worst response must be the WCRT, 8 ms, at job 1.
+  const sched::TaskSet ts = two_tasks(3_ms, 10_ms, 4_ms, 6_ms, 8_ms);
+  const sched::PriorityView view(ts);
+  const sched::RtaResult lo = sched::busy_period(view, 1, {}, {}, true);
+  ASSERT_TRUE(lo.bounded);
+  ASSERT_EQ(lo.jobs_examined, 3);
+  ASSERT_EQ(lo.last_completion, 18_ms);
+  EXPECT_EQ(expect_cross_checked(ts).verdict, AdmissionVerdict::kAdmit);
+}
+
+TEST(AdmissionService, ReplaysAnInfeasibleSetToItsFirstCertainMiss) {
+  // With D = 7 ms the same set misses at job 1: the kernel stops once
+  // its iterate passes 6 + 7 ms, and the engine must miss there once.
+  const sched::TaskSet ts = two_tasks(3_ms, 10_ms, 4_ms, 6_ms, 7_ms);
+  const sched::PriorityView view(ts);
+  const sched::RtaResult lo = sched::busy_period(view, 1, {}, {}, true);
+  ASSERT_EQ(lo.stop, sched::RtaStop::kMiss);
+  ASSERT_EQ(lo.jobs_examined, 1);
+  EXPECT_EQ(expect_cross_checked(ts).verdict, AdmissionVerdict::kReject);
+}
+
+TEST(AdmissionService, ALevelOverloadKeepsTheWindow) {
+  // D > T with a level load of 3/4 + 2/5: the kernel stops on the load
+  // test and dates nothing, so the engine replays 8 max periods, where
+  // "lo" misses (its job 2 ends at 15 ms, past 8 + 6 ms).
+  const sched::TaskSet ts = two_tasks(2_ms, 5_ms, 3_ms, 4_ms, 6_ms);
+  const sched::PriorityView view(ts);
+  ASSERT_EQ(sched::busy_period(view, 1, {}, {}, true).stop,
+            sched::RtaStop::kOverload);
+  EXPECT_EQ(expect_cross_checked(ts).verdict, AdmissionVerdict::kReject);
 }
 
 TEST(AdmissionService, UtilizationOneSetIsAnsweredPromptly) {
@@ -313,9 +372,9 @@ TEST(AdmissionService, UtilizationOneSetIsAnsweredPromptly) {
                                            : AdmissionVerdict::kReject);
   EXPECT_DOUBLE_EQ(resp.utilization, ts.utilization());
   EXPECT_EQ(service.metrics().cross_check_disagreements, 0u);
-  // Microseconds of analysis plus a ~1 ms engine cross-check (about
-  // 25 ms in a Debug ASan build): 200 ms is generous, yet a third of
-  // what sched::analyze alone takes on this set.
+  // Microseconds of analysis plus an engine replay up to the first
+  // certain miss: 200 ms is generous, also in a Debug ASan build, yet a
+  // third of what sched::analyze alone takes on this set.
   EXPECT_LT(elapsed, std::chrono::milliseconds(200));
 }
 

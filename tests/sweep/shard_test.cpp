@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/file.hpp"
 #include "sweep/export.hpp"
 #include "sweep/sweep.hpp"
 
@@ -680,6 +681,38 @@ TEST(ShardJson, ForgedScenarioCountFailsTheMergeNotTheAllocator) {
   ShardMerger merger;
   merger.add(load_shard_json(forged));
   EXPECT_THROW((void)merger.finish(), ShardError);
+}
+
+TEST(ShardJson, VerdictsAreSizedOnceFromTheRange) {
+  // The range sizes the verdicts before the first is read, so a load
+  // holds no growth slack: each committed shard document loads with
+  // capacity() == size().
+  for (const char* name : {"shard-0.json", "shard-1.json", "report.json"}) {
+    const ShardResult r = load_shard_json(
+        read_file(std::string(RTFT_SWEEP_GOLDEN_DIR) + "/" + name));
+    EXPECT_FALSE(r.verdicts.empty()) << name;
+    EXPECT_EQ(r.verdicts.capacity(), r.verdicts.size()) << name;
+  }
+}
+
+TEST(ShardJson, AForgedRangeReservesNoMoreThanTheTextHolds) {
+  // A 10-verdict shard whose range (and scenario count) claims 2^62
+  // scenarios: the reservation is bounded by the verdicts the rest of
+  // the text could hold, so the load fails on the count, not in the
+  // allocator.
+  const SweepPlan plan(small_options());
+  std::string forged =
+      shard_json(run_shard(plan.shard(0, 6), plan.options()));
+  for (const auto& [from, to] :
+       {std::pair<std::string, std::string>{"\"scenario_count\":60",
+                                            "\"scenario_count\":"
+                                            "4611686018427387904"},
+        {"\"end\":10", "\"end\":4611686018427387904"}}) {
+    const std::size_t pos = forged.find(from);
+    ASSERT_NE(pos, std::string::npos) << from;
+    forged.replace(pos, from.size(), to);
+  }
+  EXPECT_THROW((void)load_shard_json(forged), ShardError);
 }
 
 TEST(ShardJson, ForgedGridSizeIsRejectedBeforeAnyAllocation) {
