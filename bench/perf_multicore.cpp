@@ -14,6 +14,14 @@
 //                              fail-over protocol (lost-job audit +
 //                              backup activation + the denser post-
 //                              failure schedule on the backup cores).
+//   BM_Place_FirstFit/M      — FirstFitDecreasing::place alone, and
+//   BM_Place_FaultAware/M      FaultAware::place (first fit, then the
+//                              backup admission) on sweep-analysis-
+//                              shaped draws: 24 tasks at total
+//                              utilization 0.75 on M cores. The sweep's
+//                              multicore stage pays the second row: it
+//                              places first fit once and admits the
+//                              backups over it.
 //
 // Workloads are seeded constants: the JSON trajectory
 // (BENCH_perf_multicore.json via --json) is only comparable against an
@@ -130,5 +138,39 @@ BENCHMARK(BM_Multicore_Failover)
     ->Arg(4)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
+
+/// The placement rows' draws, cycled one per iteration.
+std::vector<sched::TaskSet> placement_draws() {
+  RandomTaskSetSpec spec;
+  spec.tasks = 24;
+  spec.total_utilization = 0.75;
+  std::vector<sched::TaskSet> draws;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    draws.push_back(sweep::make_seeded_task_set(seed, spec));
+  }
+  return draws;
+}
+
+void place_bench(benchmark::State& state,
+                 const multicore::Partitioner& strategy) {
+  const std::size_t cores = static_cast<std::size_t>(state.range(0));
+  const std::vector<sched::TaskSet> draws = placement_draws();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const multicore::Placement p =
+        strategy.place(draws[i++ % draws.size()], cores);
+    benchmark::DoNotOptimize(p.feasible);
+  }
+}
+
+void BM_Place_FirstFit(benchmark::State& state) {
+  place_bench(state, multicore::FirstFitDecreasing{});
+}
+BENCHMARK(BM_Place_FirstFit)->Arg(2)->Arg(4)->Unit(benchmark::kMicrosecond);
+
+void BM_Place_FaultAware(benchmark::State& state) {
+  place_bench(state, multicore::FaultAware{});
+}
+BENCHMARK(BM_Place_FaultAware)->Arg(2)->Arg(4)->Unit(benchmark::kMicrosecond);
 
 }  // namespace

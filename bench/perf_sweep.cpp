@@ -16,9 +16,14 @@
 //   BM_Sweep_MergeOnly       — merge() alone on pre-run shards: the
 //                              coordinator-side cost of combining
 //                              results that arrive from elsewhere.
+//   BM_Sweep_Multicore       — run_sweep() on the same grid with every
+//                              cell placed on 2 or 4 cores: the
+//                              multicore stage's placements and fleet
+//                              runs on top of the single-core stages.
 //
-// The first two run their scenarios on the sweep's worker threads, so
-// they are timed in real time; MergeOnly runs on the benchmark thread.
+// SingleShard, FourShardMerge and Multicore run their scenarios on the
+// sweep's worker threads, so they are timed in real time; MergeOnly
+// runs on the benchmark thread.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -76,5 +81,16 @@ void BM_Sweep_MergeOnly(benchmark::State& state) {
   report_scenario_rate(state, opts.scenario_count);
 }
 BENCHMARK(BM_Sweep_MergeOnly)->Unit(benchmark::kMillisecond);
+
+void BM_Sweep_Multicore(benchmark::State& state) {
+  sweep::SweepOptions opts = sweep_bench_options();
+  opts.grid.core_counts = {2, 4};
+  for (auto _ : state) {
+    const sweep::SweepReport report = sweep::run_sweep(opts);
+    benchmark::DoNotOptimize(report.fingerprint);
+  }
+  report_scenario_rate(state, opts.scenario_count);
+}
+BENCHMARK(BM_Sweep_Multicore)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace

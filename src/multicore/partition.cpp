@@ -23,35 +23,6 @@ std::vector<sched::TaskId> by_utilization_desc(const sched::TaskSet& ts) {
   return order;
 }
 
-/// First-fit primary assignment under RTA admission, shared by both
-/// strategies so their primary phases are identical (and so the
-/// fault-aware placement is feasible only when first-fit's is —
-/// backup admission can only subtract).
-bool place_primaries(const sched::TaskSet& ts, std::size_t cores,
-                     Placement& p, std::string& reason) {
-  std::vector<std::vector<sched::TaskId>> on_core(cores);
-  sched::PriorityView view;
-  for (const sched::TaskId id : by_utilization_desc(ts)) {
-    bool placed = false;
-    for (std::size_t c = 0; c < cores && !placed; ++c) {
-      on_core[c].push_back(id);
-      view.assign(ts, on_core[c]);
-      placed = sched::is_feasible(view);
-      if (placed) {
-        p.primary[id] = c;
-      } else {
-        on_core[c].pop_back();
-      }
-    }
-    if (!placed) {
-      reason = "no core can schedule task '" + ts[id].name +
-               "' on top of its first-fit load";
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 Placement FirstFitDecreasing::place(const sched::TaskSet& ts,
@@ -60,7 +31,25 @@ Placement FirstFitDecreasing::place(const sched::TaskSet& ts,
   Placement p;
   p.primary.assign(ts.size(), kNoCore);
   p.backup.assign(ts.size(), kNoCore);
-  if (!place_primaries(ts, cores, p, p.reason)) return p;
+  // Primaries: first fit under RTA admission.
+  std::vector<std::vector<sched::TaskId>> on_core(cores);
+  sched::PriorityView view;
+  for (const sched::TaskId id : by_utilization_desc(ts)) {
+    for (std::size_t c = 0; c < cores && p.primary[id] == kNoCore; ++c) {
+      on_core[c].push_back(id);
+      view.assign(ts, on_core[c]);
+      if (sched::is_feasible(view)) {
+        p.primary[id] = c;
+      } else {
+        on_core[c].pop_back();
+      }
+    }
+    if (p.primary[id] == kNoCore) {
+      p.reason = "no core can schedule task '" + ts[id].name +
+                 "' on top of its first-fit load";
+      return p;
+    }
+  }
   if (cores > 1) {
     // The naive baseline: next core in index order, no capacity check.
     for (sched::TaskId id = 0; id < ts.size(); ++id) {
@@ -73,23 +62,27 @@ Placement FirstFitDecreasing::place(const sched::TaskSet& ts,
 
 Placement FaultAware::place(const sched::TaskSet& ts,
                             std::size_t cores) const {
-  RTFT_EXPECTS(cores >= 1, "placement needs at least one core");
-  Placement p;
-  p.primary.assign(ts.size(), kNoCore);
-  p.backup.assign(ts.size(), kNoCore);
-  if (!place_primaries(ts, cores, p, p.reason)) return p;
-  if (cores == 1) {
-    p.feasible = true;  // no fail-over possible, nothing to reserve.
-    return p;
-  }
+  return place_backups(ts, cores, FirstFitDecreasing{}.place(ts, cores));
+}
+
+Placement FaultAware::place_backups(const sched::TaskSet& ts,
+                                    std::size_t cores, Placement p) const {
+  RTFT_EXPECTS(p.primary.size() == ts.size() && p.backup.size() == ts.size(),
+               "placement must cover the task set");
+  // An infeasible first fit has no primaries to back up, and one core
+  // has no fail-over to reserve for.
+  if (!p.feasible || cores == 1) return p;
+  p.feasible = false;
+  std::fill(p.backup.begin(), p.backup.end(), kNoCore);
   // Backup admission. Under the single-fault hypothesis, core j only
   // ever activates the backups whose primary lives on the one failed
   // core f — so each (f, j) group is admitted independently: RTA over
   // j's primaries plus the group plus the candidate. Primaries are
-  // final by now and groups only grow, so checking the last-added
-  // state covers the final configuration.
+  // final and groups only grow, so checking the last-added state covers
+  // the final configuration.
   std::vector<std::vector<sched::TaskId>> primaries_on(cores);
   for (sched::TaskId id = 0; id < ts.size(); ++id) {
+    RTFT_EXPECTS(p.primary[id] < cores, "first fit must be on these cores");
     primaries_on[p.primary[id]].push_back(id);
   }
   // groups[f][j] = backups placed on j whose primary is on f.
@@ -99,8 +92,7 @@ Placement FaultAware::place(const sched::TaskSet& ts,
   std::vector<sched::TaskId> candidate;
   for (const sched::TaskId id : by_utilization_desc(ts)) {
     const std::size_t f = p.primary[id];
-    bool placed = false;
-    for (std::size_t j = 0; j < cores && !placed; ++j) {
+    for (std::size_t j = 0; j < cores && p.backup[id] == kNoCore; ++j) {
       if (j == f) continue;  // never co-located with its own primary.
       candidate = primaries_on[j];
       candidate.insert(candidate.end(), groups[f][j].begin(),
@@ -110,10 +102,9 @@ Placement FaultAware::place(const sched::TaskSet& ts,
       if (sched::is_feasible(view)) {
         groups[f][j].push_back(id);
         p.backup[id] = j;
-        placed = true;
       }
     }
-    if (!placed) {
+    if (p.backup[id] == kNoCore) {
       p.reason = "no core can absorb the backup of task '" + ts[id].name +
                  "' when core " + std::to_string(f) + " fails";
       return p;

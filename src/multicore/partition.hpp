@@ -16,8 +16,8 @@
 //     admission; the backup is simply the next core in index order,
 //     with NO capacity reserved for it. Cheap, and fine until a core
 //     actually dies: the backup core may be unable to absorb the load.
-//   * FaultAware — same primary phase, but a backup is admitted on core
-//     j only if RTA proves j can run its own primaries *plus* every
+//   * FaultAware — first-fit's primaries, but a backup is admitted on
+//     core j only if RTA proves j can run its own primaries *plus* every
 //     backup it would have to activate when that task's primary core
 //     fails. Placements it accepts therefore survive any single core
 //     failure by construction (single-fault hypothesis: backups whose
@@ -74,15 +74,21 @@ class FirstFitDecreasing final : public Partitioner {
   [[nodiscard]] const char* name() const override { return "first-fit"; }
 };
 
-/// Same primary phase as FirstFitDecreasing, but every backup is
-/// admitted by RTA against the worst post-failure load of its core:
-/// the core's primaries plus every backup already accepted there whose
-/// primary shares the failing core.
+/// FirstFitDecreasing's primaries, but every backup is admitted by RTA
+/// against the worst post-failure load of its core: the core's
+/// primaries plus every backup already accepted there whose primary
+/// shares the failing core.
 class FaultAware final : public Partitioner {
  public:
   [[nodiscard]] Placement place(const sched::TaskSet& ts,
                                 std::size_t cores) const override;
   [[nodiscard]] const char* name() const override { return "fault-aware"; }
+  /// The backup phase over FirstFitDecreasing's placement of `ts` on
+  /// `cores`: keeps its primaries and replaces its backups. An
+  /// infeasible first fit comes back as it is.
+  [[nodiscard]] Placement place_backups(const sched::TaskSet& ts,
+                                        std::size_t cores,
+                                        Placement first_fit) const;
 };
 
 /// Total primary utilization per core (index -> sum of Ci/Ti). The

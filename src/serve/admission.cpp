@@ -67,8 +67,7 @@ std::string ServiceMetrics::summary() const {
   os << "  faults injected    " << faults_injected << " (" << clock_skips
      << " clock skips)\n";
   os << "  cross-check        " << cross_check_disagreements
-     << " disagreements, " << oversize_cross_check_skips
-     << " oversize skips\n";
+     << " disagreements, " << cross_check_skips << " skips\n";
   os << "  max queue depth    " << max_queue_depth << "\n";
   return os.str();
 }

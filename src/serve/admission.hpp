@@ -135,12 +135,12 @@ struct ServiceMetrics {
   /// sound worst case, so anything nonzero is a library bug surfaced by
   /// serving traffic.
   std::uint64_t cross_check_disagreements = 0;
-  /// kExact requests answered at kRtaOnly because the engine window
-  /// would release more than the service's 200,000-job cap — the
-  /// service's defense against a single pathological request (a 1 ns
-  /// period next to a 1000 s one) starving every other client — or
-  /// reach dates past int64 nanoseconds.
-  std::uint64_t oversize_cross_check_skips = 0;
+  /// kExact requests answered at kRtaOnly, not cross-checked: the
+  /// kernel dated nothing to replay to (a level load above 1 or a guard
+  /// rail), or the replay would release more than the 200,000-job cap
+  /// (a 1 ns period next to a 1000 s one must not starve every other
+  /// client) or reach dates past int64 nanoseconds.
+  std::uint64_t cross_check_skips = 0;
   std::size_t max_queue_depth = 0;   ///< high-water mark (<= capacity).
   AnalysisTier current_tier = AnalysisTier::kExact;
 

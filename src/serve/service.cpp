@@ -375,50 +375,46 @@ CachedVerdict AdmissionService::compute(WorkerContext& ctx,
   // the kernel gives, and compare with the kernel exactly. A feasible
   // set ends at L, the end of the level-n busy period, where each job
   // examined has completed; a certain miss of job q ends at its
-  // deadline q·T + D. A set the kernel gives no date (a level load
-  // above 1 or a guard rail) keeps the window of horizon_periods.
+  // deadline q·T + D.
   const bool dated =
       feasible || ctx.rta[low].stop == sched::RtaStop::kMiss;
-  std::int64_t max_period = 0;
-  std::int64_t reach = 0;
-  for (const sched::TaskParams& t : ts.tasks()) {
-    max_period = std::max(max_period, t.period.count());
-    reach = std::max({reach, t.period.count(), t.deadline.count()});
-  }
-  std::optional<std::int64_t> end;
+  std::int64_t end = 0;
   if (feasible) {
     end = ctx.rta[n - 1].last_completion.count();
   } else if (dated) {
     // The kernel's cap held this date in int64.
     const sched::TaskParams& t = ts[ctx.view.id(low)];
     end = ctx.rta[low].jobs_examined * t.period.count() + t.deadline.count();
-  } else {
-    end = checked_mul(max_period, ServiceOptions::horizon_periods);
   }
   // Every date the engine forms must fit in int64 nanoseconds: E plus
   // the farthest a release reaches past it (its next release one period
   // on, its deadline check).
+  std::int64_t reach = 0;
+  for (const sched::TaskParams& t : ts.tasks()) {
+    reach = std::max({reach, t.period.count(), t.deadline.count()});
+  }
   std::optional<std::int64_t> jobs;
-  if (end && checked_add(*end, reach)) jobs = 0;
+  if (dated && checked_add(end, reach)) jobs = 0;
   for (const sched::TaskParams& t : ts.tasks()) {
     if (!jobs || *jobs > kMaxCrossCheckJobs) break;
     const std::int64_t period = t.period.count();
-    jobs = checked_add(*jobs, (*end + period - 1) / period);
+    jobs = checked_add(*jobs, (end + period - 1) / period);
   }
   if (!jobs || *jobs > kMaxCrossCheckJobs) {
-    // A 1 ns period next to a 1000 s one must not monopolize a worker,
-    // and a replay past int64 cannot run at all: keep the analytic
-    // answer and tag it honestly as not cross-checked.
-    // Mark the tier as this key's ceiling so exact-tier lookups still
+    // No replay to check against: a set the kernel dates nothing (it
+    // will miss, but no replay date is sure to reach the miss), a 1 ns
+    // period next to a 1000 s one that would monopolize a worker, or a
+    // replay past int64. Keep the analytic answer, tagged honestly, and
+    // mark the tier as this key's ceiling so exact-tier lookups still
     // hit the cache — recomputing would skip the cross-check again.
     out.tier = AnalysisTier::kRtaOnly;
     out.tier_is_ceiling = true;
-    oversize_cross_check_skips_.fetch_add(1);
+    cross_check_skips_.fetch_add(1);
     return out;
   }
 
   rt::EngineOptions eopts;
-  eopts.horizon = Instant::from_ns(*end);
+  eopts.horizon = Instant::from_ns(end);
   ctx.engine.reset(eopts);
   for (const sched::TaskParams& t : ts.tasks()) {
     // Zero the offsets: synchronous release is the critical instant the
@@ -444,15 +440,10 @@ CachedVerdict AdmissionService::compute(WorkerContext& ctx,
               (s.max_response == wcrt ||
                (tied(ctx.view, p) && s.max_response < wcrt));
     }
-  } else if (dated) {
+  } else {
     // Jobs 0..q-1 met their deadlines, job q misses at E.
     const std::int64_t missed = ctx.engine.stats(ctx.view.id(low)).missed;
     agree = missed == 1 || (tied(ctx.view, low) && missed == 0);
-  } else {
-    // No date: the engine must miss in the window, as the verdict says.
-    std::int64_t missed = 0;
-    for (std::size_t i = 0; i < n; ++i) missed += ctx.engine.stats(i).missed;
-    agree = missed != 0;
   }
   if (!agree) {
     // The kernel is exact at the critical instant, so this is a library
@@ -489,7 +480,7 @@ ServiceMetrics AdmissionService::metrics() const {
   m.clock_skips = clock_skips_.load();
   m.faults_injected = faults_injected_.load();
   m.cross_check_disagreements = cross_check_disagreements_.load();
-  m.oversize_cross_check_skips = oversize_cross_check_skips_.load();
+  m.cross_check_skips = cross_check_skips_.load();
   m.max_queue_depth = queue_.max_depth();
   m.current_tier = current_tier();
   return m;

@@ -34,7 +34,8 @@
 //     up to a date that loop computed: the end of the busy period for a
 //     feasible set, the deadline of the first certain miss otherwise.
 //     Over that interval the engine must reproduce the kernel exactly,
-//     task by task (see AdmissionService::compute).
+//     task by task (see AdmissionService::compute). A set the kernel
+//     gives no date is answered at kRtaOnly, not cross-checked.
 //   * Pooled engines: each worker reuses one rt::Engine through the
 //     reset() path, so steady-state serving allocates nothing per
 //     request on the engine side.
@@ -66,10 +67,10 @@ struct ServiceOptions {
   std::size_t workers = 2;
   std::size_t queue_capacity = 64;
   std::size_t cache_capacity = 1024;
-  /// The replay window, as a multiple of the set's largest period, for
-  /// the one kind of set the kernel gives no date: its capped analysis
-  /// stopped on a level load above 1 or a guard rail. A constant, since
-  /// no caller needs another value.
+  /// The replay window of e2ebench's traced admission replica, as a
+  /// multiple of the set's largest period. The service itself replays
+  /// only to a date the kernel gives and reads it nowhere; it goes when
+  /// the replica does.
   static constexpr std::int64_t horizon_periods = 8;
   ServiceFaultPlan faults;
   /// Start the worker pool in the constructor. Tests pass false, preload
@@ -174,7 +175,7 @@ class AdmissionService {
   std::atomic<std::uint64_t> clock_skips_{0};
   std::atomic<std::uint64_t> faults_injected_{0};
   std::atomic<std::uint64_t> cross_check_disagreements_{0};
-  std::atomic<std::uint64_t> oversize_cross_check_skips_{0};
+  std::atomic<std::uint64_t> cross_check_skips_{0};
 };
 
 }  // namespace rtft::serve

@@ -320,24 +320,29 @@ void ScenarioRunner::run_multicore(const ScenarioSpec& spec,
       SweepOptions::core_fault_fraction *
       static_cast<double>(horizon.count())));
 
-  const auto run_one = [&](const multicore::Partitioner& strategy,
-                           bool& placed, bool& clean,
-                           std::int64_t& missed_tasks,
+  // Fault-aware placement keeps first-fit's primaries, so it is
+  // infeasible wherever first-fit is.
+  const multicore::Placement ff = first_fit_.place(ts, spec.cores);
+  v.ff_placement_feasible = ff.feasible;
+  if (!ff.feasible) return;
+  const multicore::Placement fa =
+      fault_aware_.place_backups(ts, spec.cores, ff);
+  v.fa_placement_feasible = fa.feasible;
+
+  // Kill the busiest core of the shared primaries: highest utilization,
+  // ties to the lowest index — the worst single failure the placement
+  // can suffer under the single-fault hypothesis.
+  const std::vector<double> load =
+      multicore::primary_utilization(ts, ff, spec.cores);
+  std::size_t victim = 0;
+  for (std::size_t c = 1; c < load.size(); ++c) {
+    if (load[c] > load[victim]) victim = c;
+  }
+  const auto run_one = [&](const multicore::Placement& placement,
+                           bool& clean, std::int64_t& missed_tasks,
                            std::int64_t& lost_jobs) {
-    const multicore::Placement placement = strategy.place(ts, spec.cores);
-    placed = placement.feasible;
-    if (!placement.feasible) return;
     fleet_.reset(spec.cores, eopts);
     fleet_.add_placed(ts, placement);
-    // Kill the busiest core: highest primary utilization, ties to the
-    // lowest index — the worst single failure the placement can suffer
-    // under the single-fault hypothesis.
-    const std::vector<double> load =
-        multicore::primary_utilization(ts, placement, spec.cores);
-    std::size_t victim = 0;
-    for (std::size_t c = 1; c < load.size(); ++c) {
-      if (load[c] > load[victim]) victim = c;
-    }
     const multicore::MultiRunReport report =
         fleet_.run_with_fault({victim, Instant::epoch() + fault_after});
     clean = report.failover_clean;
@@ -345,10 +350,16 @@ void ScenarioRunner::run_multicore(const ScenarioSpec& spec,
     lost_jobs = report.total_lost_jobs;
   };
 
-  run_one(first_fit_, v.ff_placement_feasible, v.ff_failover_clean,
-          v.ff_missed_tasks, v.ff_lost_jobs);
-  run_one(fault_aware_, v.fa_placement_feasible, v.fa_failover_clean,
-          v.fa_missed_tasks, v.fa_lost_jobs);
+  run_one(ff, v.ff_failover_clean, v.ff_missed_tasks, v.ff_lost_jobs);
+  if (!fa.feasible) return;
+  // The same set, fleet, horizon, fault and placement make the same run.
+  if (fa.primary == ff.primary && fa.backup == ff.backup) {
+    v.fa_failover_clean = v.ff_failover_clean;
+    v.fa_missed_tasks = v.ff_missed_tasks;
+    v.fa_lost_jobs = v.ff_lost_jobs;
+  } else {
+    run_one(fa, v.fa_failover_clean, v.fa_missed_tasks, v.fa_lost_jobs);
+  }
 }
 
 Duration overrun_run_end(const sched::TaskSet& ts, Duration overrun,

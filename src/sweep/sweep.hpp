@@ -15,6 +15,9 @@
 //                                            (is the allowance honored?)
 //   4. a detector-loaded run with per-fire CPU cost unless it would
 //      repeat run 2 (does detection overhead break marginal systems? §6.2)
+//   5. in multicore cells, first-fit and fault-aware placement on a
+//      fleet whose busiest core dies mid-run, the second fleet run only
+//      if the placements differ        (does the placement survive it?)
 //
 // and the per-scenario verdicts are aggregated into grid-cell and total
 // summaries. Results are bitwise deterministic for a given (seed, grid,
@@ -180,7 +183,8 @@ struct ScenarioVerdict {
 
   // Multicore stage (cells with cores > 1; inert at the defaults so
   // both pinned fingerprints survive). ff_* = first-fit placement,
-  // fa_* = fault-aware placement, each run on the same draw.
+  // fa_* = fault-aware placement of the same draw, through the same
+  // core fault; an equal placement takes the ff_* run fields.
   std::size_t cores = 1;
   Duration quantum = Duration::ms(1);  ///< detector-quantizer resolution.
   bool ff_placement_feasible = false;  ///< first-fit found every slot.
@@ -422,10 +426,11 @@ class ScenarioRunner {
            std::optional<sched::TaskId> faulty = {},
            Duration extra = Duration::zero());
   [[nodiscard]] std::int64_t total_misses() const;
-  /// The multicore stage (cells with cores > 1): places the set with
-  /// first-fit and with fault-aware placement, kills the busiest core
-  /// at SweepOptions::core_fault_fraction of the horizon, and fills the
-  /// ff_*/fa_* verdict fields. Verdicts come from engine statistics.
+  /// The multicore stage (cells with cores > 1): places the set first
+  /// fit, admits fault-aware backups over it, kills the busiest core at
+  /// SweepOptions::core_fault_fraction of the horizon, and fills the
+  /// ff_*/fa_* fields from engine statistics, running one fleet for two
+  /// equal placements.
   void run_multicore(const ScenarioSpec& spec, const sched::TaskSet& ts,
                      Duration horizon, ScenarioVerdict& v);
 

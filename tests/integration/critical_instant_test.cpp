@@ -21,14 +21,17 @@
 // the dated miss) on each cache miss; this file is its proof, over the
 // sweep generator's population, over commensurate periods (where an
 // iterate lands on a release date and an off-by-one ceiling shows), and
-// over the paper's systems. It also checks the allowance searches'
-// tightness at the critical instant and the single-task overrun probe.
+// over the paper's systems. A set the kernel dates nothing is answered
+// without a replay, and one test sends such sets to the service. It
+// also checks the allowance searches' tightness at the critical instant
+// and the single-task overrun probe.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.hpp"
@@ -36,6 +39,7 @@
 #include "sched/allowance.hpp"
 #include "sched/feasibility.hpp"
 #include "sched/response_time.hpp"
+#include "serve/service.hpp"
 #include "support/paper_systems.hpp"
 #include "support/task_set_copies.hpp"
 #include "sweep/generators.hpp"
@@ -148,7 +152,8 @@ bool check_critical_instant(const TaskSet& ts, rt::Engine& engine,
   const std::optional<Duration> dated_end = replay_end(ts, view, a);
   Duration max_period;
   for (const TaskParams& t : ts) max_period = std::max(max_period, t.period);
-  // Without a date the service keeps its window of 8 max periods.
+  // Without a date the service does not replay; this check still runs
+  // 8 max periods, for the bounded levels below.
   const Duration end = dated_end.value_or(max_period * 8);
 
   // Every level the uncapped analysis bounds, and the latest of their
@@ -291,6 +296,35 @@ TEST(CriticalInstant, SweepPopulationReplaysExactly) {
   EXPECT_GT(cov.dated_misses, 800u);
   EXPECT_GT(cov.undated, 800u);
   EXPECT_GT(cov.infeasible_exact, 20'000u);
+}
+
+TEST(CriticalInstant, TheServiceAnswersUndatedSetsFromTheAnalysis) {
+  // Sweep draws with D > T at U 1.005-1.095: a level load above 1, so
+  // the capped kernel dates nothing, and no miss comes within 8 max
+  // periods, so a clean replay there would contradict nothing. Each
+  // goes to a fresh service, which answers from the analysis alone.
+  for (const std::uint64_t seed : {2u, 641u, 1061u, 1114u, 1322u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const TaskSet ts = sweep_draw(seed);
+    const PriorityView view(ts);
+    const CappedLoop a = capped_loop(view);
+    ASSERT_FALSE(a.feasible);
+    ASSERT_EQ(a.rta[a.low].stop, RtaStop::kOverload);
+    serve::ServiceOptions opts;
+    opts.workers = 1;
+    serve::AdmissionService service{opts};
+    serve::AdmissionRequest req;
+    req.id = seed;
+    req.tasks = ts.tasks();
+    const serve::AdmissionResponse resp = service.admit(std::move(req));
+    EXPECT_EQ(resp.status, serve::ResponseStatus::kAnswered);
+    EXPECT_EQ(resp.verdict, serve::AdmissionVerdict::kReject);
+    EXPECT_EQ(resp.tier, serve::AnalysisTier::kRtaOnly);
+    EXPECT_FALSE(resp.cross_checked);
+    const serve::ServiceMetrics m = service.metrics();
+    EXPECT_EQ(m.cross_check_disagreements, 0u);
+    EXPECT_EQ(m.cross_check_skips, 1u);
+  }
 }
 
 TEST(CriticalInstant, CommensuratePeriodsReplayExactly) {

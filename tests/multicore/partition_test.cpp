@@ -115,9 +115,9 @@ TEST(FaultAware, FeasiblePlacementsSurviveAnySingleFault) {
 }
 
 TEST(FaultAware, SharesTheFirstFitPrimaryPhase) {
-  // Identical primary assignment by construction (shared helper), so
-  // fault-aware can only be infeasible where first-fit also is, or
-  // because backup admission failed.
+  // Identical primary assignment by construction (place_backups keeps
+  // first-fit's primaries), so fault-aware can only be infeasible where
+  // first-fit also is, or because backup admission failed.
   const FirstFitDecreasing ffd;
   const FaultAware fa;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
@@ -129,6 +129,17 @@ TEST(FaultAware, SharesTheFirstFitPrimaryPhase) {
       EXPECT_EQ(pa.primary, pf.primary) << "seed " << seed;
     }
   }
+}
+
+TEST(FaultAware, PlaceBackupsRefusesAPlacementForAnotherFleet) {
+  // First fit on 4 cores puts primaries on cores 2 and 3, which a
+  // 2-core backup phase has no slot for: a caller bug, not an index
+  // past the end.
+  const sched::TaskSet ts = seeded_set(1, 8, 2.2);
+  const Placement wide = FirstFitDecreasing{}.place(ts, 4);
+  ASSERT_TRUE(wide.feasible) << wide.reason;
+  EXPECT_THROW(static_cast<void>(FaultAware{}.place_backups(ts, 2, wide)),
+               ContractViolation);
 }
 
 TEST(Partitioners, FirstFitAcceptsPlacementsThatDoNotSurviveAFault) {

@@ -255,7 +255,7 @@ TEST(AdmissionService, OversizeCrossChecksFallBackToRtaOnly) {
   EXPECT_EQ(resp.tier, AnalysisTier::kRtaOnly);  // tagged honestly.
   EXPECT_FALSE(resp.cross_checked);
   EXPECT_EQ(resp.verdict, AdmissionVerdict::kAdmit);
-  EXPECT_EQ(service.metrics().oversize_cross_check_skips, 1u);
+  EXPECT_EQ(service.metrics().cross_check_skips, 1u);
 
   // The kRtaOnly answer is the strongest this key can ever get (the
   // cross-check is refused every time), so an exact-tier repeat must be
@@ -265,7 +265,7 @@ TEST(AdmissionService, OversizeCrossChecksFallBackToRtaOnly) {
   EXPECT_TRUE(again.cache_hit);
   EXPECT_EQ(again.tier, AnalysisTier::kRtaOnly);
   EXPECT_EQ(again.verdict, AdmissionVerdict::kAdmit);
-  EXPECT_EQ(service.metrics().oversize_cross_check_skips, 1u);  // no rerun.
+  EXPECT_EQ(service.metrics().cross_check_skips, 1u);  // no rerun.
 
   // A 2^61 ns period: the replay ends with the one job's completion at
   // 100 us, and every date it forms fits in int64, so the set is
@@ -289,7 +289,7 @@ TEST(AdmissionService, OversizeCrossChecksFallBackToRtaOnly) {
     EXPECT_EQ(big.verdict, AdmissionVerdict::kAdmit);
   }
   const ServiceMetrics m = service.metrics();
-  EXPECT_EQ(m.oversize_cross_check_skips, 2u);
+  EXPECT_EQ(m.cross_check_skips, 2u);
   EXPECT_EQ(m.cross_check_disagreements, 0u);
 }
 
@@ -337,15 +337,26 @@ TEST(AdmissionService, ReplaysAnInfeasibleSetToItsFirstCertainMiss) {
   EXPECT_EQ(expect_cross_checked(ts).verdict, AdmissionVerdict::kReject);
 }
 
-TEST(AdmissionService, ALevelOverloadKeepsTheWindow) {
+TEST(AdmissionService, ALevelOverloadIsAnsweredFromTheAnalysis) {
   // D > T with a level load of 3/4 + 2/5: the kernel stops on the load
-  // test and dates nothing, so the engine replays 8 max periods, where
-  // "lo" misses (its job 2 ends at 15 ms, past 8 + 6 ms).
+  // test and dates nothing. The set will miss, but no replay is sure to
+  // reach the miss, so the exact tier answers from the analysis, at the
+  // kRtaOnly ceiling and not cross-checked.
   const sched::TaskSet ts = two_tasks(2_ms, 5_ms, 3_ms, 4_ms, 6_ms);
   const sched::PriorityView view(ts);
   ASSERT_EQ(sched::busy_period(view, 1, {}, {}, true).stop,
             sched::RtaStop::kOverload);
-  EXPECT_EQ(expect_cross_checked(ts).verdict, AdmissionVerdict::kReject);
+  AdmissionService service{quiet_options()};
+  const AdmissionResponse resp = service.admit(request_for(ts, 1));
+  EXPECT_EQ(resp.status, ResponseStatus::kAnswered);
+  EXPECT_EQ(resp.verdict, AdmissionVerdict::kReject);
+  EXPECT_EQ(resp.tier, AnalysisTier::kRtaOnly);
+  EXPECT_FALSE(resp.cross_checked);
+  // The ceiling holds: an exact-tier repeat is a cache hit.
+  EXPECT_TRUE(service.admit(request_for(ts, 2)).cache_hit);
+  const ServiceMetrics m = service.metrics();
+  EXPECT_EQ(m.cross_check_skips, 1u);
+  EXPECT_EQ(m.cross_check_disagreements, 0u);
 }
 
 TEST(AdmissionService, UtilizationOneSetIsAnsweredPromptly) {

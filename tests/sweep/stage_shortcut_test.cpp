@@ -1,18 +1,21 @@
-// The sweep's two engine shortcuts against the runs they skip:
+// The sweep's three engine shortcuts against the runs they skip:
 //
 //   * after a clean nominal run, stage 3 simulates the allowance run
 //     only up to overrun_run_end, the instant it rejoins the nominal run;
 //   * when the treatment plan detects nothing, stage 4 takes stage 2's
-//     verdict instead of re-running it.
+//     verdict instead of re-running it;
+//   * when fault-aware placement equals first-fit's, the multicore stage
+//     takes first-fit's fleet run for both instead of running it twice.
 //
-// The oracle is ScenarioRunner::run with stages 3 and 4 over the whole
-// window and the detector-loaded run always simulated. Every verdict
-// field must match it on 1,008 scenarios from the single-core cells of
-// both e2ebench sweep grids. Those grids honor the allowance
-// everywhere, so a run cut anywhere would pass that check; the second
-// test drives the cut rule itself with overruns past the allowance,
-// where runs do miss, and requires the cut run to count the whole
-// window's misses.
+// The oracle for the first two is ScenarioRunner::run with stages 3 and
+// 4 over the whole window and the detector-loaded run always simulated.
+// Every verdict field must match it on 1,008 scenarios from the
+// single-core cells of both e2ebench sweep grids. Those grids honor the
+// allowance everywhere, so a run cut anywhere would pass that check; the
+// second test drives the cut rule itself with overruns past the
+// allowance, where runs do miss, and requires the cut run to count the
+// whole window's misses. The third test's oracle places with both
+// partitioners and runs every feasible placement's fleet in full.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +26,8 @@
 
 #include "core/detector.hpp"
 #include "core/treatment.hpp"
+#include "multicore/multi_engine.hpp"
+#include "multicore/partition.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/quantize.hpp"
 #include "sched/allowance.hpp"
@@ -111,6 +116,7 @@ struct Worker {
   explicit Worker(const SweepOptions& opts) : runner(opts) {}
   ScenarioRunner runner;
   Runs runs;
+  multicore::MultiEngine fleet;
 };
 
 /// Calls fn(worker, i) for every i in [0, n), spread over up to four
@@ -130,15 +136,16 @@ void for_each_index(const SweepOptions& opts, std::size_t n, F fn) {
   for (std::thread& th : pool) th.join();
 }
 
-/// The first `n` scenarios of `opts` in single-core cells. Neither
-/// shortcut reaches the multicore stage, so its cells would only add
-/// run time.
-std::vector<ScenarioSpec> single_core_specs(const SweepOptions& opts,
-                                            std::size_t n) {
+/// The first `n` scenarios of `opts` in single-core cells, or in
+/// multicore cells when `multicore`. The first two shortcuts do not
+/// reach the multicore stage, the third reaches nothing else, so the
+/// other cells would only add run time.
+std::vector<ScenarioSpec> cell_specs(const SweepOptions& opts, std::size_t n,
+                                     bool multicore) {
   std::vector<ScenarioSpec> specs;
   for (std::uint64_t i = 0; specs.size() < n; ++i) {
     ScenarioSpec spec = scenario_spec(opts, i);
-    if (spec.cores == 1) specs.push_back(spec);
+    if ((spec.cores > 1) == multicore) specs.push_back(spec);
   }
   return specs;
 }
@@ -200,6 +207,70 @@ ScenarioVerdict whole_window_verdict(const ScenarioSpec& spec,
   return v;
 }
 
+/// How the multicore stage reaches its fault-aware fields.
+enum class FleetPath { kNoPlacement, kReused, kRun };
+
+/// The multicore stage as it ran before the fleet reuse: each
+/// partitioner places the set on its own, and each feasible placement's
+/// fleet runs in full through the busiest core's death at mid-horizon.
+/// Every other field comes from `base`. `path` says which way the stage
+/// under test takes to the fault-aware fields.
+ScenarioVerdict both_fleets_verdict(const ScenarioSpec& spec,
+                                    const SweepOptions& opts,
+                                    const ScenarioVerdict& base,
+                                    multicore::MultiEngine& fleet,
+                                    FleetPath& path) {
+  const sched::TaskSet ts = make_seeded_task_set(spec.seed, spec.tasks);
+  const Duration horizon = max_period(ts) * opts.horizon_periods;
+  rt::EngineOptions eopts;
+  eopts.horizon = Instant::epoch() + horizon;
+  const Instant fault_at =
+      Instant::epoch() +
+      Duration::ns(static_cast<std::int64_t>(
+          SweepOptions::core_fault_fraction *
+          static_cast<double>(horizon.count())));
+  ScenarioVerdict v = base;
+  const auto place_and_run = [&](const multicore::Placement& p,
+                                 bool& placed, bool& clean,
+                                 std::int64_t& missed_tasks,
+                                 std::int64_t& lost_jobs) {
+    placed = p.feasible;
+    clean = false;
+    missed_tasks = 0;
+    lost_jobs = 0;
+    if (!p.feasible) return;
+    fleet.reset(spec.cores, eopts);
+    fleet.add_placed(ts, p);
+    const std::vector<double> load =
+        multicore::primary_utilization(ts, p, spec.cores);
+    std::size_t victim = 0;
+    for (std::size_t c = 1; c < load.size(); ++c) {
+      if (load[c] > load[victim]) victim = c;
+    }
+    const multicore::MultiRunReport report =
+        fleet.run_with_fault({victim, fault_at});
+    clean = report.failover_clean;
+    missed_tasks = report.missed_tasks;
+    lost_jobs = report.total_lost_jobs;
+  };
+  const multicore::Placement ff =
+      multicore::FirstFitDecreasing{}.place(ts, spec.cores);
+  const multicore::Placement fa =
+      multicore::FaultAware{}.place(ts, spec.cores);
+  place_and_run(ff, v.ff_placement_feasible, v.ff_failover_clean,
+                v.ff_missed_tasks, v.ff_lost_jobs);
+  place_and_run(fa, v.fa_placement_feasible, v.fa_failover_clean,
+                v.fa_missed_tasks, v.fa_lost_jobs);
+  if (!fa.feasible) {
+    path = FleetPath::kNoPlacement;
+  } else if (fa.primary == ff.primary && fa.backup == ff.backup) {
+    path = FleetPath::kReused;
+  } else {
+    path = FleetPath::kRun;
+  }
+  return v;
+}
+
 /// A verdict's export row: every ScenarioVerdict field, named.
 std::string row(const ScenarioVerdict& v) {
   SweepReport report;
@@ -219,7 +290,7 @@ TEST(StageShortcut, VerdictsEqualTheWholeWindowRuns) {
   for (const Slice& slice :
        {Slice{exec_grid(1), 864}, Slice{analysis_grid(2), 144}}) {
     const std::vector<ScenarioSpec> specs =
-        single_core_specs(slice.opts, slice.count);
+        cell_specs(slice.opts, slice.count, false);
     std::vector<ScenarioVerdict> verdicts(specs.size());
     std::vector<std::string> expected(specs.size());
     for_each_index(slice.opts, specs.size(), [&](Worker& w, std::size_t i) {
@@ -237,6 +308,60 @@ TEST(StageShortcut, VerdictsEqualTheWholeWindowRuns) {
   // Both shortcuts were taken.
   EXPECT_GT(cut_allowance_runs, 0);
   EXPECT_GT(skipped_detector_runs, 0);
+}
+
+TEST(StageShortcut, EqualPlacementsReuseTheFirstFitFleetRun) {
+  // The multicore cells of both e2ebench grids (8 draws per cell), where
+  // fault-aware placement mostly equals first-fit's, and a slice of 3-4
+  // cores at U 1.2-2.4 where the placements and their verdicts mostly
+  // differ.
+  SweepOptions differ;
+  differ.base_seed = 1;
+  differ.grid.task_counts = {6, 10, 16};
+  differ.grid.utilizations = {1.2, 1.8, 2.4};
+  differ.grid.core_counts = {3, 4};
+  differ.detector_policy = core::TreatmentPolicy::kNoDetection;
+  differ.horizon_periods = 4;
+  struct Slice {
+    SweepOptions opts;
+    std::size_t count;
+  };
+  std::size_t reused = 0;
+  std::size_t run_differs = 0;
+  std::size_t no_placement = 0;
+  for (const Slice& slice : {Slice{exec_grid(4), 288},
+                             Slice{analysis_grid(5), 72}, Slice{differ, 288}}) {
+    const std::vector<ScenarioSpec> specs =
+        cell_specs(slice.opts, slice.count, true);
+    std::vector<ScenarioVerdict> verdicts(specs.size());
+    std::vector<ScenarioVerdict> expected(specs.size());
+    std::vector<FleetPath> paths(specs.size());
+    for_each_index(slice.opts, specs.size(), [&](Worker& w, std::size_t i) {
+      verdicts[i] = w.runner.run(specs[i]);
+      expected[i] = both_fleets_verdict(specs[i], slice.opts, verdicts[i],
+                                        w.fleet, paths[i]);
+    });
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const ScenarioVerdict& v = expected[i];
+      EXPECT_EQ(row(verdicts[i]), row(v)) << "scenario " << v.index;
+      if (paths[i] == FleetPath::kNoPlacement && v.ff_placement_feasible) {
+        ++no_placement;
+      } else if (paths[i] == FleetPath::kReused) {
+        ++reused;
+      } else if (paths[i] == FleetPath::kRun &&
+                 (v.fa_failover_clean != v.ff_failover_clean ||
+                  v.fa_missed_tasks != v.ff_missed_tasks ||
+                  v.fa_lost_jobs != v.ff_lost_jobs)) {
+        ++run_differs;
+      }
+    }
+  }
+  // Every path was taken: a reused run, a second run whose verdict
+  // differs from first-fit's, and a first fit whose backups fault-aware
+  // placement could not admit.
+  EXPECT_GT(reused, 0u);
+  EXPECT_GT(run_differs, 0u);
+  EXPECT_GT(no_placement, 0u);
 }
 
 TEST(StageShortcut, CutRunCountsTheWholeWindowsMissesPastTheAllowance) {
